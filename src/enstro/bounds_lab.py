@@ -33,8 +33,15 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from .burgers_solver import SolverConfig, simulate, sup_enstrophy
-from .field_core import Field1D, GridSpec1D, derivative, enstrophy, norms
+from .burgers_solver import (
+    SolverConfig,
+    march,
+    required_points,
+    simulate,
+    sup_enstrophy,
+    validate_initial,
+)
+from .field_core import Field1D, GridSpec1D, derivative, enstrophy, norms, spectral_ops
 
 
 class DatumConstructionError(ValueError):
@@ -285,7 +292,8 @@ def dissipation_window(
 
     Averages nu * int_O (u_x)^2 over the time window
     I = (1/(6U)+eps, 1/(3U)-eps) with O = (-U eps, U eps), trapezoid in
-    time over snapshots and rectangle quadrature in space.
+    time over about 600 sampled steps and rectangle quadrature in space.
+    The samples are taken while marching; no field is retained.
     """
     if U <= 0:
         raise ValueError(f"U must be positive, got {U}")
@@ -299,19 +307,23 @@ def dissipation_window(
     linf0 = float(np.abs(u0.values).max())
     if linf0 == 0.0:
         return 0.0, (2.0 / 3.0) * U**3
-    est_steps = t_hi / (0.4 * grid.dx / linf0)
+    cfg = SolverConfig(nu=nu, t_end=t_hi)
+    validate_initial(u0, cfg)
+    est_steps = t_hi / (cfg.cfl * grid.dx / linf0)
     stride = max(1, int(est_steps // 600))
-    cfg = SolverConfig(nu=nu, t_end=t_hi, sample_stride=stride)
-    traj, _ = simulate(u0, cfg)
 
     half_width = U * eps
     dist = np.abs((grid.x + 0.5) % 1.0 - 0.5)
     window = dist < half_width
+    n = grid.n_points
+    ik = spectral_ops(n).ik
     times, integrals = [], []
-    for t, f in zip(traj.times, traj.snapshots):
-        if t < t_lo or t > t_hi:
+    steps = march(np.fft.rfft(u0.values), n, grid.dx, cfg)
+    for i, (t, _, uh, _) in enumerate(steps, start=1):
+        sampled = i % stride == 0 or t == t_hi
+        if not sampled or t < t_lo:
             continue
-        ux = derivative(f, 1).values
+        ux = np.fft.irfft(ik * uh, n)
         times.append(t)
         integrals.append(float(np.sum(ux[window] ** 2) * grid.dx))
     if len(times) < 2:
@@ -334,6 +346,12 @@ def datum_family(name: str, grid: GridSpec1D) -> tuple[Field1D, float]:
         u0 = Field1D(grid, capital_u * np.sin(2.0 * np.pi * grid.x))
         return u0, capital_u
     raise KeyError(f"unknown datum family {name!r}; available: lower-bound, sine")
+
+
+def auto_grid(family: str, nu_min: float) -> GridSpec1D:
+    """The grid that resolves the family's viscous shock down to nu_min."""
+    _, capital_u = datum_family(family, GridSpec1D(512))
+    return GridSpec1D(required_points(nu_min, capital_u))
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,11 +400,6 @@ def fit_power_law(rows: list[tuple[float, float]]) -> tuple[float, float, float]
     return float(slope), float(intercept), residual
 
 
-def _required_points(nu_min: float, linf0: float, min_res: float = 4.0) -> int:
-    needed = min_res * linf0 / nu_min
-    return max(512, 2 ** math.ceil(math.log2(needed)))
-
-
 def nu_sweep(
     family: str, nus: list[float], cfg: SolverConfig, grid: GridSpec1D | None = None
 ) -> SweepResult:
@@ -399,9 +412,7 @@ def nu_sweep(
     if len(nus) < 4:
         raise ValueError("sweep needs at least 4 viscosities for the fit")
     if grid is None:
-        probe_grid = GridSpec1D(512)
-        _, capital_u = datum_family(family, probe_grid)
-        grid = GridSpec1D(_required_points(min(nus), capital_u))
+        grid = auto_grid(family, min(nus))
     u0, capital_u = datum_family(family, grid)
     e0 = enstrophy(u0)
     if abs(np.sqrt(e0) - 1.0) > 1e-10 or abs(float(u0.values.mean())) > 1e-12:
@@ -550,7 +561,7 @@ def relaxed_assumption_sweep(nu: float, cfg: SolverConfig, grid: GridSpec1D | No
     if grid is None:
         # resolve both the viscous shock and the datum's fall region
         # (~6 cells across the mollification radius delta ~ 0.05 nu)
-        n_shock = _required_points(nu, 0.25)
+        n_shock = required_points(nu, 0.25)
         n_fall = max(512, 2 ** math.ceil(math.log2(120.0 / max(nu, 1e-6))))
         grid = GridSpec1D(max(n_shock, n_fall))
     u0 = relaxed_datum(nu, grid)

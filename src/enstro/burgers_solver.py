@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .field_core import Field1D, GridSpec1D, _rfft_k, norms, write_field
+from .field_core import Field1D, spectral_ops, write_field
 
+# smallest amplitude a CFL rule divides by, so a zero state takes finite steps
 _CFL_FLOOR = 1e-12
 
 
@@ -49,6 +49,12 @@ class ResolutionError(ValueError):
         )
 
 
+def required_points(nu: float, linf: float, min_res: float = 4.0, floor: int = 512) -> int:
+    """Smallest power-of-two grid, at least ``floor``, that puts ``min_res``
+    points across the viscous shock width nu / linf."""
+    return max(floor, 2 ** math.ceil(math.log2(min_res * linf / nu)))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameters of a single viscous Burgers run."""
@@ -57,7 +63,7 @@ class SolverConfig:
     t_end: float
     cfl: float = 0.4
     dealias: bool = True
-    sample_stride: int = 1
+    sample_stride: int = 1  # diagnostics thinning of the finite-volume solver
     min_resolution_per_shock: float = 4.0
 
     def __post_init__(self) -> None:
@@ -155,7 +161,7 @@ class DiagnosticsSeries:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Field snapshots at sample_stride intervals plus the final state."""
+    """Field snapshots of a run; :func:`simulate` keeps the first and last."""
 
     times: tuple[float, ...]
     snapshots: tuple[Field1D, ...]
@@ -183,31 +189,10 @@ class Trajectory:
         return paths
 
 
-@lru_cache(maxsize=32)
-def _dealias_mask(n: int, dealias: bool) -> np.ndarray:
-    k = _rfft_k(n)
-    if dealias:
-        mask = (k <= n // 3).astype(float)
-    else:
-        mask = np.ones_like(k, dtype=float)
-        mask[-1] = 0.0  # Nyquist mode of the product is not representable
-    mask.setflags(write=False)
-    return mask
-
-
-@lru_cache(maxsize=128)
-def _half_step_factor(n: int, dt: float, nu: float) -> np.ndarray:
-    k = _rfft_k(n)
-    fac = np.exp(-0.5 * dt * nu * (2.0 * np.pi * k) ** 2)
-    fac.setflags(write=False)
-    return fac
-
-
 def _nonlinear(uh: np.ndarray, n: int, mask: np.ndarray) -> np.ndarray:
     """Dealiased spectral image of -u u_x from unnormalized rfft data."""
-    k = _rfft_k(n)
     u = np.fft.irfft(uh, n)
-    ux = np.fft.irfft(2j * np.pi * k * uh, n)
+    ux = np.fft.irfft(spectral_ops(n).ik * uh, n)
     return -np.fft.rfft(u * ux) * mask
 
 
@@ -215,8 +200,9 @@ def step_spectral(
     uh: np.ndarray, dt: float, nu: float, n: int, dealias: bool = True
 ) -> np.ndarray:
     """One integrating-factor RK4 step on unnormalized rfft coefficients."""
-    mask = _dealias_mask(n, dealias)
-    e1 = _half_step_factor(n, dt, nu)
+    ops = spectral_ops(n)
+    mask = ops.dealias if dealias else ops.no_dealias
+    e1 = np.exp(-0.5 * dt * nu * ops.k2)
     e2 = e1 * e1
     # overflow here means blow-up, which callers detect via isfinite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -243,80 +229,99 @@ def step(u: Field1D, dt: float, nu: float, dealias: bool = True) -> Field1D:
     return Field1D(u.grid, vals)
 
 
-def enstrophy_rate(u: Field1D, nu: float) -> EnstrophyRate:
-    """Instantaneous (1/2) dE/dt and its two addends, computed spectrally."""
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    n = u.grid.n_points
-    dx = u.grid.dx
-    k = _rfft_k(n)
-    uh = np.fft.rfft(u.values)
-    ux = np.fft.irfft(2j * np.pi * k * uh, n)
-    uxx = np.fft.irfft(-((2.0 * np.pi * k) ** 2) * uh, n)
-    dissipation = -nu * float(np.sum(uxx**2) * dx)
-    cubic = -0.5 * float(np.sum(ux**3) * dx)
-    return EnstrophyRate(dissipation + cubic, dissipation, cubic)
+def march(
+    uh: np.ndarray, n: int, dx: float, cfg: SolverConfig
+) -> Iterator[tuple[float, float, np.ndarray, np.ndarray]]:
+    """Advance rfft data ``uh`` to ``cfg.t_end`` with adaptive advective steps.
 
-
-def _diagnostics_row(u: Field1D, t: float, nu: float) -> tuple:
-    nm = norms(u)
-    n = u.grid.n_points
-    k = _rfft_k(n)
-    ux = np.fft.irfft(2j * np.pi * k * np.fft.rfft(u.values), n)
-    rate = enstrophy_rate(u, nu)
-    return (
-        t,
-        0.5 * nm.l2**2,
-        nm.enstrophy,
-        nm.tv,
-        nm.linf,
-        float(ux.min()),
-        rate.dissipation,
-        rate.cubic,
-    )
-
-
-def simulate(u0: Field1D, cfg: SolverConfig) -> tuple[Trajectory, DiagnosticsSeries]:
-    """Integrate u0 to cfg.t_end with adaptive advective time steps."""
-    grid = u0.grid
-    n = grid.n_points
-    if abs(float(u0.values.mean())) > 1e-12:
-        raise ValueError("initial data must have zero mean (|mean| <= 1e-12)")
-    linf0 = float(np.abs(u0.values).max())
-    if linf0 > 0:
-        width = cfg.nu / linf0
-        if grid.dx > width / cfg.min_resolution_per_shock:
-            required = cfg.min_resolution_per_shock * linf0 / cfg.nu
-            required_n = max(8, 2 ** math.ceil(math.log2(required)))
-            raise ResolutionError(required_n, grid.dx, width)
-
-    uh = np.fft.rfft(u0.values)
+    Yields ``(t, dt, uh, vals)`` after every step, ``vals`` being the
+    samples of ``uh``.  Each step's CFL amplitude is read from the samples
+    the previous step yielded, so a step costs the RK4 transforms plus one
+    inverse transform.  Nothing is retained between steps.
+    """
+    vals = np.fft.irfft(uh, n)
     t = 0.0
-    rows = [_diagnostics_row(u0, t, cfg.nu)]
-    snap_times = [0.0]
-    snaps = [u0]
-    step_index = 0
     while t < cfg.t_end:
-        u_now = np.fft.irfft(uh, n)
-        amp = max(float(np.abs(u_now).max()), _CFL_FLOOR)
-        dt = cfg.cfl * grid.dx / amp
-        last = False
-        if dt >= cfg.t_end - t:
+        amp = max(float(np.abs(vals).max()), _CFL_FLOOR)
+        dt = cfg.cfl * dx / amp
+        last = dt >= cfg.t_end - t
+        if last:
             dt = cfg.t_end - t
-            last = True
         uh = step_spectral(uh, dt, cfg.nu, n, cfg.dealias)
         vals = np.fft.irfft(uh, n)
         if not np.all(np.isfinite(vals)):
             raise BlowUpError(t)
         t = cfg.t_end if last else t + dt
-        step_index += 1
-        field = Field1D(grid, vals)
-        rows.append(_diagnostics_row(field, t, cfg.nu))
-        if last or step_index % cfg.sample_stride == 0:
-            snap_times.append(t)
-            snaps.append(field)
+        yield t, dt, uh, vals
+
+
+def _rate_terms(
+    uh: np.ndarray, n: int, dx: float, nu: float
+) -> tuple[np.ndarray, float, float]:
+    """(u_x, dissipation, cubic) of the state with rfft data ``uh``."""
+    ops = spectral_ops(n)
+    ux = np.fft.irfft(ops.ik * uh, n)
+    uxx = np.fft.irfft(-ops.k2 * uh, n)
+    dissipation = -nu * float(np.sum(uxx**2) * dx)
+    cubic = -0.5 * float(np.sum(ux**3) * dx)
+    return ux, dissipation, cubic
+
+
+def enstrophy_rate(u: Field1D, nu: float) -> EnstrophyRate:
+    """Instantaneous (1/2) dE/dt and its two addends, computed spectrally."""
+    if nu <= 0:
+        raise ValueError(f"nu must be positive, got {nu}")
+    n = u.grid.n_points
+    _, dissipation, cubic = _rate_terms(np.fft.rfft(u.values), n, u.grid.dx, nu)
+    return EnstrophyRate(dissipation + cubic, dissipation, cubic)
+
+
+def _diagnostics_row(
+    t: float, uh: np.ndarray, vals: np.ndarray, nu: float, dx: float
+) -> tuple:
+    """One DIAGNOSTIC_COLUMNS row of a state given as rfft data and samples."""
+    ux, dissipation, cubic = _rate_terms(uh, vals.size, dx, nu)
+    l2 = float(np.sqrt(np.sum(vals * vals) * dx))
     return (
-        Trajectory(tuple(snap_times), tuple(snaps)),
+        t,
+        0.5 * l2**2,
+        float(np.sum(ux * ux) * dx),
+        float(np.abs(np.diff(vals, append=vals[:1])).sum()),
+        float(np.abs(vals).max()),
+        float(ux.min()),
+        dissipation,
+        cubic,
+    )
+
+
+def validate_initial(u0: Field1D, cfg: SolverConfig) -> None:
+    """Reject data with nonzero mean or a grid too coarse for its shock."""
+    if abs(float(u0.values.mean())) > 1e-12:
+        raise ValueError("initial data must have zero mean (|mean| <= 1e-12)")
+    linf0 = float(np.abs(u0.values).max())
+    if linf0 > 0:
+        width = cfg.nu / linf0
+        if u0.grid.dx > width / cfg.min_resolution_per_shock:
+            required_n = required_points(
+                cfg.nu, linf0, cfg.min_resolution_per_shock, floor=8
+            )
+            raise ResolutionError(required_n, u0.grid.dx, width)
+
+
+def simulate(u0: Field1D, cfg: SolverConfig) -> tuple[Trajectory, DiagnosticsSeries]:
+    """Integrate u0 to cfg.t_end with adaptive advective time steps.
+
+    Records a diagnostics row at t = 0 and after every step; the returned
+    trajectory holds the initial and final states only.
+    """
+    validate_initial(u0, cfg)
+    grid = u0.grid
+    uh = np.fft.rfft(u0.values)
+    rows = [_diagnostics_row(0.0, uh, u0.values, cfg.nu, grid.dx)]
+    for t, _, uh, vals in march(uh, grid.n_points, grid.dx, cfg):
+        rows.append(_diagnostics_row(t, uh, vals, cfg.nu, grid.dx))
+    return (
+        Trajectory((0.0, cfg.t_end), (u0, Field1D(grid, vals))),
         DiagnosticsSeries.from_rows(rows),
     )
 

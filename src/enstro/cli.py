@@ -28,6 +28,7 @@ from . import __version__
 from .bounds_lab import (
     LowerBoundDatumSpec,
     SweepResult,
+    auto_grid,
     build_lower_bound_datum,
     characteristics_report,
     datum_family,
@@ -71,7 +72,6 @@ SCHEMAS: dict[str, dict[str, tuple[type, object, str]]] = {
         "n_points": (int, 512, "grid points (power of two)"),
         "t_end": (float, 0.5, "final time"),
         "cfl": (float, 0.4, "CFL number"),
-        "stride": (int, 1, "snapshot thinning stride"),
     },
     "oracle-check": {
         "nu": (float, 0.05, "viscosity"),
@@ -334,12 +334,7 @@ def _monotone_assertions(diag) -> list[dict]:
 def _cmd_simulate(cfg: dict, run_dir: Path, jobs: int, seed: int):
     grid = GridSpec1D(cfg["n_points"])
     u0 = _initial_field(cfg["init"], cfg["amp"], grid)
-    sim_cfg = SolverConfig(
-        nu=cfg["nu"],
-        t_end=cfg["t_end"],
-        cfl=cfg["cfl"],
-        sample_stride=cfg["stride"],
-    )
+    sim_cfg = SolverConfig(nu=cfg["nu"], t_end=cfg["t_end"], cfl=cfg["cfl"])
     traj, diag = simulate(u0, sim_cfg)
     write_field(u0, run_dir / "initial.dat")
     write_field(traj.final, run_dir / "final.dat")
@@ -444,13 +439,6 @@ def _cmd_heat_estimates(cfg: dict, run_dir: Path, jobs: int, seed: int):
     return ["ratios.csv", "report.json"], checks
 
 
-def _auto_points(nu_min: float, linf: float) -> int:
-    import math
-
-    needed = 4.0 * linf / nu_min
-    return max(512, 2 ** math.ceil(math.log2(needed)))
-
-
 def run_sweep_nu(cfg: dict, jobs: int) -> tuple[SweepResult | None, list, str]:
     """Fan the viscosity sweep across a worker pool; rows stay ordered.
 
@@ -464,8 +452,7 @@ def run_sweep_nu(cfg: dict, jobs: int) -> tuple[SweepResult | None, list, str]:
     if cfg["n_points"]:
         grid = GridSpec1D(cfg["n_points"])
     else:
-        probe, capital_u = datum_family(cfg["family"], GridSpec1D(512))
-        grid = GridSpec1D(_auto_points(min(nus), float(np.abs(probe.values).max())))
+        grid = auto_grid(cfg["family"], min(nus))
     u0, _ = datum_family(cfg["family"], grid)
 
     def one(nu: float):
@@ -693,10 +680,7 @@ def _cmd_dissipation(cfg: dict, run_dir: Path, jobs: int, seed: int):
     if cfg["n_points"]:
         grid = GridSpec1D(cfg["n_points"])
     else:
-        probe, _ = datum_family("lower-bound", GridSpec1D(512))
-        grid = GridSpec1D(
-            _auto_points(cfg["nu"], float(np.abs(probe.values).max()))
-        )
+        grid = auto_grid("lower-bound", cfg["nu"])
     u0, capital_u = datum_family("lower-bound", grid)
     measured, reference = dissipation_window(u0, capital_u, cfg["nu"], cfg["eps"])
     report = {

@@ -26,10 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .burgers_solver import BlowUpError, DiagnosticsSeries, SolverConfig
+from .burgers_solver import _CFL_FLOOR, BlowUpError, DiagnosticsSeries, SolverConfig
 from .field_core import ConfigurationError
-
-_CFL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)

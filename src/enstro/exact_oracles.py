@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field_core import Field1D, GridSpec1D, _rfft_k, heat_propagate
+from .field_core import Field1D, derivative, heat_propagate, spectral_ops
 
 
 class UnderflowError(ArithmeticError):
@@ -71,10 +71,10 @@ def hopf_cole_solution(u0: Field1D, nu: float, t: float) -> Field1D:
     if abs(u0.values.mean()) > 1e-12:
         raise ValueError("initial data must have zero mean")
 
-    k = _rfft_k(n)
+    ops = spectral_ops(n)
     uh = np.fft.rfft(u0.values)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ph = np.where(k > 0, uh / np.where(k > 0, 2j * np.pi * k, 1.0), 0.0)
+        ph = np.where(ops.k2 > 0, uh / np.where(ops.k2 > 0, ops.ik, 1.0), 0.0)
     ph[-1] = 0.0
     phi = np.fft.irfft(ph, n)
 
@@ -90,8 +90,7 @@ def hopf_cole_solution(u0: Field1D, nu: float, t: float) -> Field1D:
         raise UnderflowError(
             "heat-propagated potential underflowed; increase nu or reduce t"
         )
-    th = np.fft.rfft(tv)
-    theta_x = np.fft.irfft(2j * np.pi * k * th, n)
+    theta_x = derivative(theta, 1).values
     return Field1D(u0.grid, -2.0 * nu * theta_x / tv)
 
 
@@ -108,18 +107,18 @@ def heat_estimate_ratios(v0: Field1D, nu: float, t: float) -> tuple[float, float
         raise ValueError("heat_estimate_ratios needs nu > 0 and t > 0")
     n = v0.grid.n_points
     dx = v0.grid.dx
-    k = _rfft_k(n)
+    ops = spectral_ops(n)
     vh = np.fft.rfft(v0.values)
-    v_x = np.fft.irfft(2j * np.pi * k * vh, n)
+    v_x = np.fft.irfft(ops.ik * vh, n)
     grad_l1 = float(np.abs(v_x).sum() * dx)
     sup = float(np.abs(v0.values).max())
     if grad_l1 < 1e-14:
         raise ValueError("degenerate input: v0 is constant")
 
-    damp = np.exp(-nu * t * (2.0 * np.pi * k) ** 2)
+    damp = np.exp(-nu * t * ops.k2)
     wh = vh * damp
-    w_x = np.fft.irfft(2j * np.pi * k * wh, n)
-    w_xx = np.fft.irfft(-((2.0 * np.pi * k) ** 2) * wh, n)
+    w_x = np.fft.irfft(ops.ik * wh, n)
+    w_xx = np.fft.irfft(-ops.k2 * wh, n)
     l2_1 = float(np.sqrt(np.sum(w_x**2) * dx))
     l2_2 = float(np.sqrt(np.sum(w_xx**2) * dx))
 
@@ -138,8 +137,3 @@ def gronwall_envelope(e0: float, lip: float, nu: float, t: float) -> float:
     if e0 < 0 or lip < 0 or nu <= 0 or t < 0:
         raise ValueError("gronwall_envelope needs e0, lip, t >= 0 and nu > 0")
     return e0 * np.exp(lip**2 * t / nu)
-
-
-def make_grid(n: int) -> GridSpec1D:
-    """Convenience constructor used by scripts and tests."""
-    return GridSpec1D(n)

@@ -25,15 +25,14 @@ from typing import Callable
 import numpy as np
 
 from .burgers_solver import (
-    _dealias_mask,
-    _half_step_factor,
+    SolverConfig,
     _nonlinear,
     enstrophy_rate,
+    march,
     step_spectral,
 )
-from .field_core import Field1D, GridSpec1D, _rfft_k
+from .field_core import Field1D, GridSpec1D, spectral_ops
 
-_CFL_FLOOR = 1e-12
 _FORWARD_CFL = 0.4
 ADJOINT_STORAGE_BUDGET_BYTES = 256 * 2**20
 
@@ -128,11 +127,11 @@ def rate_gradient(u: Field1D, nu: float) -> Field1D:
     if nu <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
     n = u.grid.n_points
-    k = _rfft_k(n)
+    ops = spectral_ops(n)
     uh = np.fft.rfft(u.values)
-    ux = np.fft.irfft(2j * np.pi * k * uh, n)
-    fourth = np.fft.irfft((2.0 * np.pi * k) ** 4 * uh, n)
-    dsq = np.fft.irfft(2j * np.pi * k * np.fft.rfft(ux**2), n)
+    ux = np.fft.irfft(ops.ik * uh, n)
+    fourth = np.fft.irfft(ops.k4 * uh, n)
+    dsq = np.fft.irfft(ops.ik * np.fft.rfft(ux**2), n)
     return Field1D(u.grid, -2.0 * nu * fourth + 1.5 * dsq)
 
 
@@ -142,8 +141,7 @@ def rate_gradient(u: Field1D, nu: float) -> Field1D:
 
 
 def _enstrophy_vals(vals: np.ndarray, n: int, dx: float) -> float:
-    k = _rfft_k(n)
-    ux = np.fft.irfft(2j * np.pi * k * np.fft.rfft(vals), n)
+    ux = np.fft.irfft(spectral_ops(n).ik * np.fft.rfft(vals), n)
     return float(np.sum(ux**2) * dx)
 
 
@@ -157,10 +155,10 @@ def _retract(vals: np.ndarray, e0: float, n: int, dx: float) -> np.ndarray:
 def _precondition(g_vals: np.ndarray, n: int, inner_product: str) -> np.ndarray:
     if inner_product == "l2":
         return g_vals - g_vals.mean()
-    k = _rfft_k(n)
+    ops = spectral_ops(n)
     gh = np.fft.rfft(g_vals)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gh = np.where(k > 0, gh / np.where(k > 0, (2.0 * np.pi * k) ** 2, 1.0), 0.0)
+        gh = np.where(ops.k2 > 0, gh / np.where(ops.k2 > 0, ops.k2, 1.0), 0.0)
     return np.fft.irfft(gh, n)
 
 
@@ -173,9 +171,9 @@ def _tangent_direction(
     the directional derivative along d (nonnegative by construction) and
     metric_norm measures d in the preconditioning inner product.
     """
-    k = _rfft_k(n)
+    ops = spectral_ops(n)
     uh = np.fft.rfft(u_vals)
-    c_vals = np.fft.irfft(-((2.0 * np.pi * k) ** 2) * uh, n) * (-2.0)  # dE/du
+    c_vals = np.fft.irfft(-ops.k2 * uh, n) * (-2.0)  # dE/du
     pg = _precondition(g_vals, n, inner_product)
     pc = _precondition(c_vals, n, inner_product)
     denom = float(np.sum(pc * c_vals) * dx)
@@ -187,7 +185,7 @@ def _tangent_direction(
     slope = float(np.sum(g_vals * d) * dx)
     if inner_product == "h1":
         dh = np.fft.rfft(d)
-        dd = np.fft.irfft(2j * np.pi * k * dh, n)
+        dd = np.fft.irfft(ops.ik * dh, n)
         metric_norm = float(np.sqrt(np.sum(dd**2) * dx))
     else:
         metric_norm = float(np.sqrt(np.sum(d**2) * dx))
@@ -305,20 +303,9 @@ def _march_forward(
     dts: list[float] = []
     checkpoints: dict[int, np.ndarray] = {0: uh.copy()} if keep else {}
     stride = 1
-    t = 0.0
-    i = 0
-    while t < T:
-        amp = max(float(np.abs(np.fft.irfft(uh, n)).max()), _CFL_FLOOR)
-        dt = _FORWARD_CFL * dx / amp
-        last = dt >= T - t
-        if last:
-            dt = T - t
-        uh = step_spectral(uh, dt, nu, n, dealias=True)
-        if not np.all(np.isfinite(np.fft.irfft(uh, n))):
-            raise FloatingPointError(f"forward march lost finiteness at t={t:.6g}")
+    cfg = SolverConfig(nu=nu, t_end=T, cfl=_FORWARD_CFL)
+    for i, (_, dt, uh, _) in enumerate(march(uh, n, dx, cfg), start=1):
         dts.append(dt)
-        t = T if last else t + dt
-        i += 1
         if keep:
             if i % stride == 0:
                 checkpoints[i] = uh.copy()
@@ -330,19 +317,20 @@ def _march_forward(
 
 def _nonlinear_adjoint(a_hat: np.ndarray, v_hat: np.ndarray, n: int, mask: np.ndarray) -> np.ndarray:
     """Transpose of the linearized dealiased advection about state a."""
-    k = _rfft_k(n)
-    da = np.fft.irfft(2j * np.pi * k * a_hat, n)
+    ik = spectral_ops(n).ik
+    da = np.fft.irfft(ik * a_hat, n)
     a = np.fft.irfft(a_hat, n)
     mv = np.fft.irfft(mask * v_hat, n)
-    return -np.fft.rfft(da * mv) + 2j * np.pi * k * np.fft.rfft(a * mv)
+    return -np.fft.rfft(da * mv) + ik * np.fft.rfft(a * mv)
 
 
 def _adjoint_step(
     uh: np.ndarray, lam_hat: np.ndarray, dt: float, nu: float, n: int
 ) -> np.ndarray:
     """Pull the objective gradient back through one forward RK4 step."""
-    mask = _dealias_mask(n, True)
-    e1 = _half_step_factor(n, dt, nu)
+    ops = spectral_ops(n)
+    mask = ops.dealias
+    e1 = np.exp(-0.5 * dt * nu * ops.k2)
     e2 = e1 * e1
     # recompute the forward stage states from the stored step-start state
     k1 = dt * _nonlinear(uh, n, mask)
@@ -386,8 +374,7 @@ def finite_time_objective(u0: Field1D, T: float, nu: float) -> float:
     if T == 0:
         return _enstrophy_vals(u0.values, n, dx)
     uh, _, _, _ = _march_forward(u0.values, T, nu, n, dx, False, 0)
-    k = _rfft_k(n)
-    ux = np.fft.irfft(2j * np.pi * k * uh, n)
+    ux = np.fft.irfft(spectral_ops(n).ik * uh, n)
     return float(np.sum(ux**2) * dx)
 
 
@@ -415,9 +402,8 @@ def finite_time_gradient(
         u0.values, T, nu, n, dx, True, budget_bytes
     )
     n_steps = len(dts)
-    k = _rfft_k(n)
     # terminal condition: L2 gradient of E at u(T) is -2 u_xx(T)
-    lam = 2.0 * ((2.0 * np.pi * k) ** 2) * uh_T
+    lam = 2.0 * spectral_ops(n).k2 * uh_T
 
     # walk segments backward, re-marching each from its checkpoint
     seg_hi = n_steps  # states are indexed 0..n_steps; step i maps i -> i+1

@@ -108,16 +108,41 @@ class FieldNorms:
     enstrophy: float
 
 
-@lru_cache(maxsize=32)
-def _fft_k(n: int) -> np.ndarray:
-    """Integer wavenumbers in numpy FFT order for an n-point grid."""
-    return np.fft.fftfreq(n, d=1.0 / n)
+@dataclass(frozen=True, eq=False)
+class SpectralOps:
+    """Fourier multipliers of an n-point grid in the rfft layout, k = 0..n/2.
+
+    ``ik`` = 2*pi*i*k drops the unpaired Nyquist mode, which keeps
+    derivatives real and skew-adjoint; ``k2``, ``k4`` = (2*pi*k)**2, **4.
+    ``dealias`` is the 2/3-rule mask of a quadratic product and
+    ``no_dealias`` drops only the product's unrepresentable Nyquist mode.
+    """
+
+    ik: np.ndarray
+    k2: np.ndarray
+    k4: np.ndarray
+    dealias: np.ndarray
+    no_dealias: np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _rfft_k(n: int) -> np.ndarray:
-    """Nonnegative integer wavenumbers for the rfft layout (0 .. n/2)."""
-    return np.fft.rfftfreq(n, d=1.0 / n)
+def spectral_ops(n: int) -> SpectralOps:
+    """The cached :class:`SpectralOps` table of an n-point grid."""
+    k = np.fft.rfftfreq(n, d=1.0 / n)
+    ik = 2j * np.pi * k
+    ik[-1] = 0.0
+    no_dealias = np.ones_like(k)
+    no_dealias[-1] = 0.0
+    ops = SpectralOps(
+        ik=ik,
+        k2=(2.0 * np.pi * k) ** 2,
+        k4=(2.0 * np.pi * k) ** 4,
+        dealias=(k <= n // 3).astype(float),
+        no_dealias=no_dealias,
+    )
+    for arr in vars(ops).values():
+        arr.setflags(write=False)
+    return ops
 
 
 def transform(field: Field1D) -> Spectrum1D:
@@ -145,19 +170,15 @@ def is_hermitian(spectrum: Spectrum1D, tol: float = 1e-12) -> bool:
 def derivative(field: Field1D, order: int = 1) -> Field1D:
     """Spectral derivative of the given order (1 or 2).
 
-    Multiplies mode k by (2*pi*i*k)**order; for odd orders the unpaired
-    Nyquist mode is dropped, the standard choice that keeps the result real
-    and the operator skew-adjoint on the sample inner product.
+    Multiplies mode k by 2*pi*i*k (Nyquist mode dropped) or by -(2*pi*k)**2;
+    see :class:`SpectralOps`.
     """
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
     n = field.grid.n_points
-    k = _rfft_k(n)
-    c = np.fft.rfft(field.values)
-    c = c * (2j * np.pi * k) ** order
-    if order % 2 == 1:
-        c[-1] = 0.0
-    return Field1D(field.grid, np.fft.irfft(c, n))
+    ops = spectral_ops(n)
+    mult = ops.ik if order == 1 else -ops.k2
+    return Field1D(field.grid, np.fft.irfft(np.fft.rfft(field.values) * mult, n))
 
 
 def heat_propagate(field: Field1D, nu_t: float) -> Field1D:
@@ -171,8 +192,7 @@ def heat_propagate(field: Field1D, nu_t: float) -> Field1D:
     if nu_t == 0:
         return Field1D(field.grid, field.values)
     n = field.grid.n_points
-    k = _rfft_k(n)
-    c = np.fft.rfft(field.values) * np.exp(-nu_t * (2.0 * np.pi * k) ** 2)
+    c = np.fft.rfft(field.values) * np.exp(-nu_t * spectral_ops(n).k2)
     return Field1D(field.grid, np.fft.irfft(c, n))
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from enstro.burgers_solver import (
+    _CFL_FLOOR,
     BlowUpError,
     DIAGNOSTIC_COLUMNS,
     DiagnosticsSeries,
@@ -17,11 +18,14 @@ from enstro.burgers_solver import (
     SolverConfig,
     Trajectory,
     enstrophy_rate,
+    march,
     simulate,
     step,
+    step_spectral,
     sup_enstrophy,
 )
 from enstro.exact_oracles import hopf_cole_solution
+from enstro.extremizers import _march_forward
 from enstro.field_core import Field1D, GridSpec1D, derivative, norms
 
 
@@ -163,10 +167,13 @@ class TestSimulateInvariants:
         _, diag = run
         assert np.all(np.diff(diag.tv) <= diag.tv[:-1] * 1e-6)
 
-    def test_mean_conserved(self, run):
-        traj, _ = run
-        for f in traj.snapshots[:: max(1, len(traj.snapshots) // 8)]:
-            assert abs(f.values.mean()) < 1e-12
+    def test_mean_conserved(self):
+        u0 = sin_field(512, amp=0.9)
+        cfg = SolverConfig(nu=0.02, t_end=0.6)
+        states = march(np.fft.rfft(u0.values), 512, u0.grid.dx, cfg)
+        for _, _, uh, vals in states:
+            assert uh[0] == 0.0
+            assert abs(vals.mean()) < 1e-12
 
     def test_energy_balance(self, run):
         # d/dt (energy) = -nu * enstrophy; centered differences on the
@@ -306,19 +313,11 @@ class TestSerialization:
 
     def test_snapshot_files(self, tmp_path):
         u0 = sin_field(256, amp=0.6)
-        traj, _ = simulate(u0, SolverConfig(nu=0.05, t_end=0.05, sample_stride=7))
+        traj, _ = simulate(u0, SolverConfig(nu=0.05, t_end=0.05))
         paths = traj.write_snapshots(tmp_path)
         assert paths[0].name == "snap_0000_t0.000000.dat"
         assert all(p.exists() for p in paths)
-        assert len(paths) == len(traj.times)
-
-    def test_stride_thins_snapshots(self):
-        u0 = sin_field(256, amp=0.6)
-        traj1, diag = simulate(u0, SolverConfig(nu=0.05, t_end=0.05, sample_stride=1))
-        traj5, _ = simulate(u0, SolverConfig(nu=0.05, t_end=0.05, sample_stride=5))
-        assert len(traj1.snapshots) == len(diag)
-        assert len(traj5.snapshots) < len(traj1.snapshots)
-        assert traj5.times[-1] == diag.t[-1]
+        assert len(paths) == len(traj.times) == 2
 
     def test_from_rows_and_header_guard(self, tmp_path):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -333,3 +332,105 @@ class TestSerialization:
         f2 = sin_field(128)
         with pytest.raises(ValueError, match="one grid"):
             Trajectory((0.0, 1.0), (f1, f2))
+
+
+class TestSpectralCore:
+    """The marching generator against the loop and formulas it replaced."""
+
+    @staticmethod
+    def _count_ffts(monkeypatch) -> list[int]:
+        calls = [0]
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls[0] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    def test_simulate_fft_calls_per_step(self, monkeypatch):
+        u0 = sin_field(256, amp=0.8)
+        calls = self._count_ffts(monkeypatch)
+        _, diag = simulate(u0, SolverConfig(nu=0.02, t_end=0.2))
+        steps = len(diag) - 1
+        assert steps > 50
+        # 12 for RK4, 1 for the samples, 2 for the diagnostics row; the
+        # run also transforms u0 once each way and takes row 0 (2 more)
+        assert calls[0] <= 15 * steps + 4
+
+    def test_march_forward_fft_calls_per_step(self, monkeypatch):
+        u0 = sin_field(256, amp=0.8)
+        calls = self._count_ffts(monkeypatch)
+        _, dts, _, _ = _march_forward(u0.values, 0.2, 0.02, 256, u0.grid.dx, False, 0)
+        assert len(dts) > 50
+        assert calls[0] <= 13 * len(dts) + 2
+
+    def test_diagnostics_match_sample_space_formulas(self):
+        # each row against the per-field formulas: u_x by transforming the
+        # samples again, the Nyquist mode dropped only for the enstrophy
+        nu = 0.01
+        u0 = Field1D(
+            GridSpec1D(512),
+            0.8 * np.sin(2 * np.pi * GridSpec1D(512).x)
+            + 0.3 * np.cos(6 * np.pi * GridSpec1D(512).x),
+        )
+        _, diag = simulate(u0, SolverConfig(nu=nu, t_end=0.3))
+        n, dx = 512, u0.grid.dx
+        k = np.fft.rfftfreq(n, d=1.0 / n)
+        states = [(0.0, u0.values)] + [
+            (t, vals)
+            for t, _, _, vals in march(
+                np.fft.rfft(u0.values), n, dx, SolverConfig(nu=nu, t_end=0.3)
+            )
+        ]
+        assert len(states) == len(diag)
+        rows = []
+        for t, vals in states:
+            c = np.fft.rfft(vals) * (2j * np.pi * k)
+            c[-1] = 0.0
+            ux_nyq0 = np.fft.irfft(c, n)
+            uh = np.fft.rfft(vals)
+            ux = np.fft.irfft(2j * np.pi * k * uh, n)
+            uxx = np.fft.irfft(-((2.0 * np.pi * k) ** 2) * uh, n)
+            l2 = float(np.sqrt(np.sum(vals * vals) * dx))
+            rows.append(
+                (
+                    t,
+                    0.5 * l2**2,
+                    float(np.sum(ux_nyq0 * ux_nyq0) * dx),
+                    float(np.abs(np.diff(vals, append=vals[:1])).sum()),
+                    float(np.abs(vals).max()),
+                    float(ux.min()),
+                    -nu * float(np.sum(uxx**2) * dx),
+                    -0.5 * float(np.sum(ux**3) * dx),
+                )
+            )
+        ref = DiagnosticsSeries.from_rows(rows)
+        for col in ("t", "energy", "tv", "linf"):
+            assert np.array_equal(getattr(diag, col), getattr(ref, col)), col
+        for col in ("enstrophy", "min_ux", "rate_diss", "rate_cubic"):
+            got, want = getattr(diag, col), getattr(ref, col)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), col
+
+    def test_final_state_matches_hand_loop(self):
+        u0 = sin_field(512, amp=0.9)
+        cfg = SolverConfig(nu=0.02, t_end=0.4)
+        traj, diag = simulate(u0, cfg)
+        n, dx = 512, u0.grid.dx
+        uh = np.fft.rfft(u0.values)
+        t, times = 0.0, [0.0]
+        while t < cfg.t_end:
+            amp = max(float(np.abs(np.fft.irfft(uh, n)).max()), _CFL_FLOOR)
+            dt = cfg.cfl * dx / amp
+            last = dt >= cfg.t_end - t
+            if last:
+                dt = cfg.t_end - t
+            uh = step_spectral(uh, dt, cfg.nu, n)
+            t = cfg.t_end if last else t + dt
+            times.append(t)
+        assert np.array_equal(diag.t, times)
+        assert np.array_equal(traj.final.values, np.fft.irfft(uh, n))
+        assert traj.times == (0.0, cfg.t_end)
+        assert traj.snapshots[0] is u0
