@@ -15,15 +15,12 @@ from .field_core import (
     Field1D,
     FieldNorms,
     GridSpec1D,
-    Spectrum1D,
     derivative,
     enstrophy,
     heat_propagate,
-    inverse,
     norms,
     read_field,
     rescale,
-    transform,
     write_field,
 )
 
@@ -33,14 +30,11 @@ __all__ = [
     "Field1D",
     "FieldNorms",
     "GridSpec1D",
-    "Spectrum1D",
     "derivative",
     "enstrophy",
     "heat_propagate",
-    "inverse",
     "norms",
     "read_field",
     "rescale",
-    "transform",
     "write_field",
 ]

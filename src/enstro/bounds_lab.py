@@ -27,8 +27,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -354,6 +353,9 @@ def auto_grid(family: str, nu_min: float) -> GridSpec1D:
     return GridSpec1D(required_points(nu_min, capital_u))
 
 
+SWEEP_COLUMNS = ("param", "e_star", "t_star")
+
+
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """Sweep rows plus the log-log fit and the two bound constants."""
@@ -370,11 +372,9 @@ class SweepResult:
     def __len__(self) -> int:
         return len(self.param)
 
-    def to_csv(self, path: str | Path) -> None:
-        lines = ["param,e_star,t_star"]
-        for p, e, t in zip(self.param, self.e_star, self.t_star):
-            lines.append(f"{float(p)!r},{float(e)!r},{float(t)!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
+    def rows(self) -> Iterator[tuple]:
+        """Rows in SWEEP_COLUMNS order."""
+        return zip(self.param, self.e_star, self.t_star)
 
     def summary(self) -> dict:
         return {
@@ -425,7 +425,7 @@ def nu_sweep(
             t_star, e_star = sup_enstrophy(diag)
         except Exception as exc:
             raise SweepAbortedError(
-                f"sweep run at nu = {nu:g} failed: {exc}", rows
+                f"run at nu = {nu:g} failed: {exc}", rows
             ) from exc
         rows.append((nu, e_star, t_star))
     slope, intercept, residual = fit_power_law(

@@ -62,7 +62,6 @@ class SolverConfig:
     nu: float
     t_end: float
     cfl: float = 0.4
-    dealias: bool = True
     sample_stride: int = 1  # diagnostics thinning of the finite-volume solver
     min_resolution_per_shock: float = 4.0
 
@@ -139,15 +138,9 @@ class DiagnosticsSeries:
             )
         return cls(*(arr[:, j] for j in range(arr.shape[1])))
 
-    def to_csv(self, path: str | Path) -> None:
-        lines = [",".join(DIAGNOSTIC_COLUMNS)]
-        for i in range(len(self)):
-            lines.append(
-                ",".join(
-                    repr(float(getattr(self, c)[i])) for c in DIAGNOSTIC_COLUMNS
-                )
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+    def rows(self) -> Iterator[tuple]:
+        """Rows in DIAGNOSTIC_COLUMNS order; the inverse of :meth:`from_rows`."""
+        return zip(*(getattr(self, c) for c in DIAGNOSTIC_COLUMNS))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "DiagnosticsSeries":
@@ -196,12 +189,10 @@ def _nonlinear(uh: np.ndarray, n: int, mask: np.ndarray) -> np.ndarray:
     return -np.fft.rfft(u * ux) * mask
 
 
-def step_spectral(
-    uh: np.ndarray, dt: float, nu: float, n: int, dealias: bool = True
-) -> np.ndarray:
+def step_spectral(uh: np.ndarray, dt: float, nu: float, n: int) -> np.ndarray:
     """One integrating-factor RK4 step on unnormalized rfft coefficients."""
     ops = spectral_ops(n)
-    mask = ops.dealias if dealias else ops.no_dealias
+    mask = ops.dealias
     e1 = np.exp(-0.5 * dt * nu * ops.k2)
     e2 = e1 * e1
     # overflow here means blow-up, which callers detect via isfinite
@@ -215,14 +206,14 @@ def step_spectral(
     return out
 
 
-def step(u: Field1D, dt: float, nu: float, dealias: bool = True) -> Field1D:
+def step(u: Field1D, dt: float, nu: float) -> Field1D:
     """Advance one time step; caller is responsible for the CFL bound."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if nu <= 0:
         raise ValueError(f"nu must be positive, got {nu}")
     n = u.grid.n_points
-    uh = step_spectral(np.fft.rfft(u.values), dt, nu, n, dealias)
+    uh = step_spectral(np.fft.rfft(u.values), dt, nu, n)
     vals = np.fft.irfft(uh, n)
     if not np.all(np.isfinite(vals)):
         raise BlowUpError(0.0)
@@ -247,7 +238,7 @@ def march(
         last = dt >= cfg.t_end - t
         if last:
             dt = cfg.t_end - t
-        uh = step_spectral(uh, dt, cfg.nu, n, cfg.dealias)
+        uh = step_spectral(uh, dt, cfg.nu, n)
         vals = np.fft.irfft(uh, n)
         if not np.all(np.isfinite(vals)):
             raise BlowUpError(t)

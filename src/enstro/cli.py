@@ -19,39 +19,34 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bounds_lab import (
+    SWEEP_COLUMNS,
     LowerBoundDatumSpec,
-    SweepResult,
+    SweepAbortedError,
     auto_grid,
     build_lower_bound_datum,
     characteristics_report,
     datum_family,
     dissipation_window,
     fit_power_law,
+    nu_sweep,
 )
-from .burgers_solver import SolverConfig, simulate, sup_enstrophy
-from .conslaw_nd import (
-    FieldND,
-    GridSpecND,
-    get_flux,
-    simulate_nd,
-    write_field_nd,
-    write_nd_diagnostics_csv,
-)
+from .burgers_solver import DIAGNOSTIC_COLUMNS, SolverConfig, simulate
+from .conslaw_nd import FieldND, GridSpecND, get_flux, simulate_nd, write_field_nd
 from .exact_oracles import heat_estimate_ratios, hopf_cole_solution
 from .extremizers import (
+    RECORD_COLUMNS,
     OptimConfig,
     default_seeds,
     finite_time_maximize,
     instantaneous_maximize,
 )
-from .field_core import Field1D, GridSpec1D, enstrophy, write_field
+from .field_core import Field1D, GridSpec1D, enstrophy, write_csv, write_field
 
 
 class ConfigFileError(ValueError):
@@ -146,7 +141,6 @@ SCHEMAS: dict[str, dict[str, tuple[type, object, str]]] = {
 _COMMON = {
     "config": (str, "", "key = value config file; flags override it"),
     "runs_dir": (str, "", "run-directory root (default ./runs or ENSTRO_RUNS_DIR)"),
-    "jobs": (int, 1, "worker threads for sweep points"),
     "seed": (int, 2025, "seed for deterministic multi-start fields"),
 }
 
@@ -283,10 +277,9 @@ def _initial_field(init: str, amp: float, grid: GridSpec1D) -> Field1D:
 def nd_initial_datum(init: str, grid: GridSpecND) -> FieldND:
     coords = grid.axis_coords()
     if grid.dim == 1:
-        base = {"product": np.sin(2 * np.pi * coords)}.get(init)
-        if base is None:
-            base = np.sin(2 * np.pi * coords)
-        vals = base
+        if init != "product":
+            raise ConfigFileError(f"unknown init {init!r} in 1-D; valid: product")
+        vals = np.sin(2 * np.pi * coords)
     else:
         xx, yy = np.meshgrid(coords, coords, indexing="ij")
         if init == "product":
@@ -331,21 +324,21 @@ def _monotone_assertions(diag) -> list[dict]:
 # ----------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: dict, run_dir: Path, jobs: int, seed: int):
+def _cmd_simulate(cfg: dict, run_dir: Path, seed: int):
     grid = GridSpec1D(cfg["n_points"])
     u0 = _initial_field(cfg["init"], cfg["amp"], grid)
     sim_cfg = SolverConfig(nu=cfg["nu"], t_end=cfg["t_end"], cfl=cfg["cfl"])
     traj, diag = simulate(u0, sim_cfg)
     write_field(u0, run_dir / "initial.dat")
     write_field(traj.final, run_dir / "final.dat")
-    diag.to_csv(run_dir / "diagnostics.csv")
+    write_csv(run_dir / "diagnostics.csv", DIAGNOSTIC_COLUMNS, diag.rows())
     checks = _monotone_assertions(diag)
     mean_ok = abs(float(traj.final.values.mean())) <= 1e-11
     checks.append(_assertion("mean_preserved", mean_ok, "zero mean at t_end"))
     return ["initial.dat", "final.dat", "diagnostics.csv"], checks
 
 
-def _cmd_oracle_check(cfg: dict, run_dir: Path, jobs: int, seed: int):
+def _cmd_oracle_check(cfg: dict, run_dir: Path, seed: int):
     grid = GridSpec1D(cfg["n_points"])
     u0 = Field1D(grid, cfg["amp"] * np.sin(2 * np.pi * grid.x))
     sim_cfg = SolverConfig(nu=cfg["nu"], t_end=cfg["t"])
@@ -356,7 +349,7 @@ def _cmd_oracle_check(cfg: dict, run_dir: Path, jobs: int, seed: int):
         np.sqrt(np.mean((num - exact.values) ** 2))
         / np.sqrt(np.mean(exact.values**2))
     )
-    diag.to_csv(run_dir / "diagnostics.csv")
+    write_csv(run_dir / "diagnostics.csv", DIAGNOSTIC_COLUMNS, diag.rows())
     (run_dir / "report.json").write_text(
         json.dumps({"rel_l2_error": rel, "tol": cfg["tol"]}, indent=2) + "\n"
     )
@@ -395,18 +388,18 @@ def _heat_family(grid: GridSpec1D, seed: int):
     return [(name, Field1D(grid, v - v.mean())) for name, v in fields]
 
 
-def _cmd_heat_estimates(cfg: dict, run_dir: Path, jobs: int, seed: int):
+def _cmd_heat_estimates(cfg: dict, run_dir: Path, seed: int):
     grid = GridSpec1D(cfg["n_points"])
     family = _heat_family(grid, seed)
     ts = np.logspace(-6.0, 0.0, cfg["t_count"])
-    lines = ["field,t,r1,r2"]
+    rows = []
     worst1 = worst2 = 0.0
     for name, field in family:
         for t in ts:
             r1, r2 = heat_estimate_ratios(field, cfg["nu"], float(t))
             worst1, worst2 = max(worst1, r1), max(worst2, r2)
-            lines.append(f"{name},{float(t)!r},{float(r1)!r},{float(r2)!r}")
-    (run_dir / "ratios.csv").write_text("\n".join(lines) + "\n")
+            rows.append((name, t, r1, r2))
+    write_csv(run_dir / "ratios.csv", ("field", "t", "r1", "r2"), rows)
 
     # closed-form single-mode anchor on a fine grid
     fine = GridSpec1D(16384)
@@ -439,72 +432,23 @@ def _cmd_heat_estimates(cfg: dict, run_dir: Path, jobs: int, seed: int):
     return ["ratios.csv", "report.json"], checks
 
 
-def run_sweep_nu(cfg: dict, jobs: int) -> tuple[SweepResult | None, list, str]:
-    """Fan the viscosity sweep across a worker pool; rows stay ordered.
-
-    Returns (result, partial_rows, error): on success error is empty and
-    partial_rows equals the full row list; on a run failure result is
-    None and partial_rows holds the completed prefix.
-    """
+def _cmd_sweep_nu(cfg: dict, run_dir: Path, seed: int):
     nus = list(
         np.logspace(np.log10(cfg["nu_max"]), np.log10(cfg["nu_min"]), cfg["count"])
     )
-    if cfg["n_points"]:
-        grid = GridSpec1D(cfg["n_points"])
-    else:
-        grid = auto_grid(cfg["family"], min(nus))
-    u0, _ = datum_family(cfg["family"], grid)
-
-    def one(nu: float):
-        run_cfg = SolverConfig(nu=float(nu), t_end=cfg["t_end"])
-        _, diag = simulate(u0, run_cfg)
-        t_star, e_star = sup_enstrophy(diag)
-        return float(nu), e_star, t_star
-
-    rows: list[tuple[float, float, float]] = []
-    error = ""
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        futures = [pool.submit(one, nu) for nu in nus]
-        for nu, fut in zip(nus, futures):
-            try:
-                rows.append(fut.result())
-            except Exception as exc:
-                error = f"run at nu = {nu:g} failed: {exc}"
-                break
-    if error:
-        return None, rows, error
-    slope, intercept, residual = fit_power_law([(1.0 / r[0], r[1]) for r in rows])
-    arr = np.asarray(rows, dtype=float)
-    result = SweepResult(
-        param=arr[:, 0],
-        e_star=arr[:, 1],
-        t_star=arr[:, 2],
-        slope=slope,
-        intercept=intercept,
-        residual=residual,
-        c_hat=float(np.min(arr[:, 0] * arr[:, 1])),
-        big_c_hat=float(np.max(arr[:, 1] / (1.0 + 1.0 / arr[:, 0]))),
-    )
-    return result, rows, ""
-
-
-def _cmd_sweep_nu(cfg: dict, run_dir: Path, jobs: int, seed: int):
-    result, rows, error = run_sweep_nu(cfg, jobs)
-    if result is None:
-        lines = ["param,e_star,t_star"]
-        for p, e, t in rows:
-            lines.append(f"{float(p)!r},{float(e)!r},{float(t)!r}")
-        (run_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
-        checks = [
-            _assertion("all_sweep_points_ran", False, error),
-        ]
-        return ["sweep.csv"], checks
-    result.to_csv(run_dir / "sweep.csv")
+    grid = GridSpec1D(cfg["n_points"]) if cfg["n_points"] else None
+    run_cfg = SolverConfig(nu=cfg["nu_max"], t_end=cfg["t_end"])
+    try:
+        result = nu_sweep(cfg["family"], nus, run_cfg, grid)
+    except SweepAbortedError as exc:
+        write_csv(run_dir / "sweep.csv", SWEEP_COLUMNS, exc.partial_rows)
+        return ["sweep.csv"], [_assertion("all_sweep_points_ran", False, str(exc))]
+    write_csv(run_dir / "sweep.csv", SWEEP_COLUMNS, result.rows())
     (run_dir / "summary.json").write_text(
         json.dumps(result.summary(), indent=2) + "\n"
     )
     checks = [
-        _assertion("all_sweep_points_ran", True, f"{len(rows)} viscosities"),
+        _assertion("all_sweep_points_ran", True, f"{len(result)} viscosities"),
         _assertion(
             "lower_constant_positive",
             result.c_hat > 0.0,
@@ -514,46 +458,36 @@ def _cmd_sweep_nu(cfg: dict, run_dir: Path, jobs: int, seed: int):
     return ["sweep.csv", "summary.json"], checks
 
 
-def run_sweep_e0(cfg: dict, jobs: int, seed: int) -> list[tuple[float, float, float]]:
-    """Finite-time sweep rows (e0, best max E(T), best T), pool-parallel."""
-    e0s = list(
-        np.logspace(
-            np.log10(cfg["e0_min"]), np.log10(cfg["e0_max"]), cfg["count"]
-        )
-    )
+def run_sweep_e0(cfg: dict, seed: int) -> list[tuple[float, float, float]]:
+    """Finite-time sweep rows (e0, best max E(T), best T), one per level."""
+    e0s = np.logspace(np.log10(cfg["e0_min"]), np.log10(cfg["e0_max"]), cfg["count"])
     prefactors = [float(tok) for tok in str(cfg["prefactors"]).split(",") if tok]
     grid = GridSpec1D(cfg["n_points"])
-
-    def one(e0: float):
+    rows = []
+    for e0 in map(float, e0s):
+        starts = default_seeds(grid, e0, count=cfg["seeds"], rng_seed=seed)
         best, best_t = -np.inf, 0.0
         for p in prefactors:
             horizon = p / np.sqrt(e0)
             opt_cfg = OptimConfig(
-                e0=float(e0),
+                e0=e0,
                 nu=cfg["nu"],
                 T=horizon,
                 max_iters=cfg["max_iters"],
                 grad_tol=1e-6,
                 inner_product="h1",
             )
-            for start in default_seeds(grid, float(e0), rng_seed=seed)[
-                : cfg["seeds"]
-            ]:
+            for start in starts:
                 _, objective, _ = finite_time_maximize(opt_cfg, grid, start)
                 if objective > best:
                     best, best_t = objective, horizon
-        return float(e0), float(best), float(best_t)
-
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        return list(pool.map(one, e0s))
+        rows.append((e0, float(best), float(best_t)))
+    return rows
 
 
-def _cmd_sweep_e0(cfg: dict, run_dir: Path, jobs: int, seed: int):
-    rows = run_sweep_e0(cfg, jobs, seed)
-    lines = ["param,e_star,t_star"]
-    for e0, best, horizon in rows:
-        lines.append(f"{e0!r},{best!r},{horizon!r}")
-    (run_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+def _cmd_sweep_e0(cfg: dict, run_dir: Path, seed: int):
+    rows = run_sweep_e0(cfg, seed)
+    write_csv(run_dir / "sweep.csv", SWEEP_COLUMNS, rows)
     if len(rows) >= 4:
         slope, intercept, residual = fit_power_law([(r[0], r[1]) for r in rows])
     else:
@@ -576,7 +510,7 @@ def _cmd_sweep_e0(cfg: dict, run_dir: Path, jobs: int, seed: int):
     return ["sweep.csv", "summary.json"], checks
 
 
-def _cmd_maximize_instant(cfg: dict, run_dir: Path, jobs: int, seed: int):
+def _cmd_maximize_instant(cfg: dict, run_dir: Path, seed: int):
     grid = GridSpec1D(cfg["n_points"])
     opt_cfg = OptimConfig(
         e0=cfg["e0"],
@@ -587,7 +521,7 @@ def _cmd_maximize_instant(cfg: dict, run_dir: Path, jobs: int, seed: int):
     )
     optimum, rate, record = instantaneous_maximize(opt_cfg, grid)
     write_field(optimum, run_dir / "optimum.dat")
-    record.to_csv(run_dir / "record.csv")
+    write_csv(run_dir / "record.csv", RECORD_COLUMNS, record.rows())
     report = {
         "rate": rate,
         "converged": record.converged,
@@ -611,7 +545,7 @@ def _cmd_maximize_instant(cfg: dict, run_dir: Path, jobs: int, seed: int):
     return ["optimum.dat", "record.csv", "report.json"], checks
 
 
-def _cmd_maximize_finite(cfg: dict, run_dir: Path, jobs: int, seed: int):
+def _cmd_maximize_finite(cfg: dict, run_dir: Path, seed: int):
     grid = GridSpec1D(cfg["n_points"])
     opt_cfg = OptimConfig(
         e0=cfg["e0"],
@@ -621,11 +555,11 @@ def _cmd_maximize_finite(cfg: dict, run_dir: Path, jobs: int, seed: int):
         grad_tol=cfg["grad_tol"],
         inner_product=cfg["inner_product"],
     )
-    starts = default_seeds(grid, cfg["e0"], rng_seed=seed)
-    start = starts[cfg["seed_index"] % len(starts)]
+    index = cfg["seed_index"]
+    start = default_seeds(grid, cfg["e0"], count=index + 1, rng_seed=seed)[index]
     optimum, objective, record = finite_time_maximize(opt_cfg, grid, start)
     write_field(optimum, run_dir / "optimum.dat")
-    record.to_csv(run_dir / "record.csv")
+    write_csv(run_dir / "record.csv", RECORD_COLUMNS, record.rows())
     report = {
         "objective": objective,
         "converged": record.converged,
@@ -649,20 +583,18 @@ def _cmd_maximize_finite(cfg: dict, run_dir: Path, jobs: int, seed: int):
     return ["optimum.dat", "record.csv", "report.json"], checks
 
 
-def _cmd_lower_bound(cfg: dict, run_dir: Path, jobs: int, seed: int):
+def _cmd_lower_bound(cfg: dict, run_dir: Path, seed: int):
     grid = GridSpec1D(cfg["n_points"])
     spec = LowerBoundDatumSpec(grid=grid, delta_s=cfg["delta_s"])
     u0, capital_u = build_lower_bound_datum(spec)
     write_field(u0, run_dir / "datum.dat")
     profile = Field1D(grid, u0.values / capital_u)
     rows = characteristics_report(profile)
-    lines = ["alpha,t_star,t_s,admissible,skipped"]
-    for r in rows:
-        lines.append(
-            f"{float(r.alpha)!r},{float(r.t_star)!r},{float(r.t_s)!r},"
-            f"{int(r.admissible)},{int(r.skipped)}"
-        )
-    (run_dir / "characteristics.csv").write_text("\n".join(lines) + "\n")
+    write_csv(
+        run_dir / "characteristics.csv",
+        ("alpha", "t_star", "t_s", "admissible", "skipped"),
+        ((r.alpha, r.t_star, r.t_s, int(r.admissible), int(r.skipped)) for r in rows),
+    )
     report = {"U": capital_u, "enstrophy": enstrophy(u0)}
     (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     checks = [
@@ -676,7 +608,7 @@ def _cmd_lower_bound(cfg: dict, run_dir: Path, jobs: int, seed: int):
     return ["datum.dat", "characteristics.csv", "report.json"], checks
 
 
-def _cmd_dissipation(cfg: dict, run_dir: Path, jobs: int, seed: int):
+def _cmd_dissipation(cfg: dict, run_dir: Path, seed: int):
     if cfg["n_points"]:
         grid = GridSpec1D(cfg["n_points"])
     else:
@@ -699,7 +631,7 @@ def _cmd_dissipation(cfg: dict, run_dir: Path, jobs: int, seed: int):
     return ["report.json"], checks
 
 
-def _cmd_conslaw_nd(cfg: dict, run_dir: Path, jobs: int, seed: int):
+def _cmd_conslaw_nd(cfg: dict, run_dir: Path, seed: int):
     grid = GridSpecND(cfg["dim"], cfg["n_points"])
     u0 = nd_initial_datum(cfg["init"], grid)
     flux = get_flux(cfg["flux"])
@@ -709,12 +641,17 @@ def _cmd_conslaw_nd(cfg: dict, run_dir: Path, jobs: int, seed: int):
     final, diag = simulate_nd(u0, flux, cfg["nu"], sim_cfg)
     write_field_nd(u0, run_dir / "initial.dat")
     write_field_nd(final, run_dir / "final.dat")
-    write_nd_diagnostics_csv(diag, grid, run_dir / "diagnostics.csv")
+    # the 1-D schema extended by constant dim, L columns
+    write_csv(
+        run_dir / "diagnostics.csv",
+        (*DIAGNOSTIC_COLUMNS, "dim", "L"),
+        (row + (grid.dim, grid.length) for row in diag.rows()),
+    )
     checks = _monotone_assertions(diag)
     return ["initial.dat", "final.dat", "diagnostics.csv"], checks
 
 
-def _cmd_report(cfg: dict, run_dir: Path, jobs: int, seed: int):
+def _cmd_report(cfg: dict, run_dir: Path, seed: int):
     root = run_dir.parent
     entries = []
     for manifest_path in sorted(root.glob("*/manifest.json")):
@@ -803,7 +740,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    jobs = int(resolved.pop("jobs"))
     seed = int(resolved.pop("seed"))
     resolved.pop("config")
     runs_root = _runs_root(str(resolved.pop("runs_dir")))
@@ -811,7 +747,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
     try:
-        outputs, assertions = _COMMANDS[command](resolved, run_dir, jobs, seed)
+        outputs, assertions = _COMMANDS[command](resolved, run_dir, seed)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_manifest(

@@ -335,17 +335,3 @@ def read_field_nd(path: str | Path) -> FieldND:
         raise ValueError(f"expected {expected} samples, found {data.size}")
     return FieldND(grid, data.reshape(grid.shape, order="C"))
 
-
-def write_nd_diagnostics_csv(
-    diag: DiagnosticsSeries, grid: GridSpecND, path: str | Path
-) -> None:
-    """1D diagnostics schema extended by constant `dim,L` columns."""
-    from .burgers_solver import DIAGNOSTIC_COLUMNS
-
-    lines = [",".join(DIAGNOSTIC_COLUMNS) + ",dim,L"]
-    for i in range(len(diag)):
-        vals = ",".join(
-            repr(float(getattr(diag, c)[i])) for c in DIAGNOSTIC_COLUMNS
-        )
-        lines.append(f"{vals},{grid.dim},{grid.length!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

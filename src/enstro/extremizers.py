@@ -19,8 +19,7 @@ across accepted steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -96,14 +95,15 @@ class OptimRecord:
     def __len__(self) -> int:
         return len(self.objective)
 
-    def to_csv(self, path: str | Path) -> None:
-        lines = [",".join(RECORD_COLUMNS)]
-        for i in range(len(self)):
-            lines.append(
-                f"{i},{float(self.objective[i])!r},{float(self.step[i])!r},"
-                f"{float(self.constraint_residual[i])!r},{float(self.grad_norm[i])!r}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+    def rows(self) -> Iterator[tuple]:
+        """Rows in RECORD_COLUMNS order."""
+        return zip(
+            range(len(self)),
+            self.objective,
+            self.step,
+            self.constraint_residual,
+            self.grad_norm,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -412,7 +412,7 @@ def finite_time_gradient(
         states = {seg_lo: checkpoints[seg_lo]}
         uh = checkpoints[seg_lo]
         for j in range(seg_lo, seg_hi - 1):
-            uh = step_spectral(uh, dts[j], nu, n, dealias=True)
+            uh = step_spectral(uh, dts[j], nu, n)
             states[j + 1] = uh
         for j in range(seg_hi - 1, seg_lo - 1, -1):
             lam = _adjoint_step(states[j], lam, dts[j], nu, n)

@@ -2,7 +2,7 @@
 
 Everything downstream (solvers, oracles, optimizers) speaks in terms of the
 types defined here: a power-of-two grid on [0, 1), real sample vectors, and
-normalized Fourier coefficients.  Quadrature is the trapezoid rule, which is
+the grid's Fourier multipliers.  Quadrature is the trapezoid rule, which is
 exact for band-limited integrands on a periodic grid, so the discrete L2
 pairing ``dx * sum(a*b)`` is the inner product used everywhere.
 """
@@ -74,29 +74,6 @@ class Field1D:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum1D:
-    """Fourier coefficients c_k of a field, k in [-N/2, N/2) (FFT layout).
-
-    Coefficients are normalized so that u(x) = sum_k c_k exp(2*pi*i*k*x);
-    for real fields they satisfy c_{-k} = conj(c_k).
-    """
-
-    grid: GridSpec1D
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        co = np.asarray(self.coeffs, dtype=complex)
-        if co.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"coeffs shape {co.shape} does not match grid "
-                f"({self.grid.n_points},)"
-            )
-        co = co.copy()
-        co.setflags(write=False)
-        object.__setattr__(self, "coeffs", co)
-
-
 @dataclass(frozen=True)
 class FieldNorms:
     """Summary functionals of a field; ``enstrophy`` is ||u_x||_{L2}^2."""
@@ -114,15 +91,13 @@ class SpectralOps:
 
     ``ik`` = 2*pi*i*k drops the unpaired Nyquist mode, which keeps
     derivatives real and skew-adjoint; ``k2``, ``k4`` = (2*pi*k)**2, **4.
-    ``dealias`` is the 2/3-rule mask of a quadratic product and
-    ``no_dealias`` drops only the product's unrepresentable Nyquist mode.
+    ``dealias`` is the 2/3-rule mask of a quadratic product.
     """
 
     ik: np.ndarray
     k2: np.ndarray
     k4: np.ndarray
     dealias: np.ndarray
-    no_dealias: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -131,40 +106,15 @@ def spectral_ops(n: int) -> SpectralOps:
     k = np.fft.rfftfreq(n, d=1.0 / n)
     ik = 2j * np.pi * k
     ik[-1] = 0.0
-    no_dealias = np.ones_like(k)
-    no_dealias[-1] = 0.0
     ops = SpectralOps(
         ik=ik,
         k2=(2.0 * np.pi * k) ** 2,
         k4=(2.0 * np.pi * k) ** 4,
         dealias=(k <= n // 3).astype(float),
-        no_dealias=no_dealias,
     )
     for arr in vars(ops).values():
         arr.setflags(write=False)
     return ops
-
-
-def transform(field: Field1D) -> Spectrum1D:
-    """Forward FFT with 1/N normalization, so coeffs are Fourier coefficients."""
-    n = field.grid.n_points
-    return Spectrum1D(field.grid, np.fft.fft(field.values) / n)
-
-
-def inverse(spectrum: Spectrum1D) -> Field1D:
-    """Inverse of :func:`transform`; discards the O(roundoff) imaginary part."""
-    n = spectrum.grid.n_points
-    vals = np.fft.ifft(spectrum.coeffs * n)
-    return Field1D(spectrum.grid, vals.real)
-
-
-def is_hermitian(spectrum: Spectrum1D, tol: float = 1e-12) -> bool:
-    """True when the coefficients are conjugate-symmetric (real field)."""
-    c = spectrum.coeffs
-    n = c.size
-    sym = np.conj(c[(-np.arange(n)) % n])
-    scale = max(float(np.abs(c).max()), 1.0)
-    return bool(np.abs(c - sym).max() <= tol * scale)
 
 
 def derivative(field: Field1D, order: int = 1) -> Field1D:
@@ -249,6 +199,21 @@ def write_field(field: Field1D, path) -> None:
     """Plain-text dump: ``N=<n> L=<length>`` header, one sample per line."""
     lines = [f"N={field.grid.n_points} L={field.grid.length}"]
     lines.extend(repr(float(v)) for v in field.values)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: floats as ``repr`` (exact round trip), the rest
+    (ints, strings) as ``str``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join(
+                repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                for v in row
+            )
+        )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

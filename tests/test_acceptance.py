@@ -305,7 +305,7 @@ class TestAcceptance:
             "seeds": 2,
         }
         t0 = time.perf_counter()
-        rows = run_sweep_e0(cfg, jobs=1, seed=2025)
+        rows = run_sweep_e0(cfg, seed=2025)
         elapsed = time.perf_counter() - t0
         slope, _, _ = fit_power_law([(r[0], r[1]) for r in rows])
         ok = abs(slope - 1.5) <= 0.2 and elapsed < 1200.0

@@ -11,6 +11,7 @@ import pytest
 
 from enstro.burgers_solver import SolverConfig
 from enstro.bounds_lab import (
+    SWEEP_COLUMNS,
     LowerBoundDatumSpec,
     SweepAbortedError,
     build_lower_bound_datum,
@@ -23,7 +24,7 @@ from enstro.bounds_lab import (
     relaxed_datum,
     two_regime_check,
 )
-from enstro.field_core import Field1D, GridSpec1D, enstrophy, norms
+from enstro.field_core import Field1D, GridSpec1D, enstrophy, norms, write_csv
 
 DELTA = 1.0 / 48.0
 RAMP_SLOPE = 1.0 / (1.0 / 6.0 - DELTA)  # 48/7
@@ -197,7 +198,7 @@ class TestNuSweep:
 
     def test_csv_format(self, coarse_sweep, tmp_path):
         path = tmp_path / "sweep.csv"
-        coarse_sweep.to_csv(path)
+        write_csv(path, SWEEP_COLUMNS, coarse_sweep.rows())
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "param,e_star,t_star"
         assert len(lines) == 5

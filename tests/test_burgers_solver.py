@@ -26,7 +26,7 @@ from enstro.burgers_solver import (
 )
 from enstro.exact_oracles import hopf_cole_solution
 from enstro.extremizers import _march_forward
-from enstro.field_core import Field1D, GridSpec1D, derivative, norms
+from enstro.field_core import Field1D, GridSpec1D, derivative, norms, write_csv
 
 
 def sin_field(n: int = 256, mode: int = 1, amp: float = 1.0) -> Field1D:
@@ -45,7 +45,6 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig(nu=0.05, t_end=1.0)
         assert cfg.cfl == 0.4
-        assert cfg.dealias is True
         assert cfg.sample_stride == 1
         assert cfg.min_resolution_per_shock == 4.0
 
@@ -304,7 +303,7 @@ class TestSerialization:
         u0 = sin_field(256, amp=0.6)
         _, diag = simulate(u0, SolverConfig(nu=0.05, t_end=0.05))
         p = tmp_path / "diag.csv"
-        diag.to_csv(p)
+        write_csv(p, DIAGNOSTIC_COLUMNS, diag.rows())
         first = p.read_text().split("\n", 1)[0]
         assert first == "t,energy,enstrophy,tv,linf,min_ux,rate_diss,rate_cubic"
         back = DiagnosticsSeries.from_csv(p)

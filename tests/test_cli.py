@@ -2,16 +2,21 @@
 
 Each test invokes ``main(argv)`` in-process and inspects the run
 directory it creates: manifest completeness, exit codes, config
-precedence, determinism, and worker-count independence.
+precedence, determinism, and that README usage lines parse.
 """
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from enstro.cli import ConfigFileError, load_config, main, run_sweep_e0
+import enstro.cli
+from enstro.cli import ConfigFileError, _build_parser, load_config, main, run_sweep_e0
+from enstro.extremizers import default_seeds
+from enstro.field_core import GridSpec1D
 
 
 @pytest.fixture()
@@ -191,8 +196,8 @@ class TestDeterminism:
         second = (dirs[1] / "record.csv").read_bytes()
         assert first == second
 
-    def test_jobs_do_not_change_sweep_bytes(self, runs_root):
-        base = [
+    def test_same_sweep_config_gives_same_bytes(self, runs_root):
+        argv = [
             "sweep-nu",
             "--nu-min",
             "0.01",
@@ -205,13 +210,13 @@ class TestDeterminism:
             "--n-points",
             "512",
         ]
-        assert main(base + ["--jobs", "1"]) == 0
-        assert main(base + ["--jobs", "3"]) == 0
+        assert main(argv) == 0
+        assert main(argv) == 0
         dirs = sorted(runs_root.glob("*_sweep-nu*"))
         assert len(dirs) == 2
-        serial = (dirs[0] / "sweep.csv").read_bytes()
-        pooled = (dirs[1] / "sweep.csv").read_bytes()
-        assert serial == pooled
+        first = (dirs[0] / "sweep.csv").read_bytes()
+        second = (dirs[1] / "sweep.csv").read_bytes()
+        assert first == second
 
 
 class TestSweepNu:
@@ -286,7 +291,7 @@ class TestSweepE0:
             "max_iters": 5,
             "seeds": 1,
         }
-        rows = run_sweep_e0(cfg, jobs=2, seed=11)
+        rows = run_sweep_e0(cfg, seed=11)
         assert len(rows) == 3
         e0s = [r[0] for r in rows]
         assert e0s == sorted(e0s)
@@ -322,6 +327,45 @@ class TestSweepE0:
         assert len(lines) == 4
         summary = json.loads((run_dir / "summary.json").read_text())
         assert {"slope", "intercept", "residual", "nu"} <= set(summary)
+
+    def test_seeds_beyond_five_all_run(self, runs_root, monkeypatch):
+        """--seeds 6 runs six starts per (E0, prefactor), as recorded."""
+        starts = []
+
+        def fake_maximize(cfg, grid, start):
+            starts.append(start.values)
+            return start, 1.0, None
+
+        monkeypatch.setattr(enstro.cli, "finite_time_maximize", fake_maximize)
+        argv = ["sweep-e0", "--count", "2", "--prefactors", "0.5,1", "--seeds", "6"]
+        assert main([*argv, "--n-points", "64"]) == 0
+        assert len(starts) == 2 * 2 * 6
+        sixth = default_seeds(GridSpec1D(64), 16.0, count=6, rng_seed=2025)[5]
+        assert np.array_equal(starts[5], sixth.values)
+
+    def test_seed_count_below_one_exits_two(self, runs_root, capsys):
+        assert main(["sweep-e0", "--count", "2", "--seeds", "0"]) == 2
+        assert "count must be at least 1" in capsys.readouterr().err
+
+
+class TestMaximizeFinite:
+    """The start the ascent runs is the seed the manifest records."""
+
+    def test_seed_index_beyond_five_is_not_wrapped(self, runs_root, monkeypatch):
+        starts = []
+
+        def fake_maximize(cfg, grid, start):
+            starts.append(start.values)
+            raise RuntimeError("stop after recording the start")
+
+        monkeypatch.setattr(enstro.cli, "finite_time_maximize", fake_maximize)
+        argv = ["maximize-finite", "--n-points", "64", "--seed-index", "6"]
+        assert main(argv) == 1
+        (start,) = starts
+        expected = default_seeds(GridSpec1D(64), 1.0, count=7, rng_seed=2025)[6]
+        assert np.array_equal(start, expected.values)
+        wrapped = default_seeds(GridSpec1D(64), 1.0, rng_seed=2025)[6 % 5]
+        assert not np.array_equal(start, wrapped.values)
 
 
 class TestIndividualCommands:
@@ -371,6 +415,11 @@ class TestIndividualCommands:
         )
         assert header.endswith(",dim,L")
         assert (run_dir / "final.dat").exists()
+
+    def test_conslaw_nd_1d_rejects_unknown_init(self, runs_root, capsys):
+        argv = ["conslaw-nd", "--dim", "1", "--flux", "burgers1d", "--init", "diag"]
+        assert main(argv) == 2
+        assert "unknown init 'diag'" in capsys.readouterr().err
 
     def test_maximize_instant_outputs(self, runs_root):
         code = main(
@@ -426,3 +475,17 @@ class TestReport:
         failed = [e for e in entries if not e["passed"]]
         assert len(failed) == 1
         assert failed[0]["failed_assertions"] == ["matches_heat_kernel_solution"]
+
+
+class TestReadme:
+    """The documented command lines stay in step with the flags."""
+
+    def test_usage_lines_parse(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        lines = [ln for b in blocks for ln in b.splitlines() if ln.startswith("enstro ")]
+        assert len(lines) >= 5
+        parser = _build_parser()
+        for line in lines:
+            words = shlex.split(line)
+            assert parser.parse_args(words[1:]).command == words[1]

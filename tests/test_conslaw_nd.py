@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from enstro.burgers_solver import SolverConfig, simulate
+from enstro.cli import main, nd_initial_datum
 from enstro.conslaw_nd import (
     FieldND,
     FluxSpec,
@@ -21,7 +22,6 @@ from enstro.conslaw_nd import (
     read_field_nd,
     simulate_nd,
     write_field_nd,
-    write_nd_diagnostics_csv,
 )
 from enstro.field_core import ConfigurationError, Field1D, GridSpec1D, heat_propagate
 
@@ -275,12 +275,19 @@ class TestSerializationND:
         with pytest.raises(ValueError, match="expected 16 samples"):
             read_field_nd(p2)
 
-    def test_diagnostics_csv_has_dim_and_length(self, tmp_path, shock_run_2d):
-        _, diag = shock_run_2d
-        g2 = GridSpecND(dim=2, points=64)
-        p = tmp_path / "d.csv"
-        write_nd_diagnostics_csv(diag, g2, p)
-        lines = p.read_text().strip().split("\n")
+    def test_diagnostics_csv_has_dim_and_length(self, tmp_path):
+        """conslaw-nd writes one row per step plus constant dim, L columns."""
+        argv = ["conslaw-nd", "--n-points", "16", "--t-end", "0.02"]
+        assert main([*argv, "--runs-dir", str(tmp_path)]) == 0
+        (run_dir,) = tmp_path.iterdir()
+        lines = (run_dir / "diagnostics.csv").read_text().strip().split("\n")
+        g2 = GridSpecND(dim=2, points=16)
+        _, diag = simulate_nd(
+            nd_initial_datum("product", g2),
+            get_flux("burgers2d"),
+            0.01,
+            SolverConfig(nu=0.01, t_end=0.02),
+        )
         assert lines[0].endswith(",dim,L")
-        assert lines[1].endswith(",2,1.0")
+        assert all(ln.endswith(",2,1.0") for ln in lines[1:])
         assert len(lines) == len(diag) + 1

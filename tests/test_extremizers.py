@@ -20,7 +20,7 @@ from enstro.extremizers import (
     rate_functional,
     rate_gradient,
 )
-from enstro.field_core import Field1D, GridSpec1D, derivative, enstrophy
+from enstro.field_core import Field1D, GridSpec1D, derivative, enstrophy, write_csv
 
 
 def band_limited(grid: GridSpec1D, rng, kmax: int = 8) -> np.ndarray:
@@ -242,7 +242,7 @@ class TestSeedsAndRecord:
             converged=True,
         )
         p = tmp_path / "rec.csv"
-        rec.to_csv(p)
+        write_csv(p, RECORD_COLUMNS, rec.rows())
         lines = p.read_text().strip().split("\n")
         assert lines[0] == ",".join(RECORD_COLUMNS)
         assert lines[1].startswith("0,1.0,")
