@@ -43,8 +43,12 @@ from .burgers_solver import (
 from .field_core import Field1D, GridSpec1D, derivative, enstrophy, norms, spectral_ops
 
 
-class DatumConstructionError(ValueError):
-    """A certified shape property of constructed data failed to hold."""
+class DatumConstructionError(RuntimeError):
+    """A certified shape property of constructed data failed to hold.
+
+    Not a ValueError: the configuration was valid but the certification
+    failed, so the CLI exits 1 rather than 2.
+    """
 
 
 class SweepAbortedError(RuntimeError):

@@ -182,25 +182,25 @@ class Trajectory:
         return paths
 
 
-def _nonlinear(uh: np.ndarray, n: int, mask: np.ndarray) -> np.ndarray:
+def _nonlinear(uh: np.ndarray, n: int) -> np.ndarray:
     """Dealiased spectral image of -u u_x from unnormalized rfft data."""
+    ops = spectral_ops(n)
     u = np.fft.irfft(uh, n)
-    ux = np.fft.irfft(spectral_ops(n).ik * uh, n)
-    return -np.fft.rfft(u * ux) * mask
+    ux = np.fft.irfft(ops.ik * uh, n)
+    return -np.fft.rfft(u * ux) * ops.dealias
 
 
 def step_spectral(uh: np.ndarray, dt: float, nu: float, n: int) -> np.ndarray:
     """One integrating-factor RK4 step on unnormalized rfft coefficients."""
     ops = spectral_ops(n)
-    mask = ops.dealias
     e1 = np.exp(-0.5 * dt * nu * ops.k2)
     e2 = e1 * e1
     # overflow here means blow-up, which callers detect via isfinite
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = dt * _nonlinear(uh, n, mask)
-        k2 = dt * _nonlinear(e1 * (uh + 0.5 * k1), n, mask)
-        k3 = dt * _nonlinear(e1 * uh + 0.5 * k2, n, mask)
-        k4 = dt * _nonlinear(e2 * uh + e1 * k3, n, mask)
+        k1 = dt * _nonlinear(uh, n)
+        k2 = dt * _nonlinear(e1 * (uh + 0.5 * k1), n)
+        k3 = dt * _nonlinear(e1 * uh + 0.5 * k2, n)
+        k4 = dt * _nonlinear(e2 * uh + e1 * k3, n)
         out = e2 * uh + (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4) / 6.0
     out[0] = 0.0
     return out

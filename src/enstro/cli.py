@@ -37,7 +37,7 @@ from .bounds_lab import (
     nu_sweep,
 )
 from .burgers_solver import DIAGNOSTIC_COLUMNS, SolverConfig, simulate
-from .conslaw_nd import FieldND, GridSpecND, get_flux, simulate_nd, write_field_nd
+from .conslaw_nd import GridSpecND, get_flux, nd_initial_datum, simulate_nd, write_field_nd
 from .exact_oracles import heat_estimate_ratios, hopf_cole_solution
 from .extremizers import (
     RECORD_COLUMNS,
@@ -129,7 +129,7 @@ SCHEMAS: dict[str, dict[str, tuple[type, object, str]]] = {
     "conslaw-nd": {
         "dim": (int, 2, "space dimension, 1 or 2"),
         "n_points": (int, 64, "cells per axis (power of two)"),
-        "flux": (str, "burgers2d", "flux name from the registry"),
+        "flux": (str, "", "flux name from the registry; empty = burgers<dim>d"),
         "nu": (float, 0.01, "viscosity"),
         "t_end": (float, 0.1, "final time"),
         "init": (str, "product", "datum: product, diag, or mixed"),
@@ -167,24 +167,13 @@ def load_config(path: str | Path, schema: dict) -> dict:
             )
         typ = schema[key][0]
         try:
-            resolved[key] = _parse_value(value, typ)
+            resolved[key] = typ(value)
         except ValueError:
             raise ConfigFileError(
                 f"{path}:{lineno}: could not parse {value!r} as "
                 f"{typ.__name__} for key {key!r}"
             ) from None
     return resolved
-
-
-def _parse_value(value: str, typ: type):
-    if typ is bool:
-        low = value.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ValueError(value)
-    return typ(value)
 
 
 # ----------------------------------------------------------------------
@@ -272,36 +261,6 @@ def _initial_field(init: str, amp: float, grid: GridSpec1D) -> Field1D:
     raise ConfigFileError(
         f"unknown init {init!r}; valid: {', '.join(_INIT_CHOICES)}"
     )
-
-
-def nd_initial_datum(init: str, grid: GridSpecND) -> FieldND:
-    coords = grid.axis_coords()
-    if grid.dim == 1:
-        if init != "product":
-            raise ConfigFileError(f"unknown init {init!r} in 1-D; valid: product")
-        vals = np.sin(2 * np.pi * coords)
-    else:
-        xx, yy = np.meshgrid(coords, coords, indexing="ij")
-        if init == "product":
-            vals = np.sin(2 * np.pi * xx) * np.sin(2 * np.pi * yy)
-        elif init == "diag":
-            vals = np.sin(2 * np.pi * (xx + yy))
-        elif init == "mixed":
-            vals = np.sin(2 * np.pi * xx) * np.sin(2 * np.pi * yy) + 0.5 * np.sin(
-                4 * np.pi * xx
-            ) * np.cos(2 * np.pi * yy)
-        else:
-            raise ConfigFileError(
-                f"unknown init {init!r}; valid: product, diag, mixed"
-            )
-    grad_sq = np.zeros_like(vals)
-    for ax in range(grid.dim):
-        d = (np.roll(vals, -1, axis=ax) - np.roll(vals, 1, axis=ax)) / (
-            2.0 * grid.dx
-        )
-        grad_sq = grad_sq + d * d
-    e0 = float(grad_sq.mean()) * grid.length**grid.dim
-    return FieldND(grid, vals / np.sqrt(e0))
 
 
 def _monotone_assertions(diag) -> list[dict]:
@@ -632,13 +591,15 @@ def _cmd_dissipation(cfg: dict, run_dir: Path, seed: int):
 
 
 def _cmd_conslaw_nd(cfg: dict, run_dir: Path, seed: int):
+    # the manifest records the flux that ran
+    cfg["flux"] = cfg["flux"] or f"burgers{cfg['dim']}d"
     grid = GridSpecND(cfg["dim"], cfg["n_points"])
     u0 = nd_initial_datum(cfg["init"], grid)
     flux = get_flux(cfg["flux"])
     sim_cfg = SolverConfig(
         nu=cfg["nu"], t_end=cfg["t_end"], sample_stride=cfg["stride"]
     )
-    final, diag = simulate_nd(u0, flux, cfg["nu"], sim_cfg)
+    final, diag = simulate_nd(u0, flux, sim_cfg)
     write_field_nd(u0, run_dir / "initial.dat")
     write_field_nd(final, run_dir / "final.dat")
     # the 1-D schema extended by constant dim, L columns

@@ -89,7 +89,11 @@ class FieldND:
 
 @dataclass(frozen=True)
 class FluxSpec:
-    """A flux f: R -> R^dim with its derivative and unit-ball Lipschitz bound."""
+    """A flux f(u) = g(u) (1, ..., 1) on R^dim.
+
+    `eval` is the scalar per-axis profile g and `deriv` its derivative g';
+    `lip_on_unit` bounds the Euclidean |f'(u)| = sqrt(dim) |g'(u)| on [-1, 1].
+    """
 
     name: str
     dim: int
@@ -103,67 +107,29 @@ class FluxSpec:
         h = 1e-6
         fd = (self.eval(u + h) - self.eval(u - h)) / (2.0 * h)
         an = self.deriv(u)
-        if an.shape != (self.dim,) + u.shape:
-            raise ValueError(
-                f"flux {self.name!r}: deriv shape {an.shape} is not "
-                f"{(self.dim,) + u.shape}"
-            )
         if np.max(np.abs(fd - an)) > 1e-6:
             raise ValueError(f"flux {self.name!r}: deriv inconsistent with eval")
-        speeds = np.sqrt(np.sum(an**2, axis=0))
-        if self.lip_on_unit < np.max(speeds) - 1e-9:
+        speed = np.sqrt(self.dim) * np.max(np.abs(an))
+        if self.lip_on_unit < speed - 1e-9:
             raise ValueError(
                 f"flux {self.name!r}: lip_on_unit {self.lip_on_unit} below "
-                f"sampled |f'| = {np.max(speeds):.6f}"
+                f"sampled |f'| = {speed:.6f}"
             )
-
-
-def _axis_flux(name: str, dim: int, scale_fn, deriv_fn, lip: float) -> FluxSpec:
-    def ev(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        one = scale_fn(u)
-        return np.broadcast_to(one, (dim,) + u.shape).copy()
-
-    def dv(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        one = deriv_fn(u)
-        return np.broadcast_to(one, (dim,) + u.shape).copy()
-
-    return FluxSpec(name=name, dim=dim, eval=ev, deriv=dv, lip_on_unit=lip)
 
 
 def flux_registry() -> list[FluxSpec]:
-    """Built-in fluxes; per-axis components carry 1/sqrt(dim) so the
-    Euclidean Lipschitz constant on [-1, 1] is 1 in every dimension."""
+    """Built-in fluxes; the profiles carry 1/sqrt(dim) so the Euclidean
+    Lipschitz constant on [-1, 1] is 1 in every dimension."""
     entries = []
-    for dim, suffix in ((1, "1d"), (2, "2d")):
+    for dim in (1, 2):
         s = np.sqrt(float(dim))
-        entries.append(
-            _axis_flux(
-                f"burgers{suffix}", dim,
-                lambda u, s=s: u**2 / (2.0 * s),
-                lambda u, s=s: u / s,
-                1.0,
-            )
+        tag = "2d" if dim == 2 else ""
+        rows = (
+            (f"burgers{dim}d", lambda u, s=s: u**2 / (2.0 * s), lambda u, s=s: u / s),
+            (f"linear{tag}(c=1)", lambda u, s=s: u / s, lambda u, s=s: np.ones_like(u) / s),
+            (f"cubic{tag}", lambda u, s=s: u**3 / (3.0 * s), lambda u, s=s: u**2 / s),
         )
-        cname = f"linear{suffix}(c=1)" if dim == 2 else "linear(c=1)"
-        entries.append(
-            _axis_flux(
-                cname, dim,
-                lambda u, s=s: u / s,
-                lambda u, s=s: np.ones_like(u) / s,
-                1.0,
-            )
-        )
-        kname = f"cubic{suffix}" if dim == 2 else "cubic"
-        entries.append(
-            _axis_flux(
-                kname, dim,
-                lambda u, s=s: u**3 / (3.0 * s),
-                lambda u, s=s: u**2 / s,
-                1.0,
-            )
-        )
+        entries.extend(FluxSpec(name, dim, g, dg, 1.0) for name, g, dg in rows)
     return entries
 
 
@@ -180,8 +146,9 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
 
 
-def _sweep(u: np.ndarray, axis: int, comp, comp_deriv, dt: float, dx: float) -> np.ndarray:
-    """One MUSCL/minmod + local Lax-Friedrichs Euler sweep along `axis`."""
+def _sweep(u: np.ndarray, axis: int, g, dg, dt: float, dx: float) -> np.ndarray:
+    """One MUSCL/minmod + local Lax-Friedrichs Euler sweep along `axis`
+    for the flux profile g with derivative dg."""
     up = np.roll(u, -1, axis=axis)
     um = np.roll(u, 1, axis=axis)
     sigma = _minmod(u - um, up - u)
@@ -189,8 +156,8 @@ def _sweep(u: np.ndarray, axis: int, comp, comp_deriv, dt: float, dx: float) -> 
     # interface i+1/2: left state from cell i, right state from cell i+1
     ul = u + 0.5 * sigma
     ur = up - 0.5 * sigma_p
-    a = np.maximum(np.abs(comp_deriv(ul)), np.abs(comp_deriv(ur)))
-    f_face = 0.5 * (comp(ul) + comp(ur)) - 0.5 * a * (ur - ul)
+    a = np.maximum(np.abs(dg(ul)), np.abs(dg(ur)))
+    f_face = 0.5 * (g(ul) + g(ur)) - 0.5 * a * (ur - ul)
     return u - (dt / dx) * (f_face - np.roll(f_face, 1, axis=axis))
 
 
@@ -217,28 +184,30 @@ def anisotropic_tv(u: np.ndarray, dx: float) -> float:
     return total
 
 
-def boundary_band_tv(f: FieldND, band: int = 2) -> float:
-    """Anisotropic TV restricted to cells within `band` of the box edge.
-
-    Used to certify that a compactly supported solution never feels the
-    periodic boundary when the box stands in for the whole space.
-    """
-    u = f.values
-    dx = f.grid.dx
-    mask = np.zeros(u.shape, dtype=bool)
-    for ax in range(u.ndim):
-        sl_lo = [slice(None)] * u.ndim
-        sl_hi = [slice(None)] * u.ndim
-        sl_lo[ax] = slice(0, band)
-        sl_hi[ax] = slice(-band, None)
-        mask[tuple(sl_lo)] = True
-        mask[tuple(sl_hi)] = True
-    vol = dx**u.ndim
-    total = 0.0
-    for ax in range(u.ndim):
-        jump = np.abs(np.roll(u, -1, axis=ax) - u)
-        total += float(np.sum(jump[mask])) * (vol / dx)
-    return total
+def nd_initial_datum(init: str, grid: GridSpecND) -> FieldND:
+    """A sine datum of the named family, scaled to unit discrete enstrophy."""
+    coords = grid.axis_coords()
+    if grid.dim == 1:
+        if init != "product":
+            raise ConfigurationError(f"unknown init {init!r} in 1-D; valid: product")
+        vals = np.sin(2 * np.pi * coords)
+    else:
+        xx, yy = np.meshgrid(coords, coords, indexing="ij")
+        if init == "product":
+            vals = np.sin(2 * np.pi * xx) * np.sin(2 * np.pi * yy)
+        elif init == "diag":
+            vals = np.sin(2 * np.pi * (xx + yy))
+        elif init == "mixed":
+            vals = np.sin(2 * np.pi * xx) * np.sin(2 * np.pi * yy) + 0.5 * np.sin(
+                4 * np.pi * xx
+            ) * np.cos(2 * np.pi * yy)
+        else:
+            raise ConfigurationError(
+                f"unknown init {init!r}; valid: product, diag, mixed"
+            )
+    grad_sq = sum(d * d for d in _gradient_centered(vals, grid.dx))
+    e0 = float(grad_sq.mean()) * grid.length**grid.dim
+    return FieldND(grid, vals / np.sqrt(e0))
 
 
 def _diagnostics_row_nd(u: np.ndarray, t: float, nu: float, flux: FluxSpec, dx: float) -> tuple:
@@ -246,7 +215,7 @@ def _diagnostics_row_nd(u: np.ndarray, t: float, nu: float, flux: FluxSpec, dx: 
     grads = _gradient_centered(u, dx)
     lap = _laplacian(u, dx)
     fprime = flux.deriv(u)
-    advect = sum(fprime[ax] * grads[ax] for ax in range(u.ndim))
+    advect = sum(fprime * g for g in grads)
     enstrophy = float(sum(np.sum(g**2) for g in grads) * vol)
     return (
         t,
@@ -261,15 +230,10 @@ def _diagnostics_row_nd(u: np.ndarray, t: float, nu: float, flux: FluxSpec, dx: 
 
 
 def simulate_nd(
-    u0: FieldND, flux: FluxSpec, nu: float, cfg: SolverConfig
+    u0: FieldND, flux: FluxSpec, cfg: SolverConfig
 ) -> tuple[FieldND, DiagnosticsSeries]:
-    """March u0 to cfg.t_end; returns the terminal field and diagnostics."""
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    if abs(cfg.nu - nu) > 1e-15 * max(1.0, nu):
-        raise ValueError(
-            f"cfg.nu ({cfg.nu}) disagrees with the nu argument ({nu})"
-        )
+    """March u0 with viscosity cfg.nu to cfg.t_end; returns the terminal
+    field and diagnostics."""
     if flux.dim != u0.grid.dim:
         raise ValueError(
             f"flux {flux.name!r} is {flux.dim}-dimensional but the grid "
@@ -283,6 +247,7 @@ def simulate_nd(
         )
     dim = u0.grid.dim
     dx = u0.grid.dx
+    nu = cfg.nu
     u = u0.values.copy()
     t = 0.0
     rows = [_diagnostics_row_nd(u, t, nu, flux, dx)]
@@ -295,9 +260,7 @@ def simulate_nd(
             dt = cfg.t_end - t
         axes = range(dim) if step_index % 2 == 0 else reversed(range(dim))
         for ax in axes:
-            comp = lambda v, ax=ax: flux.eval(v)[ax]
-            comp_deriv = lambda v, ax=ax: flux.deriv(v)[ax]
-            u = _sweep(u, ax, comp, comp_deriv, dt, dx)
+            u = _sweep(u, ax, flux.eval, flux.deriv, dt, dx)
         u = u + dt * nu * _laplacian(u, dx)
         if not np.all(np.isfinite(u)):
             raise BlowUpError(t)

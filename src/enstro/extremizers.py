@@ -315,12 +315,13 @@ def _march_forward(
     return uh, dts, checkpoints, stride
 
 
-def _nonlinear_adjoint(a_hat: np.ndarray, v_hat: np.ndarray, n: int, mask: np.ndarray) -> np.ndarray:
+def _nonlinear_adjoint(a_hat: np.ndarray, v_hat: np.ndarray, n: int) -> np.ndarray:
     """Transpose of the linearized dealiased advection about state a."""
-    ik = spectral_ops(n).ik
+    ops = spectral_ops(n)
+    ik = ops.ik
     da = np.fft.irfft(ik * a_hat, n)
     a = np.fft.irfft(a_hat, n)
-    mv = np.fft.irfft(mask * v_hat, n)
+    mv = np.fft.irfft(ops.dealias * v_hat, n)
     return -np.fft.rfft(da * mv) + ik * np.fft.rfft(a * mv)
 
 
@@ -329,15 +330,14 @@ def _adjoint_step(
 ) -> np.ndarray:
     """Pull the objective gradient back through one forward RK4 step."""
     ops = spectral_ops(n)
-    mask = ops.dealias
     e1 = np.exp(-0.5 * dt * nu * ops.k2)
     e2 = e1 * e1
     # recompute the forward stage states from the stored step-start state
-    k1 = dt * _nonlinear(uh, n, mask)
+    k1 = dt * _nonlinear(uh, n)
     u2 = e1 * (uh + 0.5 * k1)
-    k2 = dt * _nonlinear(u2, n, mask)
+    k2 = dt * _nonlinear(u2, n)
     u3 = e1 * uh + 0.5 * k2
-    k3 = dt * _nonlinear(u3, n, mask)
+    k3 = dt * _nonlinear(u3, n)
     u4 = e2 * uh + e1 * k3
 
     w = lam_hat.copy()
@@ -348,19 +348,19 @@ def _adjoint_step(
     l_k4 = (dt / 6.0) * w
     l_u = e2 * w
 
-    v4 = _nonlinear_adjoint(u4, l_k4, n, mask)
+    v4 = _nonlinear_adjoint(u4, l_k4, n)
     l_u += e2 * v4
     l_k3 += dt * (e1 * v4)
 
-    v3 = _nonlinear_adjoint(u3, l_k3, n, mask)
+    v3 = _nonlinear_adjoint(u3, l_k3, n)
     l_u += e1 * v3
     l_k2 += 0.5 * dt * v3
 
-    v2 = _nonlinear_adjoint(u2, l_k2, n, mask)
+    v2 = _nonlinear_adjoint(u2, l_k2, n)
     l_u += e1 * v2
     l_k1 += 0.5 * dt * (e1 * v2)
 
-    l_u += _nonlinear_adjoint(uh, l_k1, n, mask)
+    l_u += _nonlinear_adjoint(uh, l_k1, n)
     return l_u
 
 

@@ -15,8 +15,8 @@ import pytest
 
 from enstro.bounds_lab import datum_family, dissipation_window, fit_power_law, nu_sweep
 from enstro.burgers_solver import SolverConfig, simulate, sup_enstrophy
-from enstro.cli import nd_initial_datum, run_sweep_e0
-from enstro.conslaw_nd import GridSpecND, get_flux, simulate_nd
+from enstro.cli import run_sweep_e0
+from enstro.conslaw_nd import GridSpecND, get_flux, nd_initial_datum, simulate_nd
 from enstro.exact_oracles import heat_estimate_ratios, hopf_cole_solution
 from enstro.extremizers import (
     OptimConfig,
@@ -326,7 +326,7 @@ class TestAcceptance:
             for nu in (0.05, 0.02, 0.01):
                 u0 = nd_initial_datum(init, grid)
                 cfg = SolverConfig(nu=nu, t_end=0.1, sample_stride=10)
-                _, diag = simulate_nd(u0, flux, nu, cfg)
+                _, diag = simulate_nd(u0, flux, cfg)
                 if not _monotone(diag.linf, LINF_STEP_TOL):
                     failures.append(f"max principle at ({init}, nu={nu:g})")
                 if not _monotone(diag.tv, TV_STEP_TOL):

@@ -69,6 +69,16 @@ class TestExitCodes:
         assert main(["simulate", "--config", "/nonexistent/f.cfg"]) == 2
         capsys.readouterr()
 
+    def test_failed_certification_exits_one(self, runs_root, capsys):
+        # a valid config whose datum fails certification is a failed run
+        assert main(["lower-bound", "--n-points", "32"]) == 1
+        assert "characteristics cross" in capsys.readouterr().err
+        manifest = _manifest(runs_root, "lower-bound")
+        assert manifest["passed"] is False
+        (check,) = manifest["assertions"]
+        assert check["name"] == "run_completed" and not check["passed"]
+        assert check["detail"].startswith("DatumConstructionError:")
+
 
 class TestConfigFile:
     """Flat key = value files with comments, validated against the schema."""
@@ -415,6 +425,10 @@ class TestIndividualCommands:
         )
         assert header.endswith(",dim,L")
         assert (run_dir / "final.dat").exists()
+
+    def test_conslaw_nd_flux_follows_dim(self, runs_root):
+        assert main(["conslaw-nd", "--dim", "1", "--n-points", "64", "--t-end", "0.01"]) == 0
+        assert _manifest(runs_root, "conslaw-nd")["config"]["flux"] == "burgers1d"
 
     def test_conslaw_nd_1d_rejects_unknown_init(self, runs_root, capsys):
         argv = ["conslaw-nd", "--dim", "1", "--flux", "burgers1d", "--init", "diag"]

@@ -9,16 +9,25 @@ principle, conservation) are asserted on shock-forming runs.
 import numpy as np
 import pytest
 
-from enstro.burgers_solver import SolverConfig, simulate
-from enstro.cli import main, nd_initial_datum
+from enstro.burgers_solver import (
+    _CFL_FLOOR,
+    DIAGNOSTIC_COLUMNS,
+    DiagnosticsSeries,
+    SolverConfig,
+    simulate,
+)
+from enstro.cli import main
 from enstro.conslaw_nd import (
     FieldND,
     FluxSpec,
     GridSpecND,
+    _gradient_centered,
+    _laplacian,
+    _sweep,
     anisotropic_tv,
-    boundary_band_tv,
     flux_registry,
     get_flux,
+    nd_initial_datum,
     read_field_nd,
     simulate_nd,
     write_field_nd,
@@ -77,14 +86,14 @@ class TestFluxRegistry:
         assert get_flux("burgers2d").lip_on_unit == 1.0
 
     def test_burgers_2d_axis_normalization(self):
-        # per-axis component u^2/(2 sqrt 2) keeps the Euclidean |f'| = |u|
+        # the per-axis profile u^2/(2 sqrt 2) keeps the Euclidean |f'| = |u|
         fx = get_flux("burgers2d")
         u = np.array([0.5])
         f = fx.eval(u)
-        assert f.shape == (2, 1)
-        assert f[0, 0] == pytest.approx(0.25 / (2 * np.sqrt(2.0)))
+        assert f.shape == (1,)
+        assert f[0] == pytest.approx(0.25 / (2 * np.sqrt(2.0)))
         d = fx.deriv(u)
-        assert np.hypot(d[0, 0], d[1, 0]) == pytest.approx(0.5)
+        assert np.hypot(d[0], d[0]) == pytest.approx(0.5)
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(KeyError, match="burgers1d"):
@@ -94,8 +103,8 @@ class TestFluxRegistry:
         bad = FluxSpec(
             name="broken",
             dim=1,
-            eval=lambda u: (u**2 / 2)[None, :],
-            deriv=lambda u: (0.5 * u)[None, :],
+            eval=lambda u: u**2 / 2,
+            deriv=lambda u: 0.5 * u,
             lip_on_unit=1.0,
         )
         with pytest.raises(ValueError, match="inconsistent"):
@@ -105,12 +114,82 @@ class TestFluxRegistry:
         bad = FluxSpec(
             name="steep",
             dim=1,
-            eval=lambda u: (2.0 * u)[None, :],
-            deriv=lambda u: np.full((1,) + u.shape, 2.0),
+            eval=lambda u: 2.0 * u,
+            deriv=lambda u: np.full(u.shape, 2.0),
             lip_on_unit=1.0,
         )
         with pytest.raises(ValueError, match="lip_on_unit"):
             bad.validate()
+
+
+class TestScalarProfiles:
+    """simulate_nd against the full (dim, N, N) per-axis flux it replaced."""
+
+    @staticmethod
+    def _widened(profile, dim):
+        # the old registry's flux: every axis component is the profile
+        def per_axis(u):
+            u = np.asarray(u, dtype=float)
+            return np.broadcast_to(profile(u), (dim,) + u.shape).copy()
+
+        return per_axis
+
+    @classmethod
+    def _reference_run(cls, u0, flux, cfg):
+        dim, dx, nu = u0.grid.dim, u0.grid.dx, cfg.nu
+        f = cls._widened(flux.eval, dim)
+        fp = cls._widened(flux.deriv, dim)
+
+        def row(u, t):
+            vol = dx**dim
+            grads = _gradient_centered(u, dx)
+            lap = _laplacian(u, dx)
+            fprime = fp(u)
+            advect = sum(fprime[ax] * grads[ax] for ax in range(dim))
+            return (
+                t,
+                0.5 * float(np.sum(u**2) * vol),
+                float(sum(np.sum(g**2) for g in grads) * vol),
+                anisotropic_tv(u, dx),
+                float(np.abs(u).max()),
+                float(min(np.min(g) for g in grads)),
+                -nu * float(np.sum(lap**2) * vol),
+                float(np.sum(advect * lap) * vol),
+            )
+
+        u, t, step = u0.values.copy(), 0.0, 0
+        rows = [row(u, t)]
+        while t < cfg.t_end:
+            speed = max(float(np.abs(fp(u)).max()), _CFL_FLOOR)
+            dt = cfg.cfl * min(dx / speed, dx**2 / (2.0 * dim * nu))
+            last = dt >= cfg.t_end - t
+            if last:
+                dt = cfg.t_end - t
+            axes = range(dim) if step % 2 == 0 else reversed(range(dim))
+            for ax in axes:
+                comp = lambda v, ax=ax: f(v)[ax]
+                comp_deriv = lambda v, ax=ax: fp(v)[ax]
+                u = _sweep(u, ax, comp, comp_deriv, dt, dx)
+            u = u + dt * nu * _laplacian(u, dx)
+            t = cfg.t_end if last else t + dt
+            step += 1
+            if last or step % cfg.sample_stride == 0:
+                rows.append(row(u, t))
+        return u, DiagnosticsSeries.from_rows(rows)
+
+    @pytest.mark.parametrize("name", [s.name for s in flux_registry()])
+    def test_bit_identical_to_per_axis_flux(self, name):
+        flux = get_flux(name)
+        grid = GridSpecND(dim=flux.dim, points=32 if flux.dim == 1 else 16)
+        u0 = nd_initial_datum("product" if flux.dim == 1 else "mixed", grid)
+        cfg = SolverConfig(nu=0.005, t_end=0.6, sample_stride=2)
+        final, diag = simulate_nd(u0, flux, cfg)
+        ref_u, ref_diag = self._reference_run(u0, flux, cfg)
+        assert len(diag) > 4
+        assert np.array_equal(final.values, ref_u)
+        assert len(diag) == len(ref_diag)
+        for col in DIAGNOSTIC_COLUMNS:
+            assert np.array_equal(getattr(diag, col), getattr(ref_diag, col)), col
 
 
 class TestCrossValidation:
@@ -121,7 +200,7 @@ class TestCrossValidation:
         gnd = GridSpecND(dim=1, points=n)
         xc = gnd.axis_coords()
         u0 = FieldND(gnd, 0.8 * np.sin(2 * np.pi * xc))
-        final, _ = simulate_nd(u0, get_flux("burgers1d"), nu, SolverConfig(nu=nu, t_end=T))
+        final, _ = simulate_nd(u0, get_flux("burgers1d"), SolverConfig(nu=nu, t_end=T))
 
         gsp = GridSpec1D(n)
         us = Field1D(gsp, 0.8 * np.sin(2 * np.pi * gsp.x))
@@ -135,7 +214,7 @@ class TestCrossValidation:
         gnd = GridSpecND(dim=1, points=n)
         xc = gnd.axis_coords()
         u0 = FieldND(gnd, 0.9 * np.sin(2 * np.pi * xc))
-        final, _ = simulate_nd(u0, get_flux("linear(c=1)"), nu, SolverConfig(nu=nu, t_end=T))
+        final, _ = simulate_nd(u0, get_flux("linear(c=1)"), SolverConfig(nu=nu, t_end=T))
 
         gsp = GridSpec1D(n)
         heat = heat_propagate(Field1D(gsp, 0.9 * np.sin(2 * np.pi * gsp.x)), nu * T)
@@ -150,7 +229,7 @@ class TestCrossValidation:
         g2 = GridSpecND(dim=2, points=n)
         xc = g2.axis_coords()
         u0 = FieldND(g2, np.outer(0.7 * np.sin(2 * np.pi * xc), np.cos(2 * np.pi * xc)))
-        final, _ = simulate_nd(u0, get_flux("linear2d(c=1)"), nu, SolverConfig(nu=nu, t_end=T))
+        final, _ = simulate_nd(u0, get_flux("linear2d(c=1)"), SolverConfig(nu=nu, t_end=T))
 
         damp = np.exp(-nu * T * (2 * np.pi) ** 2)
         s = T / np.sqrt(2.0)  # per-axis speed of the unit-Lipschitz flux
@@ -168,7 +247,7 @@ def shock_run_2d():
     xc = g2.axis_coords()
     u0 = FieldND(g2, np.sin(2 * np.pi * xc)[:, None] * np.cos(2 * np.pi * xc)[None, :])
     nu = 0.005
-    return simulate_nd(u0, get_flux("burgers2d"), nu, SolverConfig(nu=nu, t_end=0.4))
+    return simulate_nd(u0, get_flux("burgers2d"), SolverConfig(nu=nu, t_end=0.4))
 
 
 class TestStructuralProperties:
@@ -191,7 +270,6 @@ class TestStructuralProperties:
         final, diag = simulate_nd(
             FieldND(g, np.zeros(64)),
             get_flux("burgers1d"),
-            0.01,
             SolverConfig(nu=0.01, t_end=0.01),
         )
         assert np.all(final.values == 0.0)
@@ -203,23 +281,17 @@ class TestStructuralProperties:
         xc = g.axis_coords()
         u0 = FieldND(g, 1.5 * np.sin(2 * np.pi * xc))
         with pytest.warns(RuntimeWarning, match="sup-norm"):
-            simulate_nd(u0, get_flux("burgers1d"), 0.05, SolverConfig(nu=0.05, t_end=0.005))
-
-    def test_nu_mismatch_rejected(self):
-        g = GridSpecND(dim=1, points=64)
-        u0 = FieldND(g, np.zeros(64))
-        with pytest.raises(ValueError, match="disagrees"):
-            simulate_nd(u0, get_flux("burgers1d"), 0.01, SolverConfig(nu=0.02, t_end=0.1))
+            simulate_nd(u0, get_flux("burgers1d"), SolverConfig(nu=0.05, t_end=0.005))
 
     def test_flux_dimension_mismatch_rejected(self):
         g = GridSpecND(dim=1, points=64)
         u0 = FieldND(g, np.zeros(64))
         with pytest.raises(ValueError, match="dimensional"):
-            simulate_nd(u0, get_flux("burgers2d"), 0.01, SolverConfig(nu=0.01, t_end=0.1))
+            simulate_nd(u0, get_flux("burgers2d"), SolverConfig(nu=0.01, t_end=0.1))
 
 
 class TestTVHelpers:
-    """Anisotropic TV and the boundary-band check."""
+    """Anisotropic total variation."""
 
     def test_anisotropic_tv_reduces_to_1d_tv(self):
         g = GridSpecND(dim=1, points=64)
@@ -233,22 +305,6 @@ class TestTVHelpers:
         u = np.zeros((64, 64))
         u[:, 16:32] = 1.0
         assert anisotropic_tv(u, 1.0 / 64) == pytest.approx(2.0, abs=1e-12)
-
-    def test_boundary_band_quiet_for_interior_bump(self):
-        g = GridSpecND(dim=2, points=64, length=4.0)
-        xc = g.axis_coords()
-        r2 = (xc[:, None] - 2.0) ** 2 + (xc[None, :] - 2.0) ** 2
-        bump = np.where(r2 < 0.25, np.exp(-r2 / (0.25 - r2 + 1e-12)), 0.0)
-        f = FieldND(g, bump)
-        assert boundary_band_tv(f, band=2) == 0.0
-        assert anisotropic_tv(bump, g.dx) > 0.0
-
-    def test_boundary_band_detects_edge_content(self):
-        g = GridSpecND(dim=1, points=64, length=1.0)
-        u = np.zeros(64)
-        u[0] = 1.0
-        f = FieldND(g, u)
-        assert boundary_band_tv(f, band=2) > 0.0
 
 
 class TestSerializationND:
@@ -285,7 +341,6 @@ class TestSerializationND:
         _, diag = simulate_nd(
             nd_initial_datum("product", g2),
             get_flux("burgers2d"),
-            0.01,
             SolverConfig(nu=0.01, t_end=0.02),
         )
         assert lines[0].endswith(",dim,L")
