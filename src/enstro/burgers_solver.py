@@ -182,25 +182,52 @@ class Trajectory:
         return paths
 
 
-def _nonlinear(uh: np.ndarray, n: int) -> np.ndarray:
-    """Dealiased spectral image of -u u_x from unnormalized rfft data."""
+def _nonlinear(
+    uh: np.ndarray,
+    n: int,
+    u: np.ndarray | None = None,
+    samples: np.ndarray | None = None,
+) -> np.ndarray:
+    """Dealiased spectral image of -u u_x from unnormalized rfft data.
+
+    ``u``, if given, holds the samples of ``uh`` and saves their inverse
+    transform; ``samples``, if given, is a (2, n) array that receives
+    (u, u_x).
+    """
     ops = spectral_ops(n)
-    u = np.fft.irfft(uh, n)
+    if u is None:
+        u = np.fft.irfft(uh, n)
     ux = np.fft.irfft(ops.ik * uh, n)
+    if samples is not None:
+        samples[0], samples[1] = u, ux
     return -np.fft.rfft(u * ux) * ops.dealias
 
 
-def step_spectral(uh: np.ndarray, dt: float, nu: float, n: int) -> np.ndarray:
-    """One integrating-factor RK4 step on unnormalized rfft coefficients."""
+def step_spectral(
+    uh: np.ndarray,
+    dt: float,
+    nu: float,
+    n: int,
+    vals: np.ndarray | None = None,
+    stages: np.ndarray | None = None,
+) -> np.ndarray:
+    """One integrating-factor RK4 step on unnormalized rfft coefficients.
+
+    ``vals``, if given, are the samples of ``uh``; the first stage uses
+    them in place of an inverse transform.  ``stages``, if given, is a
+    (4, 2, n) array that receives the samples (u, u_x) of each RK4 stage:
+    one step of the stage tape the discrete adjoint reads.
+    """
     ops = spectral_ops(n)
     e1 = np.exp(-0.5 * dt * nu * ops.k2)
     e2 = e1 * e1
+    s1, s2, s3, s4 = (None,) * 4 if stages is None else stages
     # overflow here means blow-up, which callers detect via isfinite
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = dt * _nonlinear(uh, n)
-        k2 = dt * _nonlinear(e1 * (uh + 0.5 * k1), n)
-        k3 = dt * _nonlinear(e1 * uh + 0.5 * k2, n)
-        k4 = dt * _nonlinear(e2 * uh + e1 * k3, n)
+        k1 = dt * _nonlinear(uh, n, vals, s1)
+        k2 = dt * _nonlinear(e1 * (uh + 0.5 * k1), n, None, s2)
+        k3 = dt * _nonlinear(e1 * uh + 0.5 * k2, n, None, s3)
+        k4 = dt * _nonlinear(e2 * uh + e1 * k3, n, None, s4)
         out = e2 * uh + (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4) / 6.0
     out[0] = 0.0
     return out
@@ -221,14 +248,17 @@ def step(u: Field1D, dt: float, nu: float) -> Field1D:
 
 
 def march(
-    uh: np.ndarray, n: int, dx: float, cfg: SolverConfig
-) -> Iterator[tuple[float, float, np.ndarray, np.ndarray]]:
+    uh: np.ndarray, n: int, dx: float, cfg: SolverConfig, record: bool = False
+) -> Iterator[tuple[float, float, np.ndarray, np.ndarray, np.ndarray | None]]:
     """Advance rfft data ``uh`` to ``cfg.t_end`` with adaptive advective steps.
 
-    Yields ``(t, dt, uh, vals)`` after every step, ``vals`` being the
-    samples of ``uh``.  Each step's CFL amplitude is read from the samples
-    the previous step yielded, so a step costs the RK4 transforms plus one
-    inverse transform.  Nothing is retained between steps.
+    Yields ``(t, dt, uh, vals, stages)`` after every step, ``vals`` being
+    the samples of ``uh``.  Each step's CFL amplitude is read from the
+    samples the previous step yielded, and its first RK4 stage uses them
+    too, so a step costs the RK4 transforms less one, plus one inverse
+    transform: 12 in all.  ``stages`` is None unless ``record`` is true;
+    then it is the step's (4, 2, n) stage samples (see
+    :func:`step_spectral`).  Nothing is retained between steps.
     """
     vals = np.fft.irfft(uh, n)
     t = 0.0
@@ -238,12 +268,13 @@ def march(
         last = dt >= cfg.t_end - t
         if last:
             dt = cfg.t_end - t
-        uh = step_spectral(uh, dt, cfg.nu, n)
+        stages = np.empty((4, 2, n)) if record else None
+        uh = step_spectral(uh, dt, cfg.nu, n, vals, stages)
         vals = np.fft.irfft(uh, n)
         if not np.all(np.isfinite(vals)):
             raise BlowUpError(t)
         t = cfg.t_end if last else t + dt
-        yield t, dt, uh, vals
+        yield t, dt, uh, vals, stages
 
 
 def _rate_terms(
@@ -309,7 +340,7 @@ def simulate(u0: Field1D, cfg: SolverConfig) -> tuple[Trajectory, DiagnosticsSer
     grid = u0.grid
     uh = np.fft.rfft(u0.values)
     rows = [_diagnostics_row(0.0, uh, u0.values, cfg.nu, grid.dx)]
-    for t, _, uh, vals in march(uh, grid.n_points, grid.dx, cfg):
+    for t, _, uh, vals, _ in march(uh, grid.n_points, grid.dx, cfg):
         rows.append(_diagnostics_row(t, uh, vals, cfg.nu, grid.dx))
     return (
         Trajectory((0.0, cfg.t_end), (u0, Field1D(grid, vals))),

@@ -7,7 +7,12 @@ E(u) = int (u_x)^2:
   R(u) = -nu int (u_xx)^2 - (1/2) int (u_x)^3;
 * the finite-time problem maximizes E(u(T)) along the viscous Burgers
   flow, with gradients from the exact discrete adjoint of the
-  integrating-factor RK4 march.
+  integrating-factor RK4 march.  The forward march records a stage tape,
+  the samples (u, u_x) of every RK4 stage, and the adjoint reads them
+  back; the ascent's gradient reuses the tape of the objective's march at
+  the same point, so each iterate marches forward once.  Above
+  ``ADJOINT_STORAGE_BUDGET_BYTES`` the gradient keeps checkpoints instead
+  and rebuilds the tape block by block by re-marching from them.
 
 Ascent is Riemannian: the L2 gradient is preconditioned by the inverse
 Laplacian (H1-seminorm metric) by default, projected onto the tangent
@@ -25,7 +30,6 @@ import numpy as np
 
 from .burgers_solver import (
     SolverConfig,
-    _nonlinear,
     enstrophy_rate,
     march,
     step_spectral,
@@ -289,56 +293,98 @@ def _march_forward(
     nu: float,
     n: int,
     dx: float,
-    keep: bool,
-    budget_bytes: int,
-) -> tuple[np.ndarray, list[float], dict[int, np.ndarray], int]:
-    """March to time T; optionally retain a checkpoint map of spectra.
+    tape_bytes: int = 0,
+    stride: int = 0,
+) -> tuple[np.ndarray, list[float], dict[int, np.ndarray], list | None]:
+    """March to time T; return ``(uh_T, dts, checkpoints, tape)``.
 
-    Checkpoints start dense (every step) and are thinned by doubling the
-    stride whenever their storage would exceed ``budget_bytes``; the step
-    list is always kept in full so segments can be re-marched exactly.
+    With ``tape_bytes > 0`` the march records a stage tape, one
+    ``(dt, stages)`` entry per step, while it fits in ``tape_bytes``; a
+    tape that outgrows them is dropped and returned as None.  With
+    ``stride > 0`` it keeps the spectra at steps 0, stride, 2*stride, ...
+    before the last step instead.
     """
     uh = np.fft.rfft(u0_vals)
-    bytes_per = uh.nbytes
     dts: list[float] = []
-    checkpoints: dict[int, np.ndarray] = {0: uh.copy()} if keep else {}
-    stride = 1
+    checkpoints: dict[int, np.ndarray] = {0: uh} if stride else {}
+    tape: list | None = [] if tape_bytes > 0 else None
     cfg = SolverConfig(nu=nu, t_end=T, cfl=_FORWARD_CFL)
-    for i, (_, dt, uh, _) in enumerate(march(uh, n, dx, cfg), start=1):
+    steps = march(uh, n, dx, cfg, record=tape is not None)
+    for i, (_, dt, uh, _, stages) in enumerate(steps, start=1):
         dts.append(dt)
-        if keep:
-            if i % stride == 0:
-                checkpoints[i] = uh.copy()
-            if len(checkpoints) * bytes_per > budget_bytes:
-                stride *= 2
-                checkpoints = {j: v for j, v in checkpoints.items() if j % stride == 0}
-    return uh, dts, checkpoints, stride
+        if stride and i % stride == 0:
+            checkpoints[i] = uh
+        if tape is not None:
+            if (len(tape) + 1) * stages.nbytes > tape_bytes:
+                tape = None
+            else:
+                tape.append((dt, stages))
+    checkpoints.pop(len(dts), None)  # the final state starts no step
+    return uh, dts, checkpoints, tape
 
 
-def _nonlinear_adjoint(a_hat: np.ndarray, v_hat: np.ndarray, n: int) -> np.ndarray:
-    """Transpose of the linearized dealiased advection about state a."""
+def _checkpoint_plan(
+    n_steps: int, budget_bytes: int, spectrum_bytes: int, step_bytes: int
+) -> tuple[int, int]:
+    """``(stride, block)`` of the re-march path, re-marching fewest steps.
+
+    The path keeps a checkpoint every ``stride`` steps and rebuilds the
+    tape of at most ``block`` steps of a segment at a time; together they
+    fit in ``budget_bytes``, or in one checkpoint and one step's tape when
+    the budget is smaller than that floor.  A block shorter than its
+    segment is re-marched from the segment's checkpoint.
+    """
+    budget = max(budget_bytes, spectrum_bytes + step_bytes)
+
+    def remarched(length: int, block: int) -> int:
+        blocks = -(-length // block)
+        return blocks * length - block * blocks * (blocks - 1) // 2
+
+    best = None
+    for stride in range(1, n_steps + 1):
+        count = -(-n_steps // stride)
+        block = min(stride, (budget - count * spectrum_bytes) // step_bytes)
+        if block < 1:
+            continue
+        last = n_steps - (count - 1) * stride
+        cost = (count - 1) * remarched(stride, block) + remarched(last, block)
+        key = (cost, count * spectrum_bytes + block * step_bytes)
+        if best is None or key < best[0]:
+            best = (key, stride, block)
+    return best[1], best[2]
+
+
+def _retape(uh: np.ndarray, dts: list[float], skip: int, nu: float, n: int) -> list:
+    """Re-march ``uh`` through ``dts``; the stage tape of all but the first
+    ``skip`` steps."""
+    tape = []
+    for j, dt in enumerate(dts):
+        stages = np.empty((4, 2, n)) if j >= skip else None
+        uh = step_spectral(uh, dt, nu, n, stages=stages)
+        if stages is not None:
+            tape.append((dt, stages))
+    return tape
+
+
+def _nonlinear_adjoint(
+    a: np.ndarray, da: np.ndarray, v_hat: np.ndarray, n: int
+) -> np.ndarray:
+    """Transpose of the linearized dealiased advection about the state with
+    samples ``a`` and ``a_x = da``."""
     ops = spectral_ops(n)
-    ik = ops.ik
-    da = np.fft.irfft(ik * a_hat, n)
-    a = np.fft.irfft(a_hat, n)
     mv = np.fft.irfft(ops.dealias * v_hat, n)
-    return -np.fft.rfft(da * mv) + ik * np.fft.rfft(a * mv)
+    return -np.fft.rfft(da * mv) + ops.ik * np.fft.rfft(a * mv)
 
 
 def _adjoint_step(
-    uh: np.ndarray, lam_hat: np.ndarray, dt: float, nu: float, n: int
+    stages: np.ndarray, lam_hat: np.ndarray, dt: float, nu: float, n: int
 ) -> np.ndarray:
-    """Pull the objective gradient back through one forward RK4 step."""
+    """Pull the objective gradient back through one forward RK4 step, whose
+    stage samples ``stages`` the forward march recorded."""
     ops = spectral_ops(n)
     e1 = np.exp(-0.5 * dt * nu * ops.k2)
     e2 = e1 * e1
-    # recompute the forward stage states from the stored step-start state
-    k1 = dt * _nonlinear(uh, n)
-    u2 = e1 * (uh + 0.5 * k1)
-    k2 = dt * _nonlinear(u2, n)
-    u3 = e1 * uh + 0.5 * k2
-    k3 = dt * _nonlinear(u3, n)
-    u4 = e2 * uh + e1 * k3
+    s1, s2, s3, s4 = stages
 
     w = lam_hat.copy()
     w[0] = 0.0  # transpose of the mean projection
@@ -348,24 +394,48 @@ def _adjoint_step(
     l_k4 = (dt / 6.0) * w
     l_u = e2 * w
 
-    v4 = _nonlinear_adjoint(u4, l_k4, n)
+    v4 = _nonlinear_adjoint(*s4, l_k4, n)
     l_u += e2 * v4
     l_k3 += dt * (e1 * v4)
 
-    v3 = _nonlinear_adjoint(u3, l_k3, n)
+    v3 = _nonlinear_adjoint(*s3, l_k3, n)
     l_u += e1 * v3
     l_k2 += 0.5 * dt * v3
 
-    v2 = _nonlinear_adjoint(u2, l_k2, n)
+    v2 = _nonlinear_adjoint(*s2, l_k2, n)
     l_u += e1 * v2
     l_k1 += 0.5 * dt * (e1 * v2)
 
-    l_u += _nonlinear_adjoint(uh, l_k1, n)
+    l_u += _nonlinear_adjoint(*s1, l_k1, n)
     return l_u
 
 
-def finite_time_objective(u0: Field1D, T: float, nu: float) -> float:
-    """E(u(T)) for the discrete forward march started at u0."""
+def _pull_back(tape: list, lam: np.ndarray, nu: float, n: int) -> np.ndarray:
+    """Walk the adjoint back through a stage tape, last step first."""
+    for dt, stages in reversed(tape):
+        lam = _adjoint_step(stages, lam, dt, nu, n)
+    return lam
+
+
+@dataclass(eq=False)
+class _LastMarch:
+    """The last forward march of an objective, kept for the gradient at the
+    same point: ``key`` is ``(T, nu, bytes of u0)``, ``result`` is
+    ``(uh_T, dts, tape)``."""
+
+    key: tuple | None = None
+    result: tuple | None = None
+
+
+def finite_time_objective(
+    u0: Field1D, T: float, nu: float, last: _LastMarch | None = None
+) -> float:
+    """E(u(T)) for the discrete forward march started at u0.
+
+    With ``last``, the march records its stage tape there (within
+    ``ADJOINT_STORAGE_BUDGET_BYTES``) for :func:`finite_time_gradient` at
+    the same u0, after dropping the tape it held before.
+    """
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
     if nu <= 0:
@@ -373,7 +443,13 @@ def finite_time_objective(u0: Field1D, T: float, nu: float) -> float:
     n, dx = u0.grid.n_points, u0.grid.dx
     if T == 0:
         return _enstrophy_vals(u0.values, n, dx)
-    uh, _, _, _ = _march_forward(u0.values, T, nu, n, dx, False, 0)
+    budget = 0
+    if last is not None:
+        last.key = last.result = None  # free the old tape before marching
+        budget = ADJOINT_STORAGE_BUDGET_BYTES
+    uh, dts, _, tape = _march_forward(u0.values, T, nu, n, dx, budget)
+    if last is not None:
+        last.key, last.result = (T, nu, u0.values.tobytes()), (uh, dts, tape)
     ux = np.fft.irfft(spectral_ops(n).ik * uh, n)
     return float(np.sum(ux**2) * dx)
 
@@ -383,13 +459,21 @@ def finite_time_gradient(
     T: float,
     nu: float,
     budget_bytes: int = ADJOINT_STORAGE_BUDGET_BYTES,
+    last: _LastMarch | None = None,
 ) -> Field1D:
     """Exact L2 gradient of u0 -> E(u(T)) via the discrete adjoint.
 
     The backward pass transposes, step by step, exactly the arithmetic of
-    the forward march (stages recomputed from checkpointed step-start
-    states), so central finite differences of the discrete objective match
-    the result to roundoff-limited accuracy.
+    the forward march, reading each RK4 stage's samples from the stage
+    tape the march recorded, so central finite differences of the discrete
+    objective match the result to roundoff-limited accuracy.  The march is
+    the one ``last`` holds when it started from u0 (its tape was recorded
+    within ``ADJOINT_STORAGE_BUDGET_BYTES``), and one this call makes
+    otherwise.  When the tape does not fit in the budget, the gradient
+    keeps checkpoints instead and rebuilds the tape block by block by
+    re-marching from them, checkpoints and tape together within
+    ``budget_bytes`` (see :func:`_checkpoint_plan`); the result is bit for
+    bit the same.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -398,25 +482,27 @@ def finite_time_gradient(
     n, dx = u0.grid.n_points, u0.grid.dx
     if abs(float(u0.values.mean())) > 1e-12:
         raise ValueError("initial data must have zero mean")
-    uh_T, dts, checkpoints, stride = _march_forward(
-        u0.values, T, nu, n, dx, True, budget_bytes
-    )
-    n_steps = len(dts)
+    if last is not None and last.key == (T, nu, u0.values.tobytes()):
+        uh_T, dts, tape = last.result
+    else:
+        uh_T, dts, _, tape = _march_forward(u0.values, T, nu, n, dx, budget_bytes)
     # terminal condition: L2 gradient of E at u(T) is -2 u_xx(T)
     lam = 2.0 * spectral_ops(n).k2 * uh_T
-
-    # walk segments backward, re-marching each from its checkpoint
-    seg_hi = n_steps  # states are indexed 0..n_steps; step i maps i -> i+1
-    while seg_hi > 0:
-        seg_lo = max(0, ((seg_hi - 1) // stride) * stride)
-        states = {seg_lo: checkpoints[seg_lo]}
-        uh = checkpoints[seg_lo]
-        for j in range(seg_lo, seg_hi - 1):
-            uh = step_spectral(uh, dts[j], nu, n)
-            states[j + 1] = uh
-        for j in range(seg_hi - 1, seg_lo - 1, -1):
-            lam = _adjoint_step(states[j], lam, dts[j], nu, n)
-        seg_hi = seg_lo
+    if tape is not None:
+        lam = _pull_back(tape, lam, nu, n)
+    else:
+        step_bytes = 64 * n  # one step's (4, 2, n) float64 stage samples
+        stride, block = _checkpoint_plan(len(dts), budget_bytes, uh_T.nbytes, step_bytes)
+        _, _, checkpoints, _ = _march_forward(u0.values, T, nu, n, dx, stride=stride)
+        hi = len(dts)  # step j maps state j to state j + 1
+        while hi > 0:
+            seg = (hi - 1) // stride * stride
+            lo = max(seg, hi - block)
+            # a block's tape lives only while it is pulled back
+            lam = _pull_back(
+                _retape(checkpoints[seg], dts[seg:hi], lo - seg, nu, n), lam, nu, n
+            )
+            hi = lo
     lam[0] = 0.0
     return Field1D(u0.grid, np.fft.irfft(lam, n))
 
@@ -429,11 +515,15 @@ def finite_time_maximize(
         raise ValueError("finite_time_maximize needs cfg.T")
     if float(np.abs(seed.values).max()) == 0.0:
         raise ValueError("seed must be nonzero")
+    # each gradient is taken at the point the objective marched last
+    last = _LastMarch()
     u, j, record = _ascend(
         seed.values,
         grid,
         cfg,
-        objective=lambda v: finite_time_objective(Field1D(grid, v), cfg.T, cfg.nu),
-        gradient=lambda v: finite_time_gradient(Field1D(grid, v), cfg.T, cfg.nu).values,
+        objective=lambda v: finite_time_objective(Field1D(grid, v), cfg.T, cfg.nu, last),
+        gradient=lambda v: finite_time_gradient(
+            Field1D(grid, v), cfg.T, cfg.nu, last=last
+        ).values,
     )
     return Field1D(grid, u), j, record

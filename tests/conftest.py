@@ -1,0 +1,19 @@
+"""Fixtures shared by the per-module suites."""
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def fft_calls(monkeypatch) -> list[int]:
+    """A one-element list counting every ``np.fft`` call made in the test."""
+    calls = [0]
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

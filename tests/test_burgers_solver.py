@@ -170,7 +170,7 @@ class TestSimulateInvariants:
         u0 = sin_field(512, amp=0.9)
         cfg = SolverConfig(nu=0.02, t_end=0.6)
         states = march(np.fft.rfft(u0.values), 512, u0.grid.dx, cfg)
-        for _, _, uh, vals in states:
+        for _, _, uh, vals, _ in states:
             assert uh[0] == 0.0
             assert abs(vals.mean()) < 1e-12
 
@@ -336,35 +336,27 @@ class TestSerialization:
 class TestSpectralCore:
     """The marching generator against the loop and formulas it replaced."""
 
-    @staticmethod
-    def _count_ffts(monkeypatch) -> list[int]:
-        calls = [0]
-        for name in ("fft", "ifft", "rfft", "irfft"):
-            original = getattr(np.fft, name)
-
-            def counted(*args, _original=original, **kwargs):
-                calls[0] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
-        return calls
-
-    def test_simulate_fft_calls_per_step(self, monkeypatch):
+    def test_simulate_fft_calls_per_step(self, fft_calls):
         u0 = sin_field(256, amp=0.8)
-        calls = self._count_ffts(monkeypatch)
+        fft_calls[0] = 0
         _, diag = simulate(u0, SolverConfig(nu=0.02, t_end=0.2))
         steps = len(diag) - 1
         assert steps > 50
-        # 12 for RK4, 1 for the samples, 2 for the diagnostics row; the
-        # run also transforms u0 once each way and takes row 0 (2 more)
-        assert calls[0] <= 15 * steps + 4
+        # 11 for RK4 (the first stage reuses the samples), 1 for the
+        # samples, 2 for the diagnostics row; the run also transforms u0
+        # once each way and takes row 0 (2 more)
+        assert fft_calls[0] <= 14 * steps + 4
 
-    def test_march_forward_fft_calls_per_step(self, monkeypatch):
+    def test_march_forward_fft_calls_per_step(self, fft_calls):
         u0 = sin_field(256, amp=0.8)
-        calls = self._count_ffts(monkeypatch)
-        _, dts, _, _ = _march_forward(u0.values, 0.2, 0.02, 256, u0.grid.dx, False, 0)
+        fft_calls[0] = 0
+        _, dts, checkpoints, tape = _march_forward(
+            u0.values, 0.2, 0.02, 256, u0.grid.dx, tape_bytes=2**30
+        )
         assert len(dts) > 50
-        assert calls[0] <= 13 * len(dts) + 2
+        assert checkpoints == {} and len(tape) == len(dts)
+        # recording the stage tape costs no transform
+        assert fft_calls[0] <= 12 * len(dts) + 2
 
     def test_diagnostics_match_sample_space_formulas(self):
         # each row against the per-field formulas: u_x by transforming the
@@ -380,7 +372,7 @@ class TestSpectralCore:
         k = np.fft.rfftfreq(n, d=1.0 / n)
         states = [(0.0, u0.values)] + [
             (t, vals)
-            for t, _, _, vals in march(
+            for t, _, _, vals, _ in march(
                 np.fft.rfft(u0.values), n, dx, SolverConfig(nu=nu, t_end=0.3)
             )
         ]

@@ -5,9 +5,13 @@ gradient and the adjoint-based finite-time gradient are checked against
 central finite differences of their own discrete objectives.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import enstro.extremizers as extremizers
+from enstro.burgers_solver import SolverConfig, march, step_spectral
 from enstro.extremizers import (
     OptimConfig,
     OptimRecord,
@@ -20,7 +24,14 @@ from enstro.extremizers import (
     rate_functional,
     rate_gradient,
 )
-from enstro.field_core import Field1D, GridSpec1D, derivative, enstrophy, write_csv
+from enstro.field_core import (
+    Field1D,
+    GridSpec1D,
+    derivative,
+    enstrophy,
+    spectral_ops,
+    write_csv,
+)
 
 
 def band_limited(grid: GridSpec1D, rng, kmax: int = 8) -> np.ndarray:
@@ -166,12 +177,208 @@ class TestFiniteTimeGradient:
         spectrum_bytes = (256 // 2 + 1) * 16
         g_thin = finite_time_gradient(u0, 0.15, 0.05, budget_bytes=8 * spectrum_bytes)
         assert np.array_equal(g_full.values, g_thin.values)
+        # budgets below the one-step floor, between it and a one-level
+        # plan, and just short of the whole tape
+        for spectra in (4, 12, 40, 120, 300):
+            g = finite_time_gradient(u0, 0.15, 0.05, budget_bytes=spectra * spectrum_bytes)
+            assert np.array_equal(g_full.values, g.values), spectra
 
     def test_rejects_nonzero_mean(self):
         grid = GridSpec1D(64)
         u0 = Field1D(grid, np.sin(2 * np.pi * grid.x) + 0.01)
         with pytest.raises(ValueError, match="zero mean"):
             finite_time_gradient(u0, 0.1, 0.1)
+
+
+def recompute_gradient(u0: Field1D, T: float, nu: float) -> np.ndarray:
+    """The adjoint that recomputes its stages, written out in full.
+
+    States are re-marched with ``step_spectral`` along the forward march's
+    steps; each backward step recomputes the four RK4 stage states and
+    transposes the nonlinearity with five transforms.
+    """
+    n, dx = u0.grid.n_points, u0.grid.dx
+    ops = spectral_ops(n)
+    cfg = SolverConfig(nu=nu, t_end=T, cfl=0.4)
+    dts = [dt for _, dt, _, _, _ in march(np.fft.rfft(u0.values), n, dx, cfg)]
+    states = [np.fft.rfft(u0.values)]
+    for dt in dts:
+        states.append(step_spectral(states[-1], dt, nu, n))
+
+    def nonlinear(a_hat):
+        prod = np.fft.irfft(a_hat, n) * np.fft.irfft(ops.ik * a_hat, n)
+        return -np.fft.rfft(prod) * ops.dealias
+
+    def nonlinear_adjoint(a_hat, v_hat):
+        da = np.fft.irfft(ops.ik * a_hat, n)
+        a = np.fft.irfft(a_hat, n)
+        mv = np.fft.irfft(ops.dealias * v_hat, n)
+        return -np.fft.rfft(da * mv) + ops.ik * np.fft.rfft(a * mv)
+
+    lam = 2.0 * ops.k2 * states[-1]
+    for uh, dt in zip(reversed(states[:-1]), reversed(dts)):
+        e1 = np.exp(-0.5 * dt * nu * ops.k2)
+        e2 = e1 * e1
+        k1 = dt * nonlinear(uh)
+        u2 = e1 * (uh + 0.5 * k1)
+        k2 = dt * nonlinear(u2)
+        u3 = e1 * uh + 0.5 * k2
+        k3 = dt * nonlinear(u3)
+        u4 = e2 * uh + e1 * k3
+        w = lam.copy()
+        w[0] = 0.0
+        l_k1 = (dt / 6.0) * (e2 * w)
+        l_k2 = (dt / 3.0) * (e1 * w)
+        l_k3 = (dt / 3.0) * (e1 * w)
+        l_k4 = (dt / 6.0) * w
+        l_u = e2 * w
+        v4 = nonlinear_adjoint(u4, l_k4)
+        l_u += e2 * v4
+        l_k3 += dt * (e1 * v4)
+        v3 = nonlinear_adjoint(u3, l_k3)
+        l_u += e1 * v3
+        l_k2 += 0.5 * dt * v3
+        v2 = nonlinear_adjoint(u2, l_k2)
+        l_u += e1 * v2
+        l_k1 += 0.5 * dt * (e1 * v2)
+        l_u += nonlinear_adjoint(uh, l_k1)
+        lam = l_u
+    lam[0] = 0.0
+    return np.fft.irfft(lam, n)
+
+
+def spy(monkeypatch, name: str, results: list) -> None:
+    """Record every result of ``extremizers.<name>``."""
+    original = getattr(extremizers, name)
+
+    def wrapped(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(extremizers, name, wrapped)
+
+
+def tape_bytes(tape) -> int:
+    return sum(stages.nbytes for _, stages in tape or ())
+
+
+class TestStageTape:
+    """The adjoint reads its stage samples from the forward march's tape."""
+
+    @staticmethod
+    def prototype_cases():
+        """(u0, T, nu): 18, 83 and about 100 forward steps."""
+        g256, g1024 = GridSpec1D(256), GridSpec1D(1024)
+        x = g1024.x
+        v = 0.5 * np.sin(2 * np.pi * x) + 0.2 * np.cos(6 * np.pi * x) + 0.1 * np.sin(10 * np.pi * x)
+        return [
+            (default_seeds(g256, 16.0)[0], 0.25, 1.0),
+            (default_seeds(g256, 1024.0)[0], 1.0 / 32.0, 1.0),
+            (Field1D(g1024, v - v.mean()), 0.3, 0.01),
+        ]
+
+    def test_bit_identical_to_recompute_adjoint(self):
+        for u0, T, nu in self.prototype_cases():
+            want = recompute_gradient(u0, T, nu)
+            assert np.array_equal(finite_time_gradient(u0, T, nu).values, want)
+            last = extremizers._LastMarch()
+            finite_time_objective(u0, T, nu, last)
+            got = finite_time_gradient(u0, T, nu, last=last).values
+            assert np.array_equal(got, want)
+
+    def test_gradient_after_objective_reads_the_tape(self, monkeypatch, fft_calls):
+        u0, T, nu = self.prototype_cases()[1]
+        last = extremizers._LastMarch()
+        finite_time_objective(u0, T, nu, last)
+        steps = len(last.result[1])
+        marches: list = []
+        spy(monkeypatch, "_march_forward", marches)
+        fft_calls[0] = 0
+        finite_time_gradient(u0, T, nu, last=last)
+        assert marches == []
+        # 3 per RK4 stage, and the final inverse transform
+        assert fft_calls[0] <= 12 * steps + 1
+
+    def test_gradient_at_another_point_marches_itself(self, monkeypatch):
+        u0, T, nu = self.prototype_cases()[0]
+        other = default_seeds(u0.grid, 16.0)[1]
+        last = extremizers._LastMarch()
+        finite_time_objective(other, T, nu, last)
+        marches: list = []
+        spy(monkeypatch, "_march_forward", marches)
+        got = finite_time_gradient(u0, T, nu, last=last).values
+        assert len(marches) == 1
+        assert np.array_equal(got, finite_time_gradient(u0, T, nu).values)
+        # a memo of the same point at another horizon is not reused
+        finite_time_objective(u0, 2 * T, nu, last)
+        assert np.array_equal(finite_time_gradient(u0, T, nu, last=last).values, got)
+        assert len(marches) == 4
+
+    def test_objective_frees_the_old_tape_before_marching(self):
+        u0, T, nu = self.prototype_cases()[1]
+        other = Field1D(u0.grid, np.roll(u0.values, 7))  # as many steps
+        last = extremizers._LastMarch()
+        tracemalloc.start()
+        try:
+            finite_time_objective(u0, T, nu, last)
+            size = tape_bytes(last.result[2])
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            finite_time_objective(other, T, nu, last)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(tape_bytes(last.result[2]) - size) < size / 4
+        # one tape is alive at a time, not the old one beside the new
+        assert peak - before < size / 2
+
+    def test_ascent_marches_once_per_objective(self, monkeypatch):
+        # this ascent rejects 7 Armijo trials, each also one march
+        grid = GridSpec1D(256)
+        cfg = OptimConfig(e0=1024.0, nu=1.0, T=1.0 / 32.0, max_iters=12)
+        objectives: list = []
+        marches: list = []
+        spy(monkeypatch, "finite_time_objective", objectives)
+        spy(monkeypatch, "_march_forward", marches)
+        _, _, record = finite_time_maximize(cfg, grid, default_seeds(grid, 1024.0)[0])
+        assert len(record) == 13
+        assert len(objectives) == 20
+        assert len(marches) == len(objectives)
+
+    def test_fallback_live_bytes_within_budget(self, monkeypatch):
+        # 117 steps at N = 256; one step's tape is about 7.9 spectra
+        grid = GridSpec1D(256)
+        u0, T, nu = default_seeds(grid, 1024.0)[0], 0.125, 1.0
+        want = finite_time_gradient(u0, T, nu).values
+        spectrum_bytes = (256 // 2 + 1) * 16
+        floor = spectrum_bytes + 64 * 256  # a checkpoint and one step's tape
+        marches: list = []
+        tapes: list = []
+        spy(monkeypatch, "_march_forward", marches)
+        spy(monkeypatch, "_retape", tapes)
+        for spectra in (4, 8, 24, 60, 200, 800):
+            budget = spectra * spectrum_bytes
+            marches.clear()
+            tapes.clear()
+            got = finite_time_gradient(u0, T, nu, budget_bytes=budget).values
+            assert np.array_equal(got, want), spectra
+            assert len(marches[0][1]) == 117
+            assert all(tape_bytes(m[3]) <= budget for m in marches)
+            checkpoints = sum(uh.nbytes for m in marches for uh in m[2].values())
+            live = checkpoints + max(tape_bytes(t) for t in tapes)
+            assert live <= max(budget, floor), spectra
+
+    def test_checkpoint_plan_fits_its_budget(self):
+        spectrum_bytes, step_bytes = 2064, 16384
+        floor = spectrum_bytes + step_bytes
+        for n_steps in (1, 2, 7, 117, 400):
+            for budget in (0, floor, 3 * floor, 40 * floor, n_steps * step_bytes):
+                stride, block = extremizers._checkpoint_plan(
+                    n_steps, budget, spectrum_bytes, step_bytes
+                )
+                assert 1 <= block <= stride <= n_steps
+                count = -(-n_steps // stride)
+                assert count * spectrum_bytes + block * step_bytes <= max(budget, floor)
 
 
 class TestFiniteTimeMaximize:
