@@ -20,7 +20,6 @@ from .field_core import (
     heat_propagate,
     norms,
     read_field,
-    rescale,
     write_field,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "heat_propagate",
     "norms",
     "read_field",
-    "rescale",
     "write_field",
 ]

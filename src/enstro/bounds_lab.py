@@ -11,10 +11,9 @@ The pieces fit together as a sandwich argument at slope one in 1/nu:
   a neighbour (no shock forms away from x = 0);
 * ``dissipation_window`` measures the dissipation captured in the
   predicted space-time window against the ideal value (2/3) U^3;
-* ``nu_sweep`` and ``two_regime_check`` probe the upper bound
-  sup_t E <= C (1 + 1/nu) and its two-regime structure;
-* ``relaxed_assumption_sweep`` rebuilds the hypothesis set with
-  nu * E(0) = 1 saturated and checks the same bound survives;
+* ``nu_sweep`` probes the upper bound sup_t E <= C (1 + 1/nu) across
+  viscosities and measures each peak against the enstrophy of the
+  steepest admissible viscous shock, (4/3) U^3 / nu;
 * ``fit_power_law`` is the shared log-log least-squares fitter.
 
 All fitted constants are reported, never asserted against theory: the
@@ -40,7 +39,8 @@ from .burgers_solver import (
     sup_enstrophy,
     validate_initial,
 )
-from .field_core import Field1D, GridSpec1D, derivative, enstrophy, norms, spectral_ops
+from .exact_oracles import shock_enstrophy
+from .field_core import Field1D, GridSpec1D, derivative, enstrophy, spectral_ops
 
 
 class DatumConstructionError(RuntimeError):
@@ -90,16 +90,14 @@ def _mollified_polyline(
     nodes_x: list[float],
     nodes_y: list[float],
     delta: float,
-    periodic: bool = False,
 ) -> np.ndarray:
     """Evaluate the mollified polyline at the given points.
 
     Away from every kink the symmetric unit-mass kernel reproduces the
     line exactly, so quadrature is only spent inside the kink windows.
     Kink windows must not overlap (enforced by the callers' parameter
-    ranges).  With ``periodic`` the slope change across the wrap point
-    nodes_x[0] is mollified too; without it the endpoints are treated as
-    smooth continuations (the caller extends the line by symmetry).
+    ranges).  The endpoints are treated as smooth continuations (the
+    caller extends the line by symmetry).
     """
     nx = np.asarray(nodes_x, dtype=float)
     ny = np.asarray(nodes_y, dtype=float)
@@ -118,11 +116,6 @@ def _mollified_polyline(
         s_right = (ny[i + 1] - ny[i]) / (nx[i + 1] - nx[i])
         if abs(s_left - s_right) > 1e-14:
             kinks.append(nx[i])
-    if periodic:
-        s_last = (ny[-1] - ny[-2]) / (nx[-1] - nx[-2])
-        s_first = (ny[1] - ny[0]) / (nx[1] - nx[0])
-        if abs(s_last - s_first) > 1e-14:
-            kinks.append(nx[0] % 1.0)
 
     out = np.array([template(x) for x in xs_grid])
     for kink in kinks:
@@ -362,7 +355,8 @@ SWEEP_COLUMNS = ("param", "e_star", "t_star")
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Sweep rows plus the log-log fit and the two bound constants."""
+    """Sweep rows plus the log-log fit, the two bound constants and the
+    range of e_star over the shock enstrophy (4/3) U^3 / nu."""
 
     param: np.ndarray
     e_star: np.ndarray
@@ -372,6 +366,8 @@ class SweepResult:
     residual: float
     c_hat: float
     big_c_hat: float
+    shock_ratio_min: float
+    shock_ratio_max: float
 
     def __len__(self) -> int:
         return len(self.param)
@@ -387,6 +383,8 @@ class SweepResult:
             "residual": self.residual,
             "C_hat": self.big_c_hat,
             "c_hat": self.c_hat,
+            "shock_ratio_min": self.shock_ratio_min,
+            "shock_ratio_max": self.shock_ratio_max,
         }
 
 
@@ -410,8 +408,10 @@ def nu_sweep(
     """sup_t E(t) across viscosities, with the slope-one sandwich constants.
 
     Fits log e_star against log(1/nu); reports C_hat = max over rows of
-    e_star / (1 + 1/nu) and c_hat = min over rows of nu * e_star.  A run
-    failure aborts the sweep, with completed rows attached to the error.
+    e_star / (1 + 1/nu), c_hat = min over rows of nu * e_star, and the
+    range over rows of e_star / shock_enstrophy(U, nu), U being the
+    datum's amplitude.  A run failure aborts the sweep, with completed
+    rows attached to the error.
     """
     if len(nus) < 4:
         raise ValueError("sweep needs at least 4 viscosities for the fit")
@@ -438,6 +438,7 @@ def nu_sweep(
     arr = np.asarray(rows, dtype=float)
     ratio_upper = arr[:, 1] / (1.0 + 1.0 / arr[:, 0])
     ratio_lower = arr[:, 0] * arr[:, 1]
+    ratio_shock = [e / shock_enstrophy(capital_u, nu) for nu, e, _ in rows]
     return SweepResult(
         param=arr[:, 0],
         e_star=arr[:, 1],
@@ -447,138 +448,6 @@ def nu_sweep(
         residual=residual,
         c_hat=float(np.min(ratio_lower)),
         big_c_hat=float(np.max(ratio_upper)),
-    )
-
-
-@dataclass(frozen=True)
-class TwoRegimeReport:
-    """Early-time and late-time enstrophy maxima of one run."""
-
-    nu: float
-    e0: float
-    max_early: float
-    max_late_scaled: float
-    gronwall_bound: float
-
-
-def two_regime_check(u0: Field1D, nu: float, cfg: SolverConfig) -> TwoRegimeReport:
-    """Split sup_t E(t) at t = nu: raw early maximum, nu-scaled late one.
-
-    The early part must sit under the short-time exponential envelope
-    (E(0) e at t = nu for unit-Lipschitz flux on the data range); the
-    late part nu * max E stays bounded by a family-wide constant.
-    """
-    if cfg.t_end <= nu:
-        raise ValueError("cfg.t_end must exceed nu to see both regimes")
-    run_cfg = dataclasses.replace(cfg, nu=nu)
-    _, diag = simulate(u0, run_cfg)
-    early = diag.t <= nu
-    e0 = float(diag.enstrophy[0])
-    max_early = float(diag.enstrophy[early].max()) if np.any(early) else e0
-    late = diag.t > nu
-    max_late = float(diag.enstrophy[late].max()) if np.any(late) else 0.0
-    return TwoRegimeReport(
-        nu=nu,
-        e0=e0,
-        max_early=max_early,
-        max_late_scaled=nu * max_late,
-        gronwall_bound=float(np.e) * e0,
-    )
-
-
-# ----------------------------------------------------------------------
-# relaxed hypothesis set: nu * E(0) = 1 with unit sup norm and unit TV
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RelaxedReport:
-    """Result of one relaxed-hypothesis run (E(0) = 1/nu saturated)."""
-
-    nu: float
-    e0: float
-    sup_e: float
-    t_star: float
-    bound_ratio: float
-    linf0: float
-    grad_l1: float
-
-
-def _sawtooth(grid: GridSpec1D, width: float, delta: float) -> np.ndarray:
-    """Mollified zero-mean sawtooth: slow rise, fall of the given width.
-
-    Amplitude 1/4 keeps both the sup norm and the total variation (hence
-    the L1 norm of the slope) at most one.
-    """
-    amp = 0.25
-    nodes_x = [0.0, 1.0 - width, 1.0]
-    nodes_y = [-amp, amp, -amp]
-    return _mollified_polyline(grid.x, nodes_x, nodes_y, delta, periodic=True)
-
-
-def relaxed_datum(nu: float, grid: GridSpec1D) -> Field1D:
-    """Data saturating nu * E(0) = 1 with sup norm and slope-L1 at most 1.
-
-    The fall width of a mollified sawtooth is tuned by a secant iteration
-    until the spectral enstrophy hits 1/nu to a relative 1e-6.
-    """
-    if not 0.0 < nu <= 1.0:
-        raise ValueError(f"relaxed hypothesis needs nu in (0, 1], got {nu}")
-    target = 1.0 / nu
-    # piecewise-linear estimate: E = (1/4)(1/w + 1/(1-w)) = target has the
-    # root w = (1 - sqrt(1 - 1/target)) / 2 (real for target >= 1)
-    w = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - 1.0 / target)))
-    w = min(max(w, 1e-4), 0.499)
-
-    def measure(width: float) -> float:
-        vals = _sawtooth(grid, width, delta=width / 5.0)
-        return enstrophy(Field1D(grid, vals - vals.mean()))
-
-    w0, w1 = w, 0.9 * w
-    f0, f1 = measure(w0) - target, measure(w1) - target
-    for _ in range(40):
-        if abs(f1) <= 1e-6 * target:
-            break
-        if f1 == f0:
-            break
-        w0, w1, f0 = w1, w1 - f1 * (w1 - w0) / (f1 - f0), f1
-        w1 = min(max(w1, 1e-5), 0.499)
-        f1 = measure(w1) - target
-    vals = _sawtooth(grid, w1, delta=w1 / 5.0)
-    vals = vals - vals.mean()
-    u0 = Field1D(grid, vals)
-    e0 = enstrophy(u0)
-    nm = norms(u0)
-    if abs(e0 * nu - 1.0) > 1e-5:
-        raise DatumConstructionError(
-            f"relaxed datum misses nu*E(0) = 1: got {e0 * nu!r}"
-        )
-    if nm.linf > 1.0 + 1e-9 or nm.tv > 1.0 + 1e-6:
-        raise DatumConstructionError(
-            f"relaxed datum violates the unit bounds: linf={nm.linf!r} tv={nm.tv!r}"
-        )
-    return u0
-
-
-def relaxed_assumption_sweep(nu: float, cfg: SolverConfig, grid: GridSpec1D | None = None) -> RelaxedReport:
-    """Run the relaxed-hypothesis datum and report sup_t E / (1 + 1/nu)."""
-    if grid is None:
-        # resolve both the viscous shock and the datum's fall region
-        # (~6 cells across the mollification radius delta ~ 0.05 nu)
-        n_shock = required_points(nu, 0.25)
-        n_fall = max(512, 2 ** math.ceil(math.log2(120.0 / max(nu, 1e-6))))
-        grid = GridSpec1D(max(n_shock, n_fall))
-    u0 = relaxed_datum(nu, grid)
-    nm = norms(u0)
-    run_cfg = dataclasses.replace(cfg, nu=nu)
-    _, diag = simulate(u0, run_cfg)
-    t_star, sup_e = sup_enstrophy(diag)
-    return RelaxedReport(
-        nu=nu,
-        e0=float(diag.enstrophy[0]),
-        sup_e=sup_e,
-        t_star=t_star,
-        bound_ratio=sup_e / (1.0 + 1.0 / nu),
-        linf0=nm.linf,
-        grad_l1=nm.tv,
+        shock_ratio_min=float(min(ratio_shock)),
+        shock_ratio_max=float(max(ratio_shock)),
     )

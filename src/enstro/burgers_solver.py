@@ -24,10 +24,12 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .field_core import Field1D, spectral_ops, write_field
+from .field_core import Field1D, spectral_ops
 
 # smallest amplitude a CFL rule divides by, so a zero state takes finite steps
 _CFL_FLOOR = 1e-12
+# grid points required across the viscous shock width nu / max|u0|
+_MIN_RESOLUTION_PER_SHOCK = 4.0
 
 
 class BlowUpError(FloatingPointError):
@@ -49,10 +51,13 @@ class ResolutionError(ValueError):
         )
 
 
-def required_points(nu: float, linf: float, min_res: float = 4.0, floor: int = 512) -> int:
-    """Smallest power-of-two grid, at least ``floor``, that puts ``min_res``
-    points across the viscous shock width nu / linf."""
-    return max(floor, 2 ** math.ceil(math.log2(min_res * linf / nu)))
+def required_points(nu: float, linf: float, floor: int = 512) -> int:
+    """Smallest power-of-two grid, at least ``floor``, that puts
+    ``_MIN_RESOLUTION_PER_SHOCK`` points across the viscous shock width
+    nu / linf."""
+    return max(
+        floor, 2 ** math.ceil(math.log2(_MIN_RESOLUTION_PER_SHOCK * linf / nu))
+    )
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,6 @@ class SolverConfig:
     t_end: float
     cfl: float = 0.4
     sample_stride: int = 1  # diagnostics thinning of the finite-volume solver
-    min_resolution_per_shock: float = 4.0
 
     def __post_init__(self) -> None:
         if self.nu <= 0:
@@ -74,8 +78,6 @@ class SolverConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be a positive integer")
-        if self.min_resolution_per_shock <= 0:
-            raise ValueError("min_resolution_per_shock must be positive")
 
 
 class EnstrophyRate(NamedTuple):
@@ -171,16 +173,6 @@ class Trajectory:
     def final(self) -> Field1D:
         return self.snapshots[-1]
 
-    def write_snapshots(self, directory: str | Path) -> list[Path]:
-        out = Path(directory)
-        out.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for i, (t, f) in enumerate(zip(self.times, self.snapshots)):
-            p = out / f"snap_{i:04d}_t{t:.6f}.dat"
-            write_field(f, p)
-            paths.append(p)
-        return paths
-
 
 def _nonlinear(
     uh: np.ndarray,
@@ -231,20 +223,6 @@ def step_spectral(
         out = e2 * uh + (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4) / 6.0
     out[0] = 0.0
     return out
-
-
-def step(u: Field1D, dt: float, nu: float) -> Field1D:
-    """Advance one time step; caller is responsible for the CFL bound."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    n = u.grid.n_points
-    uh = step_spectral(np.fft.rfft(u.values), dt, nu, n)
-    vals = np.fft.irfft(uh, n)
-    if not np.all(np.isfinite(vals)):
-        raise BlowUpError(0.0)
-    return Field1D(u.grid, vals)
 
 
 def march(
@@ -323,10 +301,8 @@ def validate_initial(u0: Field1D, cfg: SolverConfig) -> None:
     linf0 = float(np.abs(u0.values).max())
     if linf0 > 0:
         width = cfg.nu / linf0
-        if u0.grid.dx > width / cfg.min_resolution_per_shock:
-            required_n = required_points(
-                cfg.nu, linf0, cfg.min_resolution_per_shock, floor=8
-            )
+        if u0.grid.dx > width / _MIN_RESOLUTION_PER_SHOCK:
+            required_n = required_points(cfg.nu, linf0, floor=8)
             raise ResolutionError(required_n, u0.grid.dx, width)
 
 

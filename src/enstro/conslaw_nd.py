@@ -62,10 +62,6 @@ class GridSpecND:
         """Cell-center coordinates along one axis."""
         return (np.arange(self.points) + 0.5) * self.dx
 
-    @property
-    def cell_volume(self) -> float:
-        return self.dx**self.dim
-
 
 @dataclass(frozen=True, eq=False)
 class FieldND:

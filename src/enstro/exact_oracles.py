@@ -14,8 +14,6 @@ Three independent sources of truth live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .field_core import Field1D, derivative, heat_propagate, spectral_ops
@@ -25,27 +23,8 @@ class UnderflowError(ArithmeticError):
     """Potential too deep for float64: increase nu or decrease t."""
 
 
-@dataclass(frozen=True)
-class ShockProfile:
-    """Stationary viscous shock ``u(x) = -U tanh(x / (nu/U))`` on the line."""
-
-    U: float
-    nu: float
-
-    def __post_init__(self) -> None:
-        if self.U <= 0 or self.nu <= 0:
-            raise ValueError("shock profile needs U > 0 and nu > 0")
-
-    @property
-    def width(self) -> float:
-        return self.nu / self.U
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return -self.U * np.tanh(np.asarray(x) / self.width)
-
-
 def shock_enstrophy(U: float, nu: float) -> float:
-    """Whole-line enstrophy of :class:`ShockProfile`.
+    """Whole-line enstrophy of the shock ``u = -U tanh(x/l)``, ``l = nu/U``.
 
     With u_x = -(U/l) sech^2(x/l) and integral of sech^4 equal to 4/3,
     the enstrophy is (U/l)^2 * l * 4/3 = (4/3) U^3 / nu.
@@ -126,14 +105,3 @@ def heat_estimate_ratios(v0: Field1D, nu: float, t: float) -> tuple[float, float
     r1 = l2_1 * (nu * t) ** 0.25 / denom
     r2 = l2_2 * (nu * t) ** 0.75 / denom
     return r1, r2
-
-
-def gronwall_envelope(e0: float, lip: float, nu: float, t: float) -> float:
-    """Short-time enstrophy envelope E(t) <= E(0) * exp(lip^2 * t / nu).
-
-    ``lip`` is the Lipschitz constant of the flux derivative on the range of
-    the data (1 for the quadratic flux on [-1, 1]).
-    """
-    if e0 < 0 or lip < 0 or nu <= 0 or t < 0:
-        raise ValueError("gronwall_envelope needs e0, lip, t >= 0 and nu > 0")
-    return e0 * np.exp(lip**2 * t / nu)

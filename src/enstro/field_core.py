@@ -33,7 +33,6 @@ class GridSpec1D:
     """
 
     n_points: int
-    length: float = 1.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_points, (int, np.integer)):
@@ -42,12 +41,10 @@ class GridSpec1D:
             raise ConfigurationError(
                 f"n_points must be a power of two >= 8, got {self.n_points}"
             )
-        if self.length != 1.0:
-            raise ConfigurationError("1-D grids have unit length")
 
     @property
     def dx(self) -> float:
-        return self.length / self.n_points
+        return 1.0 / self.n_points
 
     @property
     def x(self) -> np.ndarray:
@@ -170,34 +167,12 @@ def enstrophy(field: Field1D) -> float:
     return float(np.sum(ux * ux) * field.grid.dx)
 
 
-def rescale(field: Field1D, lam: float) -> Field1D:
-    """Amplitude rescaling u -> lam * u (lam > 0).
-
-    Under the companion time rescaling t -> lam*t this maps solutions with
-    viscosity nu to solutions with viscosity lam*nu, trading initial
-    enstrophy for inverse viscosity at fixed nu*E.
-    """
-    if lam <= 0:
-        raise ValueError(f"rescale factor must be positive, got {lam}")
-    return Field1D(field.grid, lam * field.values)
-
-
-def mean_zero(field: Field1D) -> Field1D:
-    """Project out the spatial mean."""
-    return Field1D(field.grid, field.values - field.values.mean())
-
-
-def sample(grid: GridSpec1D, fn) -> Field1D:
-    """Sample a callable f(x) on the grid."""
-    return Field1D(grid, np.asarray(fn(grid.x), dtype=float))
-
-
 _HEADER_RE = re.compile(r"^N=(\d+) L=([0-9eE+.\-]+)$")
 
 
 def write_field(field: Field1D, path) -> None:
-    """Plain-text dump: ``N=<n> L=<length>`` header, one sample per line."""
-    lines = [f"N={field.grid.n_points} L={field.grid.length}"]
+    """Plain-text dump: ``N=<n> L=1.0`` header, one sample per line."""
+    lines = [f"N={field.grid.n_points} L=1.0"]
     lines.extend(repr(float(v)) for v in field.values)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

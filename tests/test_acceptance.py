@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from enstro.bounds_lab import datum_family, dissipation_window, fit_power_law, nu_sweep
-from enstro.burgers_solver import SolverConfig, simulate, sup_enstrophy
+from enstro.burgers_solver import SolverConfig, required_points, simulate, sup_enstrophy
 from enstro.cli import run_sweep_e0
 from enstro.conslaw_nd import GridSpecND, get_flux, nd_initial_datum, simulate_nd
 from enstro.exact_oracles import heat_estimate_ratios, hopf_cole_solution
@@ -37,11 +37,6 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> str:
     return line
 
 
-def _resolution(linf: float, nu: float) -> int:
-    needed = 4.0 * linf / nu
-    return max(512, int(2 ** np.ceil(np.log2(needed))))
-
-
 def _monotone(series, step_tol):
     return bool(np.all(np.diff(series) <= np.abs(series[:-1]) * step_tol + 1e-14))
 
@@ -55,7 +50,7 @@ def sandwich_sweeps():
     base = nu_sweep("lower-bound", nus, cfg)
     elapsed = time.perf_counter() - t0
     doubled = nu_sweep(
-        "lower-bound", nus, cfg, grid=GridSpec1D(2 * _resolution(0.1942, min(nus)))
+        "lower-bound", nus, cfg, grid=GridSpec1D(2 * required_points(min(nus), 0.1942))
     )
     return {"base": base, "doubled": doubled, "elapsed": elapsed}
 
@@ -101,7 +96,7 @@ class TestAcceptance:
                     linf = 0.1942
                 else:
                     linf = float(np.abs(shapes[name]).max())
-                grid = GridSpec1D(_resolution(linf, nu))
+                grid = GridSpec1D(required_points(nu, linf))
                 if name == "lower-bound":
                     u0, _ = datum_family("lower-bound", grid)
                 else:
@@ -138,7 +133,7 @@ class TestAcceptance:
 
     def test_criterion_04_dissipation_rate(self):
         """Window dissipation at nu = 1e-3, eps = 0.02 vs the ideal (2/3)U^3."""
-        grid = GridSpec1D(_resolution(0.1942, 1e-3))
+        grid = GridSpec1D(required_points(1e-3, 0.1942))
         u0, capital_u = datum_family("lower-bound", grid)
         measured, reference = dissipation_window(u0, capital_u, 1e-3, 0.02)
         ratio = measured / reference
@@ -157,7 +152,7 @@ class TestAcceptance:
             for nu in (1.0, 0.1, 0.01, 1e-3):
                 probe, _ = datum_family(family, GridSpec1D(512))
                 linf = float(np.abs(probe.values).max())
-                grid = GridSpec1D(_resolution(linf, nu))
+                grid = GridSpec1D(required_points(nu, linf))
                 u0, _ = datum_family(family, grid)
                 # dense sampling of [0, nu]: force about eight steps
                 cfl = min(0.4, max(nu * linf * grid.n_points / 8.0, 1e-3))

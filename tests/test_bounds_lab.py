@@ -20,9 +20,6 @@ from enstro.bounds_lab import (
     dissipation_window,
     fit_power_law,
     nu_sweep,
-    relaxed_assumption_sweep,
-    relaxed_datum,
-    two_regime_check,
 )
 from enstro.field_core import Field1D, GridSpec1D, enstrophy, norms, write_csv
 
@@ -196,6 +193,16 @@ class TestNuSweep:
         assert np.all(res.e_star <= upper * (1.0 + 1e-12))
         assert np.all(res.param * res.e_star >= res.c_hat * (1.0 - 1e-12))
 
+    def test_shock_ratios_span_the_rows(self, coarse_sweep):
+        """e_star over (4/3) U^3 / nu, U the datum's sup norm."""
+        res = coarse_sweep
+        u0, capital_u = datum_family("lower-bound", GridSpec1D(512))
+        assert capital_u == np.abs(u0.values).max()
+        ratios = res.e_star * res.param / ((4.0 / 3.0) * capital_u**3)
+        assert res.shock_ratio_min == pytest.approx(ratios.min(), rel=1e-14)
+        assert res.shock_ratio_max == pytest.approx(ratios.max(), rel=1e-14)
+        assert 0.0 < res.shock_ratio_min < res.shock_ratio_max
+
     def test_csv_format(self, coarse_sweep, tmp_path):
         path = tmp_path / "sweep.csv"
         write_csv(path, SWEEP_COLUMNS, coarse_sweep.rows())
@@ -207,7 +214,15 @@ class TestNuSweep:
 
     def test_summary_keys(self, coarse_sweep):
         summary = coarse_sweep.summary()
-        assert set(summary) == {"slope", "intercept", "residual", "C_hat", "c_hat"}
+        assert list(summary) == [
+            "slope",
+            "intercept",
+            "residual",
+            "C_hat",
+            "c_hat",
+            "shock_ratio_min",
+            "shock_ratio_max",
+        ]
 
     def test_failed_run_aborts_with_partial_rows(self):
         """An under-resolved viscosity aborts but keeps finished rows."""
@@ -237,21 +252,6 @@ class TestNuSweep:
             datum_family("mystery", GridSpec1D(512))
 
 
-class TestTwoRegime:
-    def test_early_regime_under_exponential_envelope(self, datum):
-        """For data with sup norm below one, E cannot beat e*E(0) by t=nu."""
-        u0, _ = datum
-        report = two_regime_check(u0, 0.02, SolverConfig(nu=0.02, t_end=0.3))
-        assert report.max_early <= report.gronwall_bound * (1.0 + 1e-3)
-        assert report.max_late_scaled > 0.0
-        assert report.e0 == pytest.approx(1.0, abs=1e-10)
-
-    def test_horizon_must_cover_both_regimes(self, datum):
-        u0, _ = datum
-        with pytest.raises(ValueError, match="t_end must exceed nu"):
-            two_regime_check(u0, 0.5, SolverConfig(nu=0.5, t_end=0.3))
-
-
 class TestDissipationWindow:
     def test_zero_datum_gives_zero(self):
         grid = GridSpec1D(512)
@@ -277,39 +277,3 @@ class TestDissipationWindow:
             dissipation_window(u0, 0.0, 0.01, 0.01)
         with pytest.raises(ValueError, match="nu must be positive"):
             dissipation_window(u0, capital_u, 0.0, 0.01)
-
-
-class TestRelaxedHypothesis:
-    def test_datum_saturates_the_budget(self):
-        """nu * E(0) = 1 with unit sup norm and unit slope-L1 norm."""
-        grid = GridSpec1D(4096)
-        u0 = relaxed_datum(0.05, grid)
-        nm = norms(u0)
-        assert enstrophy(u0) * 0.05 == pytest.approx(1.0, abs=1e-5)
-        assert nm.linf <= 1.0
-        assert nm.tv <= 1.0 + 1e-6
-        assert abs(float(u0.values.mean())) <= 1e-14
-
-    def test_unit_viscosity_reduces_to_standard(self):
-        """At nu = 1 the budget is E(0) = 1: the standard hypothesis set."""
-        grid = GridSpec1D(1024)
-        u0 = relaxed_datum(1.0, grid)
-        assert enstrophy(u0) == pytest.approx(1.0, abs=1e-5)
-        assert norms(u0).linf <= 0.25 + 1e-9
-
-    def test_sweep_reports_bound_ratio(self):
-        report = relaxed_assumption_sweep(
-            0.05, SolverConfig(nu=0.05, t_end=0.05), grid=GridSpec1D(4096)
-        )
-        assert report.e0 == pytest.approx(20.0, rel=1e-5)
-        assert report.sup_e >= report.e0 * (1.0 - 1e-12)
-        assert 0.0 < report.bound_ratio < 1.5
-        assert report.linf0 <= 1.0
-        assert report.grad_l1 <= 1.0 + 1e-6
-
-    def test_viscosity_range_validation(self):
-        grid = GridSpec1D(512)
-        with pytest.raises(ValueError, match="nu in"):
-            relaxed_datum(1.5, grid)
-        with pytest.raises(ValueError, match="nu in"):
-            relaxed_datum(0.0, grid)

@@ -256,8 +256,41 @@ class TestSweepNu:
         params = [float(ln.split(",")[0]) for ln in lines[1:]]
         assert params == sorted(params, reverse=True)
         summary = json.loads((run_dir / "summary.json").read_text())
-        assert set(summary) == {"slope", "intercept", "residual", "C_hat", "c_hat"}
+        assert set(summary) == {
+            "slope",
+            "intercept",
+            "residual",
+            "C_hat",
+            "c_hat",
+            "shock_ratio_min",
+            "shock_ratio_max",
+        }
         assert summary["c_hat"] > 0.0
+        assert summary["shock_ratio_min"] <= summary["shock_ratio_max"]
+
+    def test_sine_family_shock_ratios(self, runs_root):
+        code = main(
+            [
+                "sweep-nu",
+                "--family",
+                "sine",
+                "--nu-min",
+                "0.01",
+                "--nu-max",
+                "0.03",
+                "--count",
+                "4",
+                "--t-end",
+                "0.5",
+                "--n-points",
+                "512",
+            ]
+        )
+        assert code == 0
+        summary = json.loads(
+            (_single_run_dir(runs_root, "sweep-nu") / "summary.json").read_text()
+        )
+        assert 0.0 < summary["shock_ratio_min"] <= summary["shock_ratio_max"]
 
     def test_unresolvable_point_aborts_with_partial_rows(self, runs_root):
         code = main(

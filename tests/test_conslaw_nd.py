@@ -49,7 +49,6 @@ class TestGridAndField:
         g = GridSpecND(dim=2, points=64, length=2.0)
         assert g.dx == 2.0 / 64
         assert g.shape == (64, 64)
-        assert g.cell_volume == pytest.approx(g.dx**2)
         assert g.axis_coords()[0] == pytest.approx(0.5 * g.dx)
 
     def test_grid_validation(self):

@@ -10,11 +10,8 @@ from enstro.field_core import (
     derivative,
     enstrophy,
     heat_propagate,
-    mean_zero,
     norms,
     read_field,
-    rescale,
-    sample,
     write_csv,
     write_field,
 )
@@ -49,9 +46,12 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError, match="power of two"):
             GridSpec1D(4)
 
-    def test_rejects_nonunit_length(self):
-        with pytest.raises(ConfigurationError, match="unit length"):
-            GridSpec1D(64, length=2.0)
+    def test_rejects_nonunit_length(self, tmp_path):
+        # 1-D grids have unit length; a file is the one way to ask otherwise
+        path = tmp_path / "field.dat"
+        path.write_text("N=64 L=2.0\n" + "0.0\n" * 64)
+        with pytest.raises(ValueError, match="unit length"):
+            read_field(path)
 
     def test_sample_locations(self):
         grid = GridSpec1D(8)
@@ -146,7 +146,7 @@ class TestNorms:
 
     def test_enstrophy_scales_quadratically(self):
         f = sin_field(256)
-        g = rescale(f, 3.0)
+        g = Field1D(f.grid, 3.0 * f.values)
         assert enstrophy(g) == pytest.approx(9.0 * enstrophy(f), rel=1e-12)
 
     def test_tv_wraps_around(self):
@@ -155,19 +155,6 @@ class TestNorms:
         v = np.zeros(8)
         v[0] = 1.0
         assert norms(Field1D(grid, v)).tv == pytest.approx(2.0)
-
-
-class TestRescale:
-    def test_scales_values(self):
-        f = sin_field(64)
-        g = rescale(f, 2.5)
-        assert np.allclose(g.values, 2.5 * f.values, atol=0)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="positive"):
-            rescale(sin_field(), 0.0)
-        with pytest.raises(ValueError, match="positive"):
-            rescale(sin_field(), -1.0)
 
 
 class TestIO:
@@ -207,12 +194,3 @@ class TestFieldValueSemantics:
         f = sin_field(64)
         with pytest.raises(ValueError):
             f.values[0] = 99.0
-
-    def test_mean_zero_projection(self):
-        grid = GridSpec1D(64)
-        f = Field1D(grid, np.sin(2 * np.pi * grid.x) + 4.0)
-        assert abs(mean_zero(f).values.mean()) < 1e-14
-
-    def test_sample_helper(self):
-        f = sample(GridSpec1D(64), lambda x: np.cos(2 * np.pi * x))
-        assert f.values[0] == pytest.approx(1.0)
