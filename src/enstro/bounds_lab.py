@@ -131,31 +131,21 @@ def _mollified_polyline(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LowerBoundDatumSpec:
-    """Construction parameters for the ramp/plateau/ramp odd profile."""
-
-    grid: GridSpec1D
-    delta_s: float = 1.0 / 48.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta_s <= 1.0 / 24.0:
-            raise ValueError(
-                f"delta_s must lie in (0, 1/24], got {self.delta_s}"
-            )
+# mollification radius of the plateau shoulders
+_DELTA_S = 1.0 / 48.0
 
 
 @lru_cache(maxsize=8)
-def _datum_profile(n: int, delta_s: float) -> tuple[float, ...]:
+def _datum_profile(n: int) -> tuple[float, ...]:
     """Mollified template on x in [1/2, 1) (left half of the odd profile).
 
-    The plateau of the piecewise-linear template is widened by delta_s on
-    both sides so that after mollification with a radius-delta_s kernel
+    The plateau of the piecewise-linear template is widened by _DELTA_S on
+    both sides so that after mollification with a radius-_DELTA_S kernel
     the profile equals one exactly on the stated plateau.  The segments
     through x = 1/2 and x = 0 are linear (the odd reflection continues
     them), so the only kinks are the four plateau shoulders.
     """
-    d = delta_s
+    d = _DELTA_S
     m = 1.0 / (1.0 / 6.0 - d)  # common ramp slope magnitude
     # nodes on [1/2, 1] in torus coordinates (x - 1 in [-1/2, 0])
     nodes_x = [0.5, 2.0 / 3.0 - d, 5.0 / 6.0 + d, 1.0]
@@ -166,7 +156,7 @@ def _datum_profile(n: int, delta_s: float) -> tuple[float, ...]:
     return tuple(float(v) for v in vals)
 
 
-def build_lower_bound_datum(spec: LowerBoundDatumSpec) -> tuple[Field1D, float]:
+def build_lower_bound_datum(grid: GridSpec1D) -> tuple[Field1D, float]:
     """Construct u0 = U*v0 with E(u0) = 1 and certify every shape property.
 
     v0 is odd, vanishes at 0 and +-1/2, equals +1 exactly on
@@ -174,16 +164,15 @@ def build_lower_bound_datum(spec: LowerBoundDatumSpec) -> tuple[Field1D, float]:
     [-1/2, -1/3), and decreasing on [-1/6, 0].  Any failed check raises:
     the construction never silently returns a defective profile.
     """
-    grid = spec.grid
     n = grid.n_points
-    half = np.array(_datum_profile(n, spec.delta_s))
+    half = np.array(_datum_profile(n))
     v = np.zeros(n)
     v[n // 2 :] = half  # x in [1/2, 1) carries the [-1/2, 0) template
     for j in range(1, n // 2):
         v[j] = -v[n - j]  # exact odd reflection
     v[0] = 0.0
 
-    _certify_datum(grid, v, spec.delta_s)
+    _certify_datum(grid, v)
     vf = Field1D(grid, v)
     u_norm = float(np.sqrt(enstrophy(vf)))
     capital_u = 1.0 / u_norm
@@ -196,7 +185,7 @@ def build_lower_bound_datum(spec: LowerBoundDatumSpec) -> tuple[Field1D, float]:
     return u0, capital_u
 
 
-def _certify_datum(grid: GridSpec1D, v: np.ndarray, delta_s: float) -> None:
+def _certify_datum(grid: GridSpec1D, v: np.ndarray) -> None:
     n = grid.n_points
     x = grid.x
     # oddness: v(x) + v(-x) = 0 exactly by construction; assert anyway
@@ -336,7 +325,7 @@ def dissipation_window(
 def datum_family(name: str, grid: GridSpec1D) -> tuple[Field1D, float]:
     """Unit-enstrophy data for sweeps: u0 = U * v0 with max|v0| = 1."""
     if name == "lower-bound":
-        return build_lower_bound_datum(LowerBoundDatumSpec(grid=grid))
+        return build_lower_bound_datum(grid)
     if name == "sine":
         capital_u = 1.0 / (np.pi * np.sqrt(2.0))
         u0 = Field1D(grid, capital_u * np.sin(2.0 * np.pi * grid.x))

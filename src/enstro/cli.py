@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .bounds_lab import (
     SWEEP_COLUMNS,
-    LowerBoundDatumSpec,
     SweepAbortedError,
     auto_grid,
     build_lower_bound_datum,
@@ -105,7 +104,6 @@ SCHEMAS: dict[str, dict[str, tuple[type, object, str]]] = {
         "n_points": (int, 512, "grid points"),
         "max_iters": (int, 500, "ascent iterations"),
         "grad_tol": (float, 1e-7, "relative gradient-norm stop"),
-        "inner_product": (str, "h1", "ascent metric: l2 or h1"),
     },
     "maximize-finite": {
         "e0": (float, 1.0, "enstrophy level of the sphere"),
@@ -114,12 +112,10 @@ SCHEMAS: dict[str, dict[str, tuple[type, object, str]]] = {
         "n_points": (int, 256, "grid points"),
         "max_iters": (int, 60, "ascent iterations"),
         "grad_tol": (float, 1e-6, "relative gradient-norm stop"),
-        "inner_product": (str, "h1", "ascent metric: l2 or h1"),
         "seed_index": (int, 0, "which deterministic seed to start from"),
     },
     "lower-bound": {
         "n_points": (int, 1024, "grid points"),
-        "delta_s": (float, 1.0 / 48.0, "mollification radius of the shoulders"),
     },
     "dissipation": {
         "nu": (float, 1e-3, "viscosity"),
@@ -256,7 +252,7 @@ def _initial_field(init: str, amp: float, grid: GridSpec1D) -> Field1D:
         vals = amp * np.tanh(np.sin(2 * np.pi * x) / 0.1)
         return Field1D(grid, vals - vals.mean())
     if init == "lower-bound":
-        u0, _ = build_lower_bound_datum(LowerBoundDatumSpec(grid=grid))
+        u0, _ = build_lower_bound_datum(grid)
         return Field1D(grid, amp * u0.values)
     raise ConfigFileError(
         f"unknown init {init!r}; valid: {', '.join(_INIT_CHOICES)}"
@@ -433,8 +429,6 @@ def run_sweep_e0(cfg: dict, seed: int) -> list[tuple[float, float, float]]:
                 nu=cfg["nu"],
                 T=horizon,
                 max_iters=cfg["max_iters"],
-                grad_tol=1e-6,
-                inner_product="h1",
             )
             for start in starts:
                 _, objective, _ = finite_time_maximize(opt_cfg, grid, start)
@@ -476,7 +470,6 @@ def _cmd_maximize_instant(cfg: dict, run_dir: Path, seed: int):
         nu=cfg["nu"],
         max_iters=cfg["max_iters"],
         grad_tol=cfg["grad_tol"],
-        inner_product=cfg["inner_product"],
     )
     optimum, rate, record = instantaneous_maximize(opt_cfg, grid)
     write_field(optimum, run_dir / "optimum.dat")
@@ -512,7 +505,6 @@ def _cmd_maximize_finite(cfg: dict, run_dir: Path, seed: int):
         T=cfg["horizon"],
         max_iters=cfg["max_iters"],
         grad_tol=cfg["grad_tol"],
-        inner_product=cfg["inner_product"],
     )
     index = cfg["seed_index"]
     start = default_seeds(grid, cfg["e0"], count=index + 1, rng_seed=seed)[index]
@@ -544,11 +536,10 @@ def _cmd_maximize_finite(cfg: dict, run_dir: Path, seed: int):
 
 def _cmd_lower_bound(cfg: dict, run_dir: Path, seed: int):
     grid = GridSpec1D(cfg["n_points"])
-    spec = LowerBoundDatumSpec(grid=grid, delta_s=cfg["delta_s"])
-    u0, capital_u = build_lower_bound_datum(spec)
-    write_field(u0, run_dir / "datum.dat")
+    u0, capital_u = build_lower_bound_datum(grid)
     profile = Field1D(grid, u0.values / capital_u)
     rows = characteristics_report(profile)
+    write_field(u0, run_dir / "datum.dat")
     write_csv(
         run_dir / "characteristics.csv",
         ("alpha", "t_star", "t_s", "admissible", "skipped"),
@@ -606,7 +597,7 @@ def _cmd_conslaw_nd(cfg: dict, run_dir: Path, seed: int):
     write_csv(
         run_dir / "diagnostics.csv",
         (*DIAGNOSTIC_COLUMNS, "dim", "L"),
-        (row + (grid.dim, grid.length) for row in diag.rows()),
+        (row + (grid.dim, 1.0) for row in diag.rows()),
     )
     checks = _monotone_assertions(diag)
     return ["initial.dat", "final.dat", "diagnostics.csv"], checks
@@ -709,19 +700,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         outputs, assertions = _COMMANDS[command](resolved, run_dir, seed)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_manifest(
-            run_dir,
-            command,
-            resolved,
-            seed,
-            started,
-            [],
-            [_assertion("run_completed", False, str(exc))],
-        )
-        return 2
     except Exception as exc:
+        # a ValueError or KeyError is a usage error, anything else a failed run
+        usage = isinstance(exc, (ValueError, KeyError))
+        detail = str(exc) if usage else f"{type(exc).__name__}: {exc}"
+        print(f"error: {exc}" if usage else f"run failed: {exc}", file=sys.stderr)
         _write_manifest(
             run_dir,
             command,
@@ -729,10 +712,9 @@ def main(argv: list[str] | None = None) -> int:
             seed,
             started,
             [],
-            [_assertion("run_completed", False, f"{type(exc).__name__}: {exc}")],
+            [_assertion("run_completed", False, detail)],
         )
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+        return 2 if usage else 1
 
     _write_manifest(run_dir, command, resolved, seed, started, outputs, assertions)
     ok = all(a["passed"] for a in assertions)

@@ -1,6 +1,6 @@
 """Finite-volume solver for viscous scalar conservation laws in 1D/2D.
 
-    u_t + div f(u) = nu * Laplace(u)   on a periodic box [0, L]^dim
+    u_t + div f(u) = nu * Laplace(u)   on the periodic unit box [0, 1]^dim
 
 Advection uses dimension-by-dimension MUSCL reconstruction with the
 minmod limiter and a local Lax-Friedrichs numerical flux; the sweep
@@ -32,11 +32,10 @@ from .field_core import ConfigurationError
 
 @dataclass(frozen=True)
 class GridSpecND:
-    """Uniform periodic box: `points` cells per axis, side length `length`."""
+    """Uniform periodic unit box: `points` cells per axis."""
 
     dim: int
     points: int
-    length: float = 1.0
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
@@ -45,14 +44,10 @@ class GridSpecND:
             raise ConfigurationError(
                 f"points must be a power of two >= 8, got {self.points}"
             )
-        if self.length < 1.0:
-            raise ConfigurationError(
-                f"box side must be at least 1, got {self.length}"
-            )
 
     @property
     def dx(self) -> float:
-        return self.length / self.points
+        return 1.0 / self.points
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -87,29 +82,26 @@ class FieldND:
 class FluxSpec:
     """A flux f(u) = g(u) (1, ..., 1) on R^dim.
 
-    `eval` is the scalar per-axis profile g and `deriv` its derivative g';
-    `lip_on_unit` bounds the Euclidean |f'(u)| = sqrt(dim) |g'(u)| on [-1, 1].
+    `eval` is the scalar per-axis profile g and `deriv` its derivative g'.
     """
 
     name: str
     dim: int
     eval: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-    lip_on_unit: float
 
-    def validate(self, samples: int = 201) -> None:
-        """Check deriv against finite differences of eval on [-1, 1]."""
-        u = np.linspace(-1.0, 1.0, samples)
+    def validate(self) -> None:
+        """Check deriv against eval and |f'| = sqrt(dim) |g'| <= 1 on [-1, 1]."""
+        u = np.linspace(-1.0, 1.0, 201)
         h = 1e-6
         fd = (self.eval(u + h) - self.eval(u - h)) / (2.0 * h)
         an = self.deriv(u)
         if np.max(np.abs(fd - an)) > 1e-6:
             raise ValueError(f"flux {self.name!r}: deriv inconsistent with eval")
         speed = np.sqrt(self.dim) * np.max(np.abs(an))
-        if self.lip_on_unit < speed - 1e-9:
+        if speed > 1.0 + 1e-9:
             raise ValueError(
-                f"flux {self.name!r}: lip_on_unit {self.lip_on_unit} below "
-                f"sampled |f'| = {speed:.6f}"
+                f"flux {self.name!r}: sampled |f'| = {speed:.6f} exceeds 1 on [-1, 1]"
             )
 
 
@@ -125,7 +117,7 @@ def flux_registry() -> list[FluxSpec]:
             (f"linear{tag}(c=1)", lambda u, s=s: u / s, lambda u, s=s: np.ones_like(u) / s),
             (f"cubic{tag}", lambda u, s=s: u**3 / (3.0 * s), lambda u, s=s: u**2 / s),
         )
-        entries.extend(FluxSpec(name, dim, g, dg, 1.0) for name, g, dg in rows)
+        entries.extend(FluxSpec(name, dim, g, dg) for name, g, dg in rows)
     return entries
 
 
@@ -202,7 +194,7 @@ def nd_initial_datum(init: str, grid: GridSpecND) -> FieldND:
                 f"unknown init {init!r}; valid: product, diag, mixed"
             )
     grad_sq = sum(d * d for d in _gradient_centered(vals, grid.dx))
-    e0 = float(grad_sq.mean()) * grid.length**grid.dim
+    e0 = float(grad_sq.mean())  # the box has unit volume
     return FieldND(grid, vals / np.sqrt(e0))
 
 
@@ -276,7 +268,7 @@ _ND_HEADER = re.compile(r"^DIM=(\d+) N=(\d+) L=([0-9eE+.\-]+)$")
 
 def write_field_nd(f: FieldND, path: str | Path) -> None:
     g = f.grid
-    lines = [f"DIM={g.dim} N={g.points} L={g.length}"]
+    lines = [f"DIM={g.dim} N={g.points} L=1.0"]
     lines.extend(repr(float(v)) for v in f.values.ravel(order="C"))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -287,7 +279,9 @@ def read_field_nd(path: str | Path) -> FieldND:
     if m is None:
         raise ValueError(f"bad field header {lines[0]!r}")
     dim, points, length = int(m.group(1)), int(m.group(2)), float(m.group(3))
-    grid = GridSpecND(dim=dim, points=points, length=length)
+    if length != 1.0:
+        raise ValueError(f"N-D fields have unit length, file says {length}")
+    grid = GridSpecND(dim=dim, points=points)
     data = np.array([float(tok) for tok in lines[1:]])
     expected = points**dim
     if data.size != expected:

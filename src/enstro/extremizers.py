@@ -15,7 +15,7 @@ E(u) = int (u_x)^2:
   and rebuilds the tape block by block by re-marching from them.
 
 Ascent is Riemannian: the L2 gradient is preconditioned by the inverse
-Laplacian (H1-seminorm metric) by default, projected onto the tangent
+Laplacian (H1-seminorm metric), projected onto the tangent
 space of the constraint sphere, and iterates are retracted back by
 amplitude rescaling.  Armijo backtracking keeps the objective monotone
 across accepted steps.
@@ -36,10 +36,14 @@ from .burgers_solver import (
 )
 from .field_core import Field1D, GridSpec1D, spectral_ops
 
-_FORWARD_CFL = 0.4
 ADJOINT_STORAGE_BUDGET_BYTES = 256 * 2**20
 
 RECORD_COLUMNS = ("iter", "objective", "step", "constraint_residual", "grad_norm")
+
+# Armijo search: first trial step, backtracking factor, sufficient increase
+_STEP0 = 0.5
+_ARMIJO_FACTOR = 0.5
+_ARMIJO_DECREASE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,7 @@ class OptimConfig:
     nu: float
     T: float | None = None
     max_iters: int = 200
-    step0: float = 0.5
-    armijo_factor: float = 0.5
-    armijo_decrease: float = 1e-4
     grad_tol: float = 1e-6
-    inner_product: str = "h1"
 
     def __post_init__(self) -> None:
         if self.e0 <= 0:
@@ -65,16 +65,6 @@ class OptimConfig:
             raise ValueError(f"T must be positive where used, got {self.T}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.step0 <= 0:
-            raise ValueError("step0 must be positive")
-        if not 0.0 < self.armijo_factor < 1.0:
-            raise ValueError("armijo_factor must lie in (0, 1)")
-        if not 0.0 < self.armijo_decrease < 1.0:
-            raise ValueError("armijo_decrease must lie in (0, 1)")
-        if self.inner_product not in ("l2", "h1"):
-            raise ValueError(
-                f"inner_product must be 'l2' or 'h1', got {self.inner_product!r}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,30 +146,28 @@ def _retract(vals: np.ndarray, e0: float, n: int, dx: float) -> np.ndarray:
     return vals * np.sqrt(e0 / e)
 
 
-def _precondition(g_vals: np.ndarray, n: int, inner_product: str) -> np.ndarray:
-    if inner_product == "l2":
-        return g_vals - g_vals.mean()
+def _precondition(g_vals: np.ndarray, n: int) -> np.ndarray:
+    """(-d_xx)^-1 of the mean-free part: the gradient in the H1-seminorm metric."""
     ops = spectral_ops(n)
     gh = np.fft.rfft(g_vals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gh = np.where(ops.k2 > 0, gh / np.where(ops.k2 > 0, ops.k2, 1.0), 0.0)
+    gh = np.where(ops.k2 > 0, gh / np.where(ops.k2 > 0, ops.k2, 1.0), 0.0)
     return np.fft.irfft(gh, n)
 
 
 def _tangent_direction(
-    u_vals: np.ndarray, g_vals: np.ndarray, n: int, dx: float, inner_product: str
+    u_vals: np.ndarray, g_vals: np.ndarray, n: int, dx: float
 ) -> tuple[np.ndarray, float, float]:
     """Preconditioned gradient projected tangent to {E = const}.
 
     Returns (direction, slope, metric_norm) where slope = <g_L2, d>_L2 is
     the directional derivative along d (nonnegative by construction) and
-    metric_norm measures d in the preconditioning inner product.
+    metric_norm is the H1 seminorm of d.
     """
     ops = spectral_ops(n)
     uh = np.fft.rfft(u_vals)
     c_vals = np.fft.irfft(-ops.k2 * uh, n) * (-2.0)  # dE/du
-    pg = _precondition(g_vals, n, inner_product)
-    pc = _precondition(c_vals, n, inner_product)
+    pg = _precondition(g_vals, n)
+    pc = _precondition(c_vals, n)
     denom = float(np.sum(pc * c_vals) * dx)
     if abs(denom) < 1e-300:
         d = pg
@@ -187,12 +175,9 @@ def _tangent_direction(
         coef = float(np.sum(pg * c_vals) * dx) / denom
         d = pg - coef * pc
     slope = float(np.sum(g_vals * d) * dx)
-    if inner_product == "h1":
-        dh = np.fft.rfft(d)
-        dd = np.fft.irfft(ops.ik * dh, n)
-        metric_norm = float(np.sqrt(np.sum(dd**2) * dx))
-    else:
-        metric_norm = float(np.sqrt(np.sum(d**2) * dx))
+    dh = np.fft.rfft(d)
+    dd = np.fft.irfft(ops.ik * dh, n)
+    metric_norm = float(np.sqrt(np.sum(dd**2) * dx))
     return d, slope, metric_norm
 
 
@@ -208,12 +193,12 @@ def _ascend(
     u = _retract(start_vals - start_vals.mean(), cfg.e0, n, dx)
     j = objective(u)
     rows = [(j, 0.0, abs(_enstrophy_vals(u, n, dx) - cfg.e0) / cfg.e0, np.nan)]
-    eta = cfg.step0
+    eta = _STEP0
     norm0 = None
     converged = False
     for _ in range(cfg.max_iters):
         g = gradient(u)
-        d, slope, gnorm = _tangent_direction(u, g, n, dx, cfg.inner_product)
+        d, slope, gnorm = _tangent_direction(u, g, n, dx)
         if norm0 is None:
             norm0 = max(gnorm, 1e-300)
         if gnorm <= cfg.grad_tol * norm0:
@@ -223,16 +208,16 @@ def _ascend(
         while eta * gnorm > 1e-16 * max(1.0, np.sqrt(cfg.e0)):
             trial = _retract(u + eta * d, cfg.e0, n, dx)
             j_trial = objective(trial)
-            if j_trial >= j + cfg.armijo_decrease * eta * slope:
+            if j_trial >= j + _ARMIJO_DECREASE * eta * slope:
                 accepted = True
                 break
-            eta *= cfg.armijo_factor
+            eta *= _ARMIJO_FACTOR
         if not accepted:
             break  # no ascent direction survives backtracking: stationary
         u, j = trial, j_trial
         resid = abs(_enstrophy_vals(u, n, dx) - cfg.e0) / cfg.e0
         rows.append((j, eta, resid, gnorm))
-        eta = min(eta / cfg.armijo_factor, 64.0 * cfg.step0)
+        eta = min(eta / _ARMIJO_FACTOR, 64.0 * _STEP0)
     cols = np.asarray(rows, dtype=float)
     record = OptimRecord(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3], converged)
     return u, j, record
@@ -308,7 +293,7 @@ def _march_forward(
     dts: list[float] = []
     checkpoints: dict[int, np.ndarray] = {0: uh} if stride else {}
     tape: list | None = [] if tape_bytes > 0 else None
-    cfg = SolverConfig(nu=nu, t_end=T, cfl=_FORWARD_CFL)
+    cfg = SolverConfig(nu=nu, t_end=T)
     steps = march(uh, n, dx, cfg, record=tape is not None)
     for i, (_, dt, uh, _, stages) in enumerate(steps, start=1):
         dts.append(dt)

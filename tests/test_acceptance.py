@@ -255,7 +255,7 @@ class TestAcceptance:
         rates = {}
         for e0 in e0s:
             for nu in nus:
-                cfg = OptimConfig(e0=e0, nu=nu, max_iters=600, inner_product="h1")
+                cfg = OptimConfig(e0=e0, nu=nu, max_iters=600)
                 _, rate, _ = instantaneous_maximize(cfg, grid)
                 rates[(e0, nu)] = rate
         positive = all(r > 0 for r in rates.values())

@@ -1,7 +1,7 @@
 """Tests for the bounds experiment harness.
 
 The datum construction is certified against closed-form geometry: the
-ramp slope is 48/7 at the default shoulder radius, so every
+ramp slope is 48/7 at the shoulder radius 1/48, so every
 characteristic leaving the falling ramp reaches the origin at exactly
 t = 7/48, and the plateau point alpha = -1/4 arrives at t = 1/4.
 """
@@ -12,7 +12,6 @@ import pytest
 from enstro.burgers_solver import SolverConfig
 from enstro.bounds_lab import (
     SWEEP_COLUMNS,
-    LowerBoundDatumSpec,
     SweepAbortedError,
     build_lower_bound_datum,
     characteristics_report,
@@ -30,7 +29,7 @@ RAMP_SLOPE = 1.0 / (1.0 / 6.0 - DELTA)  # 48/7
 @pytest.fixture(scope="module")
 def datum():
     grid = GridSpec1D(1024)
-    u0, capital_u = build_lower_bound_datum(LowerBoundDatumSpec(grid=grid))
+    u0, capital_u = build_lower_bound_datum(grid)
     return u0, capital_u
 
 
@@ -50,9 +49,7 @@ class TestDatumConstruction:
         """The scale factor converges spectrally; 512 vs 1024 agree."""
         _, capital_u = datum
         coarse = GridSpec1D(512)
-        _, capital_u_coarse = build_lower_bound_datum(
-            LowerBoundDatumSpec(grid=coarse)
-        )
+        _, capital_u_coarse = build_lower_bound_datum(coarse)
         assert capital_u == pytest.approx(capital_u_coarse, abs=1e-8)
         assert capital_u == pytest.approx(0.194139, abs=1e-5)
 
@@ -83,18 +80,9 @@ class TestDatumConstruction:
         second = left[:-2] - 2.0 * left[1:-1] + left[2:]
         assert np.max(second) <= 1e-8
 
-    def test_shoulder_radius_validation(self):
-        grid = GridSpec1D(512)
-        with pytest.raises(ValueError, match="delta_s"):
-            LowerBoundDatumSpec(grid=grid, delta_s=0.0)
-        with pytest.raises(ValueError, match="delta_s"):
-            LowerBoundDatumSpec(grid=grid, delta_s=1.0 / 24.0 + 1e-9)
-
     def test_construction_is_deterministic(self, datum):
         u0, capital_u = datum
-        again, capital_u_again = build_lower_bound_datum(
-            LowerBoundDatumSpec(grid=u0.grid)
-        )
+        again, capital_u_again = build_lower_bound_datum(u0.grid)
         assert capital_u_again == capital_u
         assert np.array_equal(again.values, u0.values)
 

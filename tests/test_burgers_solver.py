@@ -116,12 +116,10 @@ class TestSimulateExactness:
             u0 = sin_field(n)
             traj, _ = simulate(u0, SolverConfig(nu=0.05, t_end=0.5))
             outs.append(traj.final.values)
-        coarse_on_fine = np.repeat(outs[0], 2)  # piecewise-constant compare
-        # compare spectra instead: project fine run onto the coarse grid
+        # project the fine run onto the coarse grid
         fine_on_coarse = outs[1][::2]
         err = np.linalg.norm(outs[0] - fine_on_coarse) / np.linalg.norm(outs[1][::2])
         assert err < 1e-6
-        assert coarse_on_fine.shape == (1024,)
 
     def test_time_rescaling_covariance(self):
         # u -> lam u(lam t), nu -> lam nu is a symmetry of the equation

@@ -63,7 +63,12 @@ class TestExitCodes:
 
     def test_unknown_flag_exits_two(self, runs_root, capsys):
         assert main(["simulate", "--bogus", "3"]) == 2
+        # settings that have one value and no flag
+        assert main(["maximize-instant", "--inner-product", "l2"]) == 2
+        assert main(["maximize-finite", "--inner-product", "h1"]) == 2
+        assert main(["lower-bound", "--delta-s", "0.02"]) == 2
         capsys.readouterr()
+        assert not runs_root.exists()
 
     def test_missing_config_file_exits_two(self, runs_root, capsys):
         assert main(["simulate", "--config", "/nonexistent/f.cfg"]) == 2
@@ -78,6 +83,9 @@ class TestExitCodes:
         (check,) = manifest["assertions"]
         assert check["name"] == "run_completed" and not check["passed"]
         assert check["detail"].startswith("DatumConstructionError:")
+        assert manifest["outputs"] == []
+        run_dir = _single_run_dir(runs_root, "lower-bound")
+        assert [p.name for p in run_dir.iterdir()] == ["manifest.json"]
 
 
 class TestConfigFile:
@@ -97,6 +105,10 @@ class TestConfigFile:
             ConfigFileError, match=r"unknown config key 'wrongkey'.*amp, nu"
         ):
             load_config(cfg, schema)
+        # a setting with one value has no key
+        cfg.write_text("inner_product = h1\n")
+        with pytest.raises(ConfigFileError, match="unknown config key 'inner_product'"):
+            load_config(cfg, enstro.cli.SCHEMAS["maximize-instant"])
 
     def test_type_mismatch_names_the_line(self, tmp_path):
         cfg = tmp_path / "a.cfg"
@@ -413,6 +425,12 @@ class TestMaximizeFinite:
 
 class TestIndividualCommands:
     """Smoke-level runs of the remaining subcommands."""
+
+    @pytest.mark.parametrize("init", enstro.cli._INIT_CHOICES)
+    def test_every_simulate_init_runs(self, runs_root, init):
+        argv = ["simulate", "--init", init, "--t-end", "0.1"]
+        assert main(argv) == 0
+        assert (_single_run_dir(runs_root, "simulate") / "final.dat").exists()
 
     def test_lower_bound_outputs(self, runs_root):
         assert main(["lower-bound", "--n-points", "512"]) == 0

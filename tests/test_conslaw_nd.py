@@ -46,8 +46,8 @@ class TestGridAndField:
     """ND grid and field value types."""
 
     def test_grid_properties(self):
-        g = GridSpecND(dim=2, points=64, length=2.0)
-        assert g.dx == 2.0 / 64
+        g = GridSpecND(dim=2, points=64)
+        assert g.dx == 1.0 / 64
         assert g.shape == (64, 64)
         assert g.axis_coords()[0] == pytest.approx(0.5 * g.dx)
 
@@ -56,8 +56,6 @@ class TestGridAndField:
             GridSpecND(dim=3, points=64)
         with pytest.raises(ConfigurationError, match="power of two"):
             GridSpecND(dim=1, points=100)
-        with pytest.raises(ConfigurationError, match="at least 1"):
-            GridSpecND(dim=1, points=64, length=0.5)
 
     def test_field_shape_and_finiteness(self):
         g = GridSpecND(dim=2, points=8)
@@ -79,11 +77,6 @@ class TestFluxRegistry:
         for spec in flux_registry():
             spec.validate()
 
-    def test_unit_lipschitz_constants(self):
-        for name in ("burgers1d", "linear(c=1)", "cubic"):
-            assert get_flux(name).lip_on_unit == 1.0
-        assert get_flux("burgers2d").lip_on_unit == 1.0
-
     def test_burgers_2d_axis_normalization(self):
         # the per-axis profile u^2/(2 sqrt 2) keeps the Euclidean |f'| = |u|
         fx = get_flux("burgers2d")
@@ -104,7 +97,6 @@ class TestFluxRegistry:
             dim=1,
             eval=lambda u: u**2 / 2,
             deriv=lambda u: 0.5 * u,
-            lip_on_unit=1.0,
         )
         with pytest.raises(ValueError, match="inconsistent"):
             bad.validate()
@@ -115,9 +107,8 @@ class TestFluxRegistry:
             dim=1,
             eval=lambda u: 2.0 * u,
             deriv=lambda u: np.full(u.shape, 2.0),
-            lip_on_unit=1.0,
         )
-        with pytest.raises(ValueError, match="lip_on_unit"):
+        with pytest.raises(ValueError, match="exceeds 1"):
             bad.validate()
 
 
@@ -310,12 +301,12 @@ class TestSerializationND:
     """Dump format and extended CSV."""
 
     def test_field_round_trip_2d(self, tmp_path):
-        g = GridSpecND(dim=2, points=16, length=2.0)
+        g = GridSpecND(dim=2, points=16)
         rng = np.random.default_rng(4)
         f = FieldND(g, rng.normal(size=(16, 16)))
         p = tmp_path / "f.dat"
         write_field_nd(f, p)
-        assert p.read_text().split("\n")[0] == "DIM=2 N=16 L=2.0"
+        assert p.read_text().split("\n")[0] == "DIM=2 N=16 L=1.0"
         back = read_field_nd(p)
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
@@ -329,6 +320,10 @@ class TestSerializationND:
         p2.write_text("DIM=1 N=16 L=1.0\n" + "0.0\n" * 7)
         with pytest.raises(ValueError, match="expected 16 samples"):
             read_field_nd(p2)
+        p3 = tmp_path / "long.dat"
+        p3.write_text("DIM=2 N=16 L=2.0\n" + "0.0\n" * 256)
+        with pytest.raises(ValueError, match="unit length"):
+            read_field_nd(p3)
 
     def test_diagnostics_csv_has_dim_and_length(self, tmp_path):
         """conslaw-nd writes one row per step plus constant dim, L columns."""

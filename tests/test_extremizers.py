@@ -47,9 +47,6 @@ class TestOptimConfig:
 
     def test_defaults(self):
         cfg = OptimConfig(e0=1.0, nu=0.1)
-        assert cfg.inner_product == "h1"
-        assert cfg.armijo_factor == 0.5
-        assert cfg.armijo_decrease == 1e-4
         assert cfg.grad_tol == 1e-6
         assert cfg.T is None
 
@@ -58,8 +55,6 @@ class TestOptimConfig:
             OptimConfig(e0=0.0, nu=0.1)
         with pytest.raises(ValueError, match="T must be positive"):
             OptimConfig(e0=1.0, nu=0.1, T=-0.5)
-        with pytest.raises(ValueError, match="inner_product"):
-            OptimConfig(e0=1.0, nu=0.1, inner_product="sobolev")
 
 
 class TestRateGradient:
