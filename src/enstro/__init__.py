@@ -9,30 +9,3 @@ measure the sharp bound sup_t E(t) <= C * (1 + 1/nu) from both sides.
 """
 
 __version__ = "0.1.0"
-
-from .field_core import (
-    ConfigurationError,
-    Field1D,
-    FieldNorms,
-    GridSpec1D,
-    derivative,
-    enstrophy,
-    heat_propagate,
-    norms,
-    read_field,
-    write_field,
-)
-
-__all__ = [
-    "__version__",
-    "ConfigurationError",
-    "Field1D",
-    "FieldNorms",
-    "GridSpec1D",
-    "derivative",
-    "enstrophy",
-    "heat_propagate",
-    "norms",
-    "read_field",
-    "write_field",
-]

@@ -196,17 +196,35 @@ def _make_run_dir(root: Path, command: str) -> Path:
     return path
 
 
+class _RunDir:
+    """A run directory that records the name of each output written to it."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.outputs: list[str] = []
+
+    def file(self, name: str) -> Path:
+        self.outputs.append(name)
+        return self.path / name
+
+    def json(self, name: str, obj) -> None:
+        _write_json(self.file(name), obj)
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, default=float) + "\n")
+
+
 def _write_manifest(
-    run_dir: Path,
+    out: _RunDir,
     command: str,
     config: dict,
     seed: int,
     started: str,
-    outputs: list[str],
     assertions: list[dict],
 ) -> None:
-    for name in outputs:
-        if not (run_dir / name).exists():
+    for name in out.outputs:
+        if not (out.path / name).exists():
             raise FileNotFoundError(
                 f"manifest names missing output file {name!r}"
             )
@@ -217,13 +235,13 @@ def _write_manifest(
         "seed": seed,
         "started": started,
         "finished": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "outputs": sorted(outputs),
+        "outputs": sorted(out.outputs),
         "assertions": assertions,
         "passed": all(a["passed"] for a in assertions),
     }
-    tmp = run_dir / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2, default=float) + "\n")
-    os.replace(tmp, run_dir / "manifest.json")
+    tmp = out.path / "manifest.json.tmp"
+    _write_json(tmp, manifest)
+    os.replace(tmp, out.path / "manifest.json")
 
 
 def _assertion(name: str, passed: bool, detail: str) -> dict:
@@ -275,25 +293,25 @@ def _monotone_assertions(diag) -> list[dict]:
 
 
 # ----------------------------------------------------------------------
-# subcommand implementations: cfg -> (outputs, assertions)
+# subcommand implementations: (cfg, run directory, seed) -> assertions
 # ----------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: dict, run_dir: Path, seed: int):
+def _cmd_simulate(cfg: dict, out: _RunDir, seed: int):
     grid = GridSpec1D(cfg["n_points"])
     u0 = _initial_field(cfg["init"], cfg["amp"], grid)
     sim_cfg = SolverConfig(nu=cfg["nu"], t_end=cfg["t_end"], cfl=cfg["cfl"])
     traj, diag = simulate(u0, sim_cfg)
-    write_field(u0, run_dir / "initial.dat")
-    write_field(traj.final, run_dir / "final.dat")
-    write_csv(run_dir / "diagnostics.csv", DIAGNOSTIC_COLUMNS, diag.rows())
+    write_field(u0, out.file("initial.dat"))
+    write_field(traj.final, out.file("final.dat"))
+    write_csv(out.file("diagnostics.csv"), DIAGNOSTIC_COLUMNS, diag.rows())
     checks = _monotone_assertions(diag)
     mean_ok = abs(float(traj.final.values.mean())) <= 1e-11
     checks.append(_assertion("mean_preserved", mean_ok, "zero mean at t_end"))
-    return ["initial.dat", "final.dat", "diagnostics.csv"], checks
+    return checks
 
 
-def _cmd_oracle_check(cfg: dict, run_dir: Path, seed: int):
+def _cmd_oracle_check(cfg: dict, out: _RunDir, seed: int):
     grid = GridSpec1D(cfg["n_points"])
     u0 = Field1D(grid, cfg["amp"] * np.sin(2 * np.pi * grid.x))
     sim_cfg = SolverConfig(nu=cfg["nu"], t_end=cfg["t"])
@@ -304,18 +322,15 @@ def _cmd_oracle_check(cfg: dict, run_dir: Path, seed: int):
         np.sqrt(np.mean((num - exact.values) ** 2))
         / np.sqrt(np.mean(exact.values**2))
     )
-    write_csv(run_dir / "diagnostics.csv", DIAGNOSTIC_COLUMNS, diag.rows())
-    (run_dir / "report.json").write_text(
-        json.dumps({"rel_l2_error": rel, "tol": cfg["tol"]}, indent=2) + "\n"
-    )
-    checks = [
+    write_csv(out.file("diagnostics.csv"), DIAGNOSTIC_COLUMNS, diag.rows())
+    out.json("report.json", {"rel_l2_error": rel, "tol": cfg["tol"]})
+    return [
         _assertion(
             "matches_heat_kernel_solution",
             rel < cfg["tol"],
             f"relative L2 error {rel:.3e} vs tol {cfg['tol']:.1e}",
         )
     ]
-    return ["diagnostics.csv", "report.json"], checks
 
 
 def _heat_family(grid: GridSpec1D, seed: int):
@@ -343,7 +358,7 @@ def _heat_family(grid: GridSpec1D, seed: int):
     return [(name, Field1D(grid, v - v.mean())) for name, v in fields]
 
 
-def _cmd_heat_estimates(cfg: dict, run_dir: Path, seed: int):
+def _cmd_heat_estimates(cfg: dict, out: _RunDir, seed: int):
     grid = GridSpec1D(cfg["n_points"])
     family = _heat_family(grid, seed)
     ts = np.logspace(-6.0, 0.0, cfg["t_count"])
@@ -354,7 +369,7 @@ def _cmd_heat_estimates(cfg: dict, run_dir: Path, seed: int):
             r1, r2 = heat_estimate_ratios(field, cfg["nu"], float(t))
             worst1, worst2 = max(worst1, r1), max(worst2, r2)
             rows.append((name, t, r1, r2))
-    write_csv(run_dir / "ratios.csv", ("field", "t", "r1", "r2"), rows)
+    write_csv(out.file("ratios.csv"), ("field", "t", "r1", "r2"), rows)
 
     # closed-form single-mode anchor on a fine grid
     fine = GridSpec1D(16384)
@@ -371,8 +386,8 @@ def _cmd_heat_estimates(cfg: dict, run_dir: Path, seed: int):
         "bound": cfg["bound"],
         "closed_form_rel_err": cf_err,
     }
-    (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    checks = [
+    out.json("report.json", report)
+    return [
         _assertion(
             "ratios_bounded_by_one_constant",
             max(worst1, worst2) <= cfg["bound"],
@@ -384,10 +399,9 @@ def _cmd_heat_estimates(cfg: dict, run_dir: Path, seed: int):
             f"worst relative deviation {cf_err:.3e}",
         ),
     ]
-    return ["ratios.csv", "report.json"], checks
 
 
-def _cmd_sweep_nu(cfg: dict, run_dir: Path, seed: int):
+def _cmd_sweep_nu(cfg: dict, out: _RunDir, seed: int):
     nus = list(
         np.logspace(np.log10(cfg["nu_max"]), np.log10(cfg["nu_min"]), cfg["count"])
     )
@@ -396,13 +410,11 @@ def _cmd_sweep_nu(cfg: dict, run_dir: Path, seed: int):
     try:
         result = nu_sweep(cfg["family"], nus, run_cfg, grid)
     except SweepAbortedError as exc:
-        write_csv(run_dir / "sweep.csv", SWEEP_COLUMNS, exc.partial_rows)
-        return ["sweep.csv"], [_assertion("all_sweep_points_ran", False, str(exc))]
-    write_csv(run_dir / "sweep.csv", SWEEP_COLUMNS, result.rows())
-    (run_dir / "summary.json").write_text(
-        json.dumps(result.summary(), indent=2) + "\n"
-    )
-    checks = [
+        write_csv(out.file("sweep.csv"), SWEEP_COLUMNS, exc.partial_rows)
+        return [_assertion("all_sweep_points_ran", False, str(exc))]
+    write_csv(out.file("sweep.csv"), SWEEP_COLUMNS, result.rows())
+    out.json("summary.json", result.summary())
+    return [
         _assertion("all_sweep_points_ran", True, f"{len(result)} viscosities"),
         _assertion(
             "lower_constant_positive",
@@ -410,11 +422,12 @@ def _cmd_sweep_nu(cfg: dict, run_dir: Path, seed: int):
             f"c_hat {result.c_hat:.6g}",
         ),
     ]
-    return ["sweep.csv", "summary.json"], checks
 
 
 def run_sweep_e0(cfg: dict, seed: int) -> list[tuple[float, float, float]]:
     """Finite-time sweep rows (e0, best max E(T), best T), one per level."""
+    if cfg["seeds"] < 1:
+        raise ValueError(f"--seeds must be at least 1, got {cfg['seeds']}")
     e0s = np.logspace(np.log10(cfg["e0_min"]), np.log10(cfg["e0_max"]), cfg["count"])
     prefactors = [float(tok) for tok in str(cfg["prefactors"]).split(",") if tok]
     grid = GridSpec1D(cfg["n_points"])
@@ -438,9 +451,9 @@ def run_sweep_e0(cfg: dict, seed: int) -> list[tuple[float, float, float]]:
     return rows
 
 
-def _cmd_sweep_e0(cfg: dict, run_dir: Path, seed: int):
+def _cmd_sweep_e0(cfg: dict, out: _RunDir, seed: int):
     rows = run_sweep_e0(cfg, seed)
-    write_csv(run_dir / "sweep.csv", SWEEP_COLUMNS, rows)
+    write_csv(out.file("sweep.csv"), SWEEP_COLUMNS, rows)
     if len(rows) >= 4:
         slope, intercept, residual = fit_power_law([(r[0], r[1]) for r in rows])
     else:
@@ -451,8 +464,8 @@ def _cmd_sweep_e0(cfg: dict, run_dir: Path, seed: int):
         "residual": residual,
         "nu": cfg["nu"],
     }
-    (run_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    checks = [
+    out.json("summary.json", summary)
+    return [
         _assertion("all_sweep_points_ran", True, f"{len(rows)} enstrophy levels"),
         _assertion(
             "objectives_positive",
@@ -460,10 +473,23 @@ def _cmd_sweep_e0(cfg: dict, run_dir: Path, seed: int):
             "max E(T) positive on every row",
         ),
     ]
-    return ["sweep.csv", "summary.json"], checks
 
 
-def _cmd_maximize_instant(cfg: dict, run_dir: Path, seed: int):
+def _write_ascent(out: _RunDir, e0: float, optimum, key: str, value, record) -> dict:
+    """Write an ascent's optimum, record and report; check its constraint."""
+    write_field(optimum, out.file("optimum.dat"))
+    write_csv(out.file("record.csv"), RECORD_COLUMNS, record.rows())
+    report = {key: value, "converged": record.converged, "iterations": len(record)}
+    out.json("report.json", report)
+    residual = abs(enstrophy(optimum) - e0) / e0
+    return _assertion(
+        "stays_on_enstrophy_sphere",
+        residual <= 1e-8,
+        f"relative constraint residual {residual:.2e}",
+    )
+
+
+def _cmd_maximize_instant(cfg: dict, out: _RunDir, seed: int):
     grid = GridSpec1D(cfg["n_points"])
     opt_cfg = OptimConfig(
         e0=cfg["e0"],
@@ -471,33 +497,19 @@ def _cmd_maximize_instant(cfg: dict, run_dir: Path, seed: int):
         max_iters=cfg["max_iters"],
         grad_tol=cfg["grad_tol"],
     )
-    optimum, rate, record = instantaneous_maximize(opt_cfg, grid)
-    write_field(optimum, run_dir / "optimum.dat")
-    write_csv(run_dir / "record.csv", RECORD_COLUMNS, record.rows())
-    report = {
-        "rate": rate,
-        "converged": record.converged,
-        "iterations": len(record),
-    }
-    (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    residual = abs(enstrophy(optimum) - cfg["e0"]) / cfg["e0"]
+    optimum, rate, record = instantaneous_maximize(opt_cfg, grid, rng_seed=seed)
     objective_vals = np.asarray(record.objective)
-    checks = [
-        _assertion(
-            "stays_on_enstrophy_sphere",
-            residual <= 1e-8,
-            f"relative constraint residual {residual:.2e}",
-        ),
+    return [
+        _write_ascent(out, cfg["e0"], optimum, "rate", rate, record),
         _assertion(
             "ascent_never_decreases",
             bool(np.all(np.diff(objective_vals) >= -1e-12)),
             f"{len(record)} accepted steps",
         ),
     ]
-    return ["optimum.dat", "record.csv", "report.json"], checks
 
 
-def _cmd_maximize_finite(cfg: dict, run_dir: Path, seed: int):
+def _cmd_maximize_finite(cfg: dict, out: _RunDir, seed: int):
     grid = GridSpec1D(cfg["n_points"])
     opt_cfg = OptimConfig(
         e0=cfg["e0"],
@@ -507,58 +519,43 @@ def _cmd_maximize_finite(cfg: dict, run_dir: Path, seed: int):
         grad_tol=cfg["grad_tol"],
     )
     index = cfg["seed_index"]
+    if index < 0:
+        raise ValueError(f"--seed-index must be at least 0, got {index}")
     start = default_seeds(grid, cfg["e0"], count=index + 1, rng_seed=seed)[index]
     optimum, objective, record = finite_time_maximize(opt_cfg, grid, start)
-    write_field(optimum, run_dir / "optimum.dat")
-    write_csv(run_dir / "record.csv", RECORD_COLUMNS, record.rows())
-    report = {
-        "objective": objective,
-        "converged": record.converged,
-        "iterations": len(record),
-    }
-    (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    residual = abs(enstrophy(optimum) - cfg["e0"]) / cfg["e0"]
     first = float(np.asarray(record.objective)[0])
-    checks = [
-        _assertion(
-            "stays_on_enstrophy_sphere",
-            residual <= 1e-8,
-            f"relative constraint residual {residual:.2e}",
-        ),
+    return [
+        _write_ascent(out, cfg["e0"], optimum, "objective", objective, record),
         _assertion(
             "never_worse_than_seed",
             objective >= first - 1e-12,
             f"objective {objective:.6g} vs seed {first:.6g}",
         ),
     ]
-    return ["optimum.dat", "record.csv", "report.json"], checks
 
 
-def _cmd_lower_bound(cfg: dict, run_dir: Path, seed: int):
+def _cmd_lower_bound(cfg: dict, out: _RunDir, seed: int):
     grid = GridSpec1D(cfg["n_points"])
     u0, capital_u = build_lower_bound_datum(grid)
     profile = Field1D(grid, u0.values / capital_u)
     rows = characteristics_report(profile)
-    write_field(u0, run_dir / "datum.dat")
+    write_field(u0, out.file("datum.dat"))
     write_csv(
-        run_dir / "characteristics.csv",
+        out.file("characteristics.csv"),
         ("alpha", "t_star", "t_s", "admissible", "skipped"),
         ((r.alpha, r.t_star, r.t_s, int(r.admissible), int(r.skipped)) for r in rows),
     )
-    report = {"U": capital_u, "enstrophy": enstrophy(u0)}
-    (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    checks = [
-        _assertion("construction_certified", True, f"U = {capital_u:.6f}"),
+    out.json("report.json", {"U": capital_u, "enstrophy": enstrophy(u0)})
+    return [
         _assertion(
             "characteristics_admissible",
             all(r.admissible for r in rows),
             f"{len(rows)} sampled labels",
-        ),
+        )
     ]
-    return ["datum.dat", "characteristics.csv", "report.json"], checks
 
 
-def _cmd_dissipation(cfg: dict, run_dir: Path, seed: int):
+def _cmd_dissipation(cfg: dict, out: _RunDir, seed: int):
     if cfg["n_points"]:
         grid = GridSpec1D(cfg["n_points"])
     else:
@@ -570,18 +567,17 @@ def _cmd_dissipation(cfg: dict, run_dir: Path, seed: int):
         "reference": reference,
         "ratio": measured / reference,
     }
-    (run_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    checks = [
+    out.json("report.json", report)
+    return [
         _assertion(
             "window_captures_dissipation",
             measured > 0.0,
             f"measured {measured:.6g}, ideal {reference:.6g}",
         )
     ]
-    return ["report.json"], checks
 
 
-def _cmd_conslaw_nd(cfg: dict, run_dir: Path, seed: int):
+def _cmd_conslaw_nd(cfg: dict, out: _RunDir, seed: int):
     # the manifest records the flux that ran
     cfg["flux"] = cfg["flux"] or f"burgers{cfg['dim']}d"
     grid = GridSpecND(cfg["dim"], cfg["n_points"])
@@ -591,23 +587,21 @@ def _cmd_conslaw_nd(cfg: dict, run_dir: Path, seed: int):
         nu=cfg["nu"], t_end=cfg["t_end"], sample_stride=cfg["stride"]
     )
     final, diag = simulate_nd(u0, flux, sim_cfg)
-    write_field_nd(u0, run_dir / "initial.dat")
-    write_field_nd(final, run_dir / "final.dat")
+    write_field_nd(u0, out.file("initial.dat"))
+    write_field_nd(final, out.file("final.dat"))
     # the 1-D schema extended by constant dim, L columns
     write_csv(
-        run_dir / "diagnostics.csv",
+        out.file("diagnostics.csv"),
         (*DIAGNOSTIC_COLUMNS, "dim", "L"),
         (row + (grid.dim, 1.0) for row in diag.rows()),
     )
-    checks = _monotone_assertions(diag)
-    return ["initial.dat", "final.dat", "diagnostics.csv"], checks
+    return _monotone_assertions(diag)
 
 
-def _cmd_report(cfg: dict, run_dir: Path, seed: int):
-    root = run_dir.parent
+def _cmd_report(cfg: dict, out: _RunDir, seed: int):
     entries = []
-    for manifest_path in sorted(root.glob("*/manifest.json")):
-        if manifest_path.parent == run_dir:
+    for manifest_path in sorted(out.path.parent.glob("*/manifest.json")):
+        if manifest_path.parent == out.path:
             continue
         data = json.loads(manifest_path.read_text())
         entries.append(
@@ -622,18 +616,17 @@ def _cmd_report(cfg: dict, run_dir: Path, seed: int):
                 ],
             }
         )
-    (run_dir / "report.json").write_text(json.dumps(entries, indent=2) + "\n")
+    out.json("report.json", entries)
     for entry in entries:
         status = "pass" if entry["passed"] else "FAIL"
         print(f"{status}  {entry['run']}  ({entry['command']})")
-    checks = [
+    return [
         _assertion(
             "all_recorded_runs_passed",
             all(e["passed"] for e in entries),
             f"{len(entries)} runs scanned",
         )
     ]
-    return ["report.json"], checks
 
 
 _COMMANDS = {
@@ -688,41 +681,35 @@ def main(argv: list[str] | None = None) -> int:
             cli_value = getattr(args, name, None)
             if cli_value is not None:
                 resolved[name] = cli_value
-    except (ConfigFileError, FileNotFoundError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     seed = int(resolved.pop("seed"))
     resolved.pop("config")
     runs_root = _runs_root(str(resolved.pop("runs_dir")))
-    run_dir = _make_run_dir(runs_root, command)
+    out = _RunDir(_make_run_dir(runs_root, command))
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
+    failure = 0
     try:
-        outputs, assertions = _COMMANDS[command](resolved, run_dir, seed)
+        assertions = _COMMANDS[command](resolved, out, seed)
     except Exception as exc:
         # a ValueError or KeyError is a usage error, anything else a failed run
         usage = isinstance(exc, (ValueError, KeyError))
         detail = str(exc) if usage else f"{type(exc).__name__}: {exc}"
         print(f"error: {exc}" if usage else f"run failed: {exc}", file=sys.stderr)
-        _write_manifest(
-            run_dir,
-            command,
-            resolved,
-            seed,
-            started,
-            [],
-            [_assertion("run_completed", False, detail)],
-        )
-        return 2 if usage else 1
-
-    _write_manifest(run_dir, command, resolved, seed, started, outputs, assertions)
-    ok = all(a["passed"] for a in assertions)
+        out.outputs.clear()
+        assertions = [_assertion("run_completed", False, detail)]
+        failure = 2 if usage else 1
+    _write_manifest(out, command, resolved, seed, started, assertions)
+    if failure:
+        return failure
     for a in assertions:
         status = "pass" if a["passed"] else "FAIL"
         print(f"{status}  {a['name']}: {a['detail']}")
-    print(f"run directory: {run_dir}")
-    return 0 if ok else 1
+    print(f"run directory: {out.path}")
+    return 0 if all(a["passed"] for a in assertions) else 1
 
 
 if __name__ == "__main__":

@@ -249,11 +249,11 @@ def default_seeds(
 
 
 def instantaneous_maximize(
-    cfg: OptimConfig, grid: GridSpec1D
+    cfg: OptimConfig, grid: GridSpec1D, rng_seed: int = 2025
 ) -> tuple[Field1D, float, OptimRecord]:
     """Maximize the production rate R over the sphere, best of multi-start."""
     best = None
-    for seed in default_seeds(grid, cfg.e0):
+    for seed in default_seeds(grid, cfg.e0, rng_seed=rng_seed):
         u, j, record = _ascend(
             seed.values,
             grid,

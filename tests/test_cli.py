@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import enstro.cli
+import enstro.extremizers
 from enstro.cli import ConfigFileError, _build_parser, load_config, main, run_sweep_e0
 from enstro.extremizers import default_seeds
 from enstro.field_core import GridSpec1D
@@ -70,9 +71,14 @@ class TestExitCodes:
         capsys.readouterr()
         assert not runs_root.exists()
 
-    def test_missing_config_file_exits_two(self, runs_root, capsys):
-        assert main(["simulate", "--config", "/nonexistent/f.cfg"]) == 2
-        capsys.readouterr()
+    def test_missing_config_file_exits_two(self, runs_root, tmp_path, capsys):
+        not_utf8 = tmp_path / "latin1.cfg"
+        not_utf8.write_bytes("nu = 0.05  # \u00b5\n".encode("latin-1"))
+        for path in ("/nonexistent/f.cfg", tmp_path, not_utf8):
+            assert main(["simulate", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+        assert not runs_root.exists()
 
     def test_failed_certification_exits_one(self, runs_root, capsys):
         # a valid config whose datum fails certification is a failed run
@@ -158,20 +164,64 @@ class TestManifest:
         "passed",
     }
 
-    def test_manifest_is_complete(self, runs_root):
-        assert main(["simulate", "--n-points", "256", "--t-end", "0.05"]) == 0
-        run_dir = _single_run_dir(runs_root, "simulate")
+    # one small config per subcommand and the outputs it must list
+    SMALL_RUNS = {
+        "simulate": (
+            ["--n-points", "256", "--t-end", "0.05"],
+            {"initial.dat", "final.dat", "diagnostics.csv"},
+        ),
+        "oracle-check": (
+            ["--n-points", "256", "--t", "0.05"],
+            {"diagnostics.csv", "report.json"},
+        ),
+        "heat-estimates": (
+            ["--n-points", "256", "--t-count", "3"],
+            {"ratios.csv", "report.json"},
+        ),
+        "sweep-nu": (
+            ["--nu-min", "0.01", "--nu-max", "0.03", "--count", "4", "--t-end", "0.2",
+             "--n-points", "512"],
+            {"sweep.csv", "summary.json"},
+        ),
+        "sweep-e0": (
+            ["--count", "2", "--prefactors", "0.5", "--n-points", "64", "--max-iters",
+             "2", "--seeds", "1"],
+            {"sweep.csv", "summary.json"},
+        ),
+        "maximize-instant": (
+            ["--n-points", "64", "--max-iters", "3"],
+            {"optimum.dat", "record.csv", "report.json"},
+        ),
+        "maximize-finite": (
+            ["--n-points", "64", "--max-iters", "3"],
+            {"optimum.dat", "record.csv", "report.json"},
+        ),
+        "lower-bound": (
+            ["--n-points", "512"],
+            {"datum.dat", "characteristics.csv", "report.json"},
+        ),
+        "dissipation": (
+            ["--nu", "0.01", "--n-points", "512"],
+            {"report.json"},
+        ),
+        "conslaw-nd": (
+            ["--n-points", "16", "--t-end", "0.02"],
+            {"initial.dat", "final.dat", "diagnostics.csv"},
+        ),
+        "report": ([], {"report.json"}),
+    }
+
+    @pytest.mark.parametrize("command", list(enstro.cli.SCHEMAS))
+    def test_manifest_is_complete(self, runs_root, command):
+        flags, expected = self.SMALL_RUNS[command]
+        assert main([command, *flags]) == 0
+        run_dir = _single_run_dir(runs_root, command)
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert self.REQUIRED_KEYS <= set(manifest)
-        assert manifest["command"] == "simulate"
+        assert manifest["command"] == command
         assert manifest["passed"] is True
-        for name in manifest["outputs"]:
-            assert (run_dir / name).exists(), f"missing output {name}"
-        assert set(manifest["outputs"]) == {
-            "initial.dat",
-            "final.dat",
-            "diagnostics.csv",
-        }
+        written = {p.name for p in run_dir.iterdir()} - {"manifest.json"}
+        assert set(manifest["outputs"]) == written == expected
         for entry in manifest["assertions"]:
             assert set(entry) == {"name", "passed", "detail"}
 
@@ -400,7 +450,9 @@ class TestSweepE0:
 
     def test_seed_count_below_one_exits_two(self, runs_root, capsys):
         assert main(["sweep-e0", "--count", "2", "--seeds", "0"]) == 2
-        assert "count must be at least 1" in capsys.readouterr().err
+        assert "--seeds must be at least 1, got 0" in capsys.readouterr().err
+        assert main(["maximize-finite", "--seed-index", "-1"]) == 2
+        assert "--seed-index must be at least 0, got -1" in capsys.readouterr().err
 
 
 class TestMaximizeFinite:
@@ -485,6 +537,18 @@ class TestIndividualCommands:
         argv = ["conslaw-nd", "--dim", "1", "--flux", "burgers1d", "--init", "diag"]
         assert main(argv) == 2
         assert "unknown init 'diag'" in capsys.readouterr().err
+
+    def test_maximize_instant_seed_reaches_default_seeds(self, runs_root, monkeypatch):
+        seen = []
+
+        def spy(grid, e0, count=5, rng_seed=2025):
+            seen.append(rng_seed)
+            raise RuntimeError("stop after recording the seed")
+
+        monkeypatch.setattr(enstro.extremizers, "default_seeds", spy)
+        assert main(["maximize-instant", "--n-points", "64", "--seed", "7"]) == 1
+        assert seen == [7]
+        assert _manifest(runs_root, "maximize-instant")["seed"] == 7
 
     def test_maximize_instant_outputs(self, runs_root):
         code = main(
