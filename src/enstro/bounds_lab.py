@@ -23,13 +23,10 @@ analysis only proves such constants exist, it does not name them.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .burgers_solver import (
     SolverConfig,
@@ -60,73 +57,6 @@ class SweepAbortedError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# mollification machinery
-# ----------------------------------------------------------------------
-
-
-@lru_cache(maxsize=8)
-def _bump_mass() -> float:
-    val, _ = quad(lambda s: math.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0)
-    return val
-
-
-def _mollify_at(x: float, template, kink: float, delta: float) -> float:
-    """(rho_delta * template)(x) with the quadrature split at the kink."""
-    z = _bump_mass()
-
-    def integrand(tau: float) -> float:
-        if abs(tau) >= 1.0:
-            return 0.0
-        return math.exp(-1.0 / (1.0 - tau * tau)) * template(x - delta * tau) / z
-
-    tau0 = (x - kink) / delta
-    lo, _ = quad(integrand, -1.0, tau0, epsabs=1e-13, limit=200)
-    hi, _ = quad(integrand, tau0, 1.0, epsabs=1e-13, limit=200)
-    return lo + hi
-
-
-def _mollified_polyline(
-    xs_grid: np.ndarray,
-    nodes_x: list[float],
-    nodes_y: list[float],
-    delta: float,
-) -> np.ndarray:
-    """Evaluate the mollified polyline at the given points.
-
-    Away from every kink the symmetric unit-mass kernel reproduces the
-    line exactly, so quadrature is only spent inside the kink windows.
-    Kink windows must not overlap (enforced by the callers' parameter
-    ranges).  The endpoints are treated as smooth continuations (the
-    caller extends the line by symmetry).
-    """
-    nx = np.asarray(nodes_x, dtype=float)
-    ny = np.asarray(nodes_y, dtype=float)
-
-    def template(x: float) -> float:
-        xm = x % 1.0
-        i = int(np.searchsorted(nx, xm, side="right") - 1)
-        i = max(0, min(i, len(nx) - 2))
-        w = (xm - nx[i]) / (nx[i + 1] - nx[i])
-        return float(ny[i] * (1.0 - w) + ny[i + 1] * w)
-
-    # interior nodes where the slope actually changes are kinks
-    kinks = []
-    for i in range(1, len(nx) - 1):
-        s_left = (ny[i] - ny[i - 1]) / (nx[i] - nx[i - 1])
-        s_right = (ny[i + 1] - ny[i]) / (nx[i + 1] - nx[i])
-        if abs(s_left - s_right) > 1e-14:
-            kinks.append(nx[i])
-
-    out = np.array([template(x) for x in xs_grid])
-    for kink in kinks:
-        offset = (kink - xs_grid + 0.5) % 1.0 - 0.5
-        for j in np.nonzero(np.abs(offset) < delta)[0]:
-            x = float(xs_grid[j])
-            out[j] = _mollify_at(x, template, x + float(offset[j]), delta)
-    return out
-
-
-# ----------------------------------------------------------------------
 # lower-bound datum
 # ----------------------------------------------------------------------
 
@@ -135,25 +65,46 @@ def _mollified_polyline(
 _DELTA_S = 1.0 / 48.0
 
 
-@lru_cache(maxsize=8)
-def _datum_profile(n: int) -> tuple[float, ...]:
+def _kink_correction(s: np.ndarray) -> np.ndarray:
+    """h(s): what mollifying a unit kink adds, in units of the radius.
+
+    Mollifying J * max(x - c, 0) with the radius-delta bump rho_delta adds
+    J * delta * h((x - c) / delta), where h is even, vanishes for
+    |s| >= 1 and h(s) = int_{-1}^{-|s|} (-|s| - tau) rho(tau) dtau.  That
+    integral is no difference of O(1) terms, so h keeps its relative
+    precision as it goes to zero.  128 Gauss-Legendre nodes on
+    [-1, -|s|] reach 4e-17 against a 40-digit reference; 64 leave 3e-13.
+    """
+    t, w = np.polynomial.legendre.leggauss(128)
+    half = 0.5 * (1.0 - np.abs(s))  # half-length of [-1, -|s|]
+    rise = np.outer(half, 1.0 + t)  # tau + 1, so 1 - tau^2 = rise * (2 - rise) > 0
+    bump = np.exp(-1.0 / (rise * (2.0 - rise)))
+    mass = np.exp(-1.0 / (1.0 - t * t)) @ w
+    # -|s| - tau = half * (1 - t) and dtau = half * dt
+    return half**2 * ((bump * (1.0 - t)) @ w) / mass
+
+
+def _datum_profile(n: int) -> np.ndarray:
     """Mollified template on x in [1/2, 1) (left half of the odd profile).
 
     The plateau of the piecewise-linear template is widened by _DELTA_S on
     both sides so that after mollification with a radius-_DELTA_S kernel
     the profile equals one exactly on the stated plateau.  The segments
     through x = 1/2 and x = 0 are linear (the odd reflection continues
-    them), so the only kinks are the four plateau shoulders.
+    them), so the only kinks are the two plateau shoulders, both with
+    slope jump -m.  Away from a kink the symmetric unit-mass kernel
+    reproduces the line exactly, so only the kink windows are corrected.
     """
     d = _DELTA_S
     m = 1.0 / (1.0 / 6.0 - d)  # common ramp slope magnitude
-    # nodes on [1/2, 1] in torus coordinates (x - 1 in [-1/2, 0])
-    nodes_x = [0.5, 2.0 / 3.0 - d, 5.0 / 6.0 + d, 1.0]
-    nodes_y = [0.0, 1.0, 1.0, 0.0]
+    kinks = np.array([2.0 / 3.0 - d, 5.0 / 6.0 + d])
     xs = np.arange(n // 2, n) / n
-    vals = _mollified_polyline(xs, nodes_x, nodes_y, d)
-    vals.setflags(write=False)
-    return tuple(float(v) for v in vals)
+    vals = np.interp(xs, [0.5, *kinks, 1.0], [0.0, 1.0, 1.0, 0.0])
+    # the kink windows are disjoint: only the nearest kink can reach a point
+    s = np.min(np.abs(xs[:, None] - kinks), axis=1) / d
+    near = s < 1.0
+    vals[near] -= m * d * _kink_correction(s[near])
+    return vals
 
 
 def build_lower_bound_datum(grid: GridSpec1D) -> tuple[Field1D, float]:
@@ -165,12 +116,9 @@ def build_lower_bound_datum(grid: GridSpec1D) -> tuple[Field1D, float]:
     the construction never silently returns a defective profile.
     """
     n = grid.n_points
-    half = np.array(_datum_profile(n))
     v = np.zeros(n)
-    v[n // 2 :] = half  # x in [1/2, 1) carries the [-1/2, 0) template
-    for j in range(1, n // 2):
-        v[j] = -v[n - j]  # exact odd reflection
-    v[0] = 0.0
+    v[n // 2 :] = _datum_profile(n)  # x in [1/2, 1) carries the [-1/2, 0) template
+    v[1 : n // 2] = -v[: n // 2 : -1]  # exact odd reflection
 
     _certify_datum(grid, v)
     vf = Field1D(grid, v)
@@ -203,18 +151,19 @@ def _certify_datum(grid: GridSpec1D, v: np.ndarray) -> None:
         raise DatumConstructionError(
             f"plateau defect {plateau_defect:.3e} > 1e-12"
         )
+    # measured for N = 16 to 16384: second differences at most 2.2e-16
+    # (round-off of values near one) and no step against the monotone
+    # direction, so both shape checks hold to 1e-14
     second = left[:-2] - 2.0 * left[1:-1] + left[2:]
-    if np.max(second) > 1e-8:
+    if np.max(second) > 1e-14:
         raise DatumConstructionError(
-            f"concavity defect {np.max(second):.3e} > 1e-8 on [-1/2, 0)"
+            f"concavity defect {np.max(second):.3e} > 1e-14 on [-1/2, 0)"
         )
-    # kernel-support edges carry ~3e-12 of quadrature jitter where the
-    # true slope vanishes, so monotonicity is certified to 1e-10
     rising = xl < -1.0 / 3.0
-    if np.min(np.diff(left[rising])) < -1e-10:
+    if not np.all(np.diff(left[rising]) >= -1e-14):
         raise DatumConstructionError("profile not increasing on [-1/2, -1/3)")
     falling = xl >= -1.0 / 6.0
-    if np.max(np.diff(left[falling])) > 1e-10:
+    if not np.all(np.diff(left[falling]) <= 1e-14):
         raise DatumConstructionError("profile not decreasing on [-1/6, 0)")
 
 

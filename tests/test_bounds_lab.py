@@ -73,12 +73,21 @@ class TestDatumConstruction:
         expected = -RAMP_SLOPE * x[near]
         assert np.max(np.abs(profile.values[near] - expected)) <= 1e-12
 
-    def test_concave_on_left_half(self, profile):
-        v = profile.values
-        n = len(v)
-        left = v[n // 2 :]
+    @pytest.mark.parametrize("n", [1024, 16384])
+    def test_concave_on_left_half(self, n):
+        u0, capital_u = build_lower_bound_datum(GridSpec1D(n))
+        left = u0.values[n // 2 :] / capital_u
         second = left[:-2] - 2.0 * left[1:-1] + left[2:]
-        assert np.max(second) <= 1e-8
+        assert np.max(second) <= 1e-14
+
+    def test_spectrum_is_smooth_to_round_off(self):
+        """A smooth datum has no tail: every mode from N/4 up sits at
+        round-off relative to the largest (a quadrature error in the
+        kink windows would show here as a flat floor)."""
+        n = 16384
+        u0, _ = build_lower_bound_datum(GridSpec1D(n))
+        mag = np.abs(np.fft.rfft(u0.values))
+        assert np.max(mag[n // 4 :]) <= 1e-14 * np.max(mag)
 
     def test_construction_is_deterministic(self, datum):
         u0, capital_u = datum

@@ -6,8 +6,11 @@ precedence, determinism, and that README usage lines parse.
 """
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +95,24 @@ class TestExitCodes:
         assert manifest["outputs"] == []
         run_dir = _single_run_dir(runs_root, "lower-bound")
         assert [p.name for p in run_dir.iterdir()] == ["manifest.json"]
+
+
+def test_cli_import_leaves_scipy_out():
+    """The runtime needs numpy alone; scipy is a test dependency."""
+    probe = (
+        "import sys, enstro.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    src = str(Path(enstro.cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestConfigFile:
@@ -493,6 +514,14 @@ class TestIndividualCommands:
         report = json.loads((run_dir / "report.json").read_text())
         assert report["U"] == pytest.approx(0.1941388943, abs=1e-5)
         assert report["enstrophy"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_lower_bound_on_the_smallest_grid(self, runs_root):
+        # [-1/6, 0) holds one sample there, so "decreasing" holds vacuously
+        assert main(["lower-bound", "--n-points", "8"]) == 0
+        (check,) = _manifest(runs_root, "lower-bound")["assertions"]
+        assert check["passed"] and check["detail"] == "4 sampled labels"
+        argv = ["simulate", "--init", "lower-bound", "--n-points", "8", "--nu", "1"]
+        assert main([*argv, "--t-end", "0.05"]) == 0
 
     def test_dissipation_report(self, runs_root):
         code = main(
