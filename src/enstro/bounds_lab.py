@@ -13,7 +13,7 @@ The pieces fit together as a sandwich argument at slope one in 1/nu:
   predicted space-time window against the ideal value (2/3) U^3;
 * ``nu_sweep`` probes the upper bound sup_t E <= C (1 + 1/nu) across
   viscosities and measures each peak against the enstrophy of the
-  steepest admissible viscous shock, (4/3) U^3 / nu;
+  steepest admissible viscous shock, (2/3) U^3 / nu;
 * ``fit_power_law`` is the shared log-log least-squares fitter.
 
 All fitted constants are reported, never asserted against theory: the
@@ -294,7 +294,7 @@ SWEEP_COLUMNS = ("param", "e_star", "t_star")
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """Sweep rows plus the log-log fit, the two bound constants and the
-    range of e_star over the shock enstrophy (4/3) U^3 / nu."""
+    range of e_star over the shock enstrophy (2/3) U^3 / nu."""
 
     param: np.ndarray
     e_star: np.ndarray

@@ -2,8 +2,9 @@
 
 The viscous term is integrated exactly through an integrating factor in
 Fourier space, so the time step is limited only by the advective CFL
-condition.  The quadratic nonlinearity is evaluated pseudospectrally with
-2/3-rule dealiasing, and the mean is projected out after every step.
+condition.  The quadratic nonlinearity, in conservative form
+-(1/2) (u^2)_x, is evaluated pseudospectrally with 2/3-rule dealiasing,
+and the mean is projected out after every step.
 
 Diagnostics track the quantities that drive the extremal-growth study:
 energy, enstrophy, total variation, sup norm, the most negative slope,
@@ -180,19 +181,18 @@ def _nonlinear(
     u: np.ndarray | None = None,
     samples: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Dealiased spectral image of -u u_x from unnormalized rfft data.
+    """Dealiased spectral image of -u u_x = -(1/2) (u^2)_x from unnormalized
+    rfft data.
 
     ``u``, if given, holds the samples of ``uh`` and saves their inverse
-    transform; ``samples``, if given, is a (2, n) array that receives
-    (u, u_x).
+    transform; ``samples``, if given, is a length-n array that receives them.
     """
     ops = spectral_ops(n)
     if u is None:
         u = np.fft.irfft(uh, n)
-    ux = np.fft.irfft(ops.ik * uh, n)
     if samples is not None:
-        samples[0], samples[1] = u, ux
-    return -np.fft.rfft(u * ux) * ops.dealias
+        samples[:] = u
+    return -0.5 * ops.ik * np.fft.rfft(u * u) * ops.dealias
 
 
 def step_spectral(
@@ -207,8 +207,8 @@ def step_spectral(
 
     ``vals``, if given, are the samples of ``uh``; the first stage uses
     them in place of an inverse transform.  ``stages``, if given, is a
-    (4, 2, n) array that receives the samples (u, u_x) of each RK4 stage:
-    one step of the stage tape the discrete adjoint reads.
+    (4, n) array that receives the samples u of each RK4 stage: one step
+    of the stage tape the discrete adjoint reads.
     """
     ops = spectral_ops(n)
     e1 = np.exp(-0.5 * dt * nu * ops.k2)
@@ -234,8 +234,8 @@ def march(
     the samples of ``uh``.  Each step's CFL amplitude is read from the
     samples the previous step yielded, and its first RK4 stage uses them
     too, so a step costs the RK4 transforms less one, plus one inverse
-    transform: 12 in all.  ``stages`` is None unless ``record`` is true;
-    then it is the step's (4, 2, n) stage samples (see
+    transform: 8 in all.  ``stages`` is None unless ``record`` is true;
+    then it is the step's (4, n) stage samples (see
     :func:`step_spectral`).  Nothing is retained between steps.
     """
     vals = np.fft.irfft(uh, n)
@@ -246,7 +246,7 @@ def march(
         last = dt >= cfg.t_end - t
         if last:
             dt = cfg.t_end - t
-        stages = np.empty((4, 2, n)) if record else None
+        stages = np.empty((4, n)) if record else None
         uh = step_spectral(uh, dt, cfg.nu, n, vals, stages)
         vals = np.fft.irfft(uh, n)
         if not np.all(np.isfinite(vals)):

@@ -5,8 +5,8 @@ Three independent sources of truth live here:
 * the logarithmic-potential transformation of the viscous Burgers equation,
   which turns it into the heat equation and yields machine-accurate
   solutions for arbitrary smooth zero-mean data;
-* the stationary viscous shock ``u = -U tanh(x/l)`` with ``l = nu/U``,
-  whose whole-line enstrophy ``(4/3) U**3 / nu`` anchors the ``1/nu``
+* the stationary viscous shock ``u = -U tanh(x/l)`` with ``l = 2 nu/U``,
+  whose whole-line enstrophy ``(2/3) U**3 / nu`` anchors the ``1/nu``
   scaling of extremal enstrophy;
 * smoothing estimates for the heat semigroup, packaged as dimensionless
   ratios that must stay bounded as data and times vary.
@@ -24,14 +24,16 @@ class UnderflowError(ArithmeticError):
 
 
 def shock_enstrophy(U: float, nu: float) -> float:
-    """Whole-line enstrophy of the shock ``u = -U tanh(x/l)``, ``l = nu/U``.
+    """Whole-line enstrophy of the shock ``u = -U tanh(x/l)``, ``l = 2 nu/U``.
 
-    With u_x = -(U/l) sech^2(x/l) and integral of sech^4 equal to 4/3,
-    the enstrophy is (U/l)^2 * l * 4/3 = (4/3) U^3 / nu.
+    Integrating the steady equation u u_x = nu u_xx once gives
+    nu u_x = (u^2 - U^2)/2, whose solution is this profile.  With
+    u_x = -(U/l) sech^2(x/l) and integral of sech^4 equal to 4/3, the
+    enstrophy is (U/l)^2 * l * 4/3 = (2/3) U^3 / nu.
     """
     if U <= 0 or nu <= 0:
         raise ValueError("shock_enstrophy needs U > 0 and nu > 0")
-    return (4.0 / 3.0) * U**3 / nu
+    return (2.0 / 3.0) * U**3 / nu
 
 
 def hopf_cole_solution(u0: Field1D, nu: float, t: float) -> Field1D:

@@ -8,7 +8,7 @@ E(u) = int (u_x)^2:
 * the finite-time problem maximizes E(u(T)) along the viscous Burgers
   flow, with gradients from the exact discrete adjoint of the
   integrating-factor RK4 march.  The forward march records a stage tape,
-  the samples (u, u_x) of every RK4 stage, and the adjoint reads them
+  the samples u of every RK4 stage, and the adjoint reads them
   back; the ascent's gradient reuses the tape of the objective's march at
   the same point, so each iterate marches forward once.  Above
   ``ADJOINT_STORAGE_BUDGET_BYTES`` the gradient keeps checkpoints instead
@@ -344,21 +344,18 @@ def _retape(uh: np.ndarray, dts: list[float], skip: int, nu: float, n: int) -> l
     ``skip`` steps."""
     tape = []
     for j, dt in enumerate(dts):
-        stages = np.empty((4, 2, n)) if j >= skip else None
+        stages = np.empty((4, n)) if j >= skip else None
         uh = step_spectral(uh, dt, nu, n, stages=stages)
         if stages is not None:
             tape.append((dt, stages))
     return tape
 
 
-def _nonlinear_adjoint(
-    a: np.ndarray, da: np.ndarray, v_hat: np.ndarray, n: int
-) -> np.ndarray:
-    """Transpose of the linearized dealiased advection about the state with
-    samples ``a`` and ``a_x = da``."""
+def _nonlinear_adjoint(a: np.ndarray, v_hat: np.ndarray, n: int) -> np.ndarray:
+    """Transpose of the linearized dealiased advection -(a v)_x about the
+    state with samples ``a``."""
     ops = spectral_ops(n)
-    mv = np.fft.irfft(ops.dealias * v_hat, n)
-    return -np.fft.rfft(da * mv) + ops.ik * np.fft.rfft(a * mv)
+    return np.fft.rfft(a * np.fft.irfft(ops.ik * ops.dealias * v_hat, n))
 
 
 def _adjoint_step(
@@ -379,19 +376,19 @@ def _adjoint_step(
     l_k4 = (dt / 6.0) * w
     l_u = e2 * w
 
-    v4 = _nonlinear_adjoint(*s4, l_k4, n)
+    v4 = _nonlinear_adjoint(s4, l_k4, n)
     l_u += e2 * v4
     l_k3 += dt * (e1 * v4)
 
-    v3 = _nonlinear_adjoint(*s3, l_k3, n)
+    v3 = _nonlinear_adjoint(s3, l_k3, n)
     l_u += e1 * v3
     l_k2 += 0.5 * dt * v3
 
-    v2 = _nonlinear_adjoint(*s2, l_k2, n)
+    v2 = _nonlinear_adjoint(s2, l_k2, n)
     l_u += e1 * v2
     l_k1 += 0.5 * dt * (e1 * v2)
 
-    l_u += _nonlinear_adjoint(*s1, l_k1, n)
+    l_u += _nonlinear_adjoint(s1, l_k1, n)
     return l_u
 
 
@@ -476,7 +473,7 @@ def finite_time_gradient(
     if tape is not None:
         lam = _pull_back(tape, lam, nu, n)
     else:
-        step_bytes = 64 * n  # one step's (4, 2, n) float64 stage samples
+        step_bytes = 4 * n * np.dtype(float).itemsize  # one step's (4, n) stage samples
         stride, block = _checkpoint_plan(len(dts), budget_bytes, uh_T.nbytes, step_bytes)
         _, _, checkpoints, _ = _march_forward(u0.values, T, nu, n, dx, stride=stride)
         hi = len(dts)  # step j maps state j to state j + 1

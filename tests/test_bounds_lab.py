@@ -20,6 +20,7 @@ from enstro.bounds_lab import (
     fit_power_law,
     nu_sweep,
 )
+from enstro.exact_oracles import shock_enstrophy
 from enstro.field_core import Field1D, GridSpec1D, enstrophy, norms, write_csv
 
 DELTA = 1.0 / 48.0
@@ -191,11 +192,11 @@ class TestNuSweep:
         assert np.all(res.param * res.e_star >= res.c_hat * (1.0 - 1e-12))
 
     def test_shock_ratios_span_the_rows(self, coarse_sweep):
-        """e_star over (4/3) U^3 / nu, U the datum's sup norm."""
+        """e_star over (2/3) U^3 / nu, U the datum's sup norm."""
         res = coarse_sweep
         u0, capital_u = datum_family("lower-bound", GridSpec1D(512))
         assert capital_u == np.abs(u0.values).max()
-        ratios = res.e_star * res.param / ((4.0 / 3.0) * capital_u**3)
+        ratios = res.e_star * res.param / ((2.0 / 3.0) * capital_u**3)
         assert res.shock_ratio_min == pytest.approx(ratios.min(), rel=1e-14)
         assert res.shock_ratio_max == pytest.approx(ratios.max(), rel=1e-14)
         assert 0.0 < res.shock_ratio_min < res.shock_ratio_max
@@ -220,6 +221,13 @@ class TestNuSweep:
             "shock_ratio_min",
             "shock_ratio_max",
         ]
+
+    def test_peak_scales_as_the_shock_enstrophy(self):
+        """sup_t E ~ 1/nu once the shock forms, at the steady shock's value."""
+        nus = list(np.logspace(-3.5, -3.0, 4))
+        res = nu_sweep("lower-bound", nus, SolverConfig(nu=1e-3, t_end=1.5))
+        assert abs(res.slope - 1.0) <= 0.05
+        assert 0.95 <= res.shock_ratio_min <= res.shock_ratio_max <= 1.05
 
     def test_failed_run_aborts_with_partial_rows(self):
         """An under-resolved viscosity aborts but keeps finished rows."""
@@ -256,6 +264,14 @@ class TestDissipationWindow:
         measured, reference = dissipation_window(zero, 0.2, 0.01, 0.1)
         assert measured == 0.0
         assert reference == pytest.approx((2.0 / 3.0) * 0.2**3, rel=1e-12)
+
+    def test_ideal_is_the_shock_dissipation(self):
+        # the ideal is nu times the steady shock's enstrophy
+        zero = Field1D(GridSpec1D(512), np.zeros(512))
+        for capital_u, nu in ((0.2, 0.01), (0.7, 1e-3)):
+            _, reference = dissipation_window(zero, capital_u, nu, 0.1)
+            ideal = nu * shock_enstrophy(capital_u, nu)
+            assert ideal == pytest.approx(reference, rel=1e-15)
 
     def test_capture_grows_as_nu_shrinks(self, datum):
         """The origin window collects more dissipation at smaller nu."""

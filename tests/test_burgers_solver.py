@@ -327,10 +327,10 @@ class TestSpectralCore:
         _, diag = simulate(u0, SolverConfig(nu=0.02, t_end=0.2))
         steps = len(diag) - 1
         assert steps > 50
-        # 11 for RK4 (the first stage reuses the samples), 1 for the
+        # 7 for RK4 (the first stage reuses the samples), 1 for the
         # samples, 2 for the diagnostics row; the run also transforms u0
         # once each way and takes row 0 (2 more)
-        assert fft_calls[0] <= 14 * steps + 4
+        assert fft_calls[0] <= 10 * steps + 4
 
     def test_march_forward_fft_calls_per_step(self, fft_calls):
         u0 = sin_field(256, amp=0.8)
@@ -341,7 +341,7 @@ class TestSpectralCore:
         assert len(dts) > 50
         assert checkpoints == {} and len(tape) == len(dts)
         # recording the stage tape costs no transform
-        assert fft_calls[0] <= 12 * len(dts) + 2
+        assert fft_calls[0] <= 8 * len(dts) + 2
 
     def test_diagnostics_match_sample_space_formulas(self):
         # each row against the per-field formulas: u_x by transforming the

@@ -27,21 +27,21 @@ def sin_field(n: int = 256, mode: int = 1, amp: float = 1.0) -> Field1D:
 
 @dataclass(frozen=True)
 class ShockProfile:
-    """Stationary viscous shock ``u(x) = -U tanh(x / (nu/U))`` on the line."""
+    """Stationary viscous shock ``u(x) = -U tanh(x / (2 nu/U))`` on the line."""
 
     U: float
     nu: float
 
     @property
     def width(self) -> float:
-        return self.nu / self.U
+        return 2.0 * self.nu / self.U
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return -self.U * np.tanh(np.asarray(x) / self.width)
 
 
 class TestShockEnstrophy:
-    """(4/3) U^3 / nu against direct numerical integration of the profile."""
+    """(2/3) U^3 / nu against direct numerical integration of the profile."""
 
     def test_sech4_integral(self):
         # the only nontrivial ingredient of the closed form
@@ -64,7 +64,17 @@ class TestShockEnstrophy:
         base = shock_enstrophy(1.0, 1e-3)
         assert abs(shock_enstrophy(2.0, 1e-3) / base - 8.0) < 1e-12
         assert abs(shock_enstrophy(1.0, 5e-4) / base - 2.0) < 1e-12
-        assert abs(base - (4.0 / 3.0) * 1e3) < 1e-9
+        assert abs(base - (2.0 / 3.0) * 1e3) < 1e-9
+
+    def test_profile_is_steady(self):
+        # u u_x = nu u_xx by second-order differences; a width of nu/U
+        # leaves a residual as large as u u_x itself
+        prof = ShockProfile(U=0.7, nu=1e-2)
+        x = np.linspace(-0.5, 0.5, 200_001)
+        u = prof(x)
+        ux = np.gradient(u, x)
+        residual = np.abs(u * ux - prof.nu * np.gradient(ux, x))
+        assert np.max(residual) < 1e-6 * np.max(np.abs(u * ux))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="U > 0"):

@@ -190,7 +190,8 @@ def recompute_gradient(u0: Field1D, T: float, nu: float) -> np.ndarray:
 
     States are re-marched with ``step_spectral`` along the forward march's
     steps; each backward step recomputes the four RK4 stage states and
-    transposes the nonlinearity with five transforms.
+    transposes the conservative nonlinearity -(1/2) (u^2)_x with three
+    transforms.
     """
     n, dx = u0.grid.n_points, u0.grid.dx
     ops = spectral_ops(n)
@@ -201,14 +202,12 @@ def recompute_gradient(u0: Field1D, T: float, nu: float) -> np.ndarray:
         states.append(step_spectral(states[-1], dt, nu, n))
 
     def nonlinear(a_hat):
-        prod = np.fft.irfft(a_hat, n) * np.fft.irfft(ops.ik * a_hat, n)
-        return -np.fft.rfft(prod) * ops.dealias
+        a = np.fft.irfft(a_hat, n)
+        return -0.5 * ops.ik * np.fft.rfft(a * a) * ops.dealias
 
     def nonlinear_adjoint(a_hat, v_hat):
-        da = np.fft.irfft(ops.ik * a_hat, n)
         a = np.fft.irfft(a_hat, n)
-        mv = np.fft.irfft(ops.dealias * v_hat, n)
-        return -np.fft.rfft(da * mv) + ops.ik * np.fft.rfft(a * mv)
+        return np.fft.rfft(a * np.fft.irfft(ops.ik * ops.dealias * v_hat, n))
 
     lam = 2.0 * ops.k2 * states[-1]
     for uh, dt in zip(reversed(states[:-1]), reversed(dts)):
@@ -291,8 +290,8 @@ class TestStageTape:
         fft_calls[0] = 0
         finite_time_gradient(u0, T, nu, last=last)
         assert marches == []
-        # 3 per RK4 stage, and the final inverse transform
-        assert fft_calls[0] <= 12 * steps + 1
+        # 2 per RK4 stage, and the final inverse transform
+        assert fft_calls[0] <= 8 * steps + 1
 
     def test_gradient_at_another_point_marches_itself(self, monkeypatch):
         u0, T, nu = self.prototype_cases()[0]
@@ -341,17 +340,22 @@ class TestStageTape:
         assert len(marches) == len(objectives)
 
     def test_fallback_live_bytes_within_budget(self, monkeypatch):
-        # 117 steps at N = 256; one step's tape is about 7.9 spectra
+        # 117 steps at N = 256; one step's tape is about 4.0 spectra
         grid = GridSpec1D(256)
         u0, T, nu = default_seeds(grid, 1024.0)[0], 0.125, 1.0
         want = finite_time_gradient(u0, T, nu).values
         spectrum_bytes = (256 // 2 + 1) * 16
-        floor = spectrum_bytes + 64 * 256  # a checkpoint and one step's tape
+        floor = spectrum_bytes + 32 * 256  # a checkpoint and one step's tape
         marches: list = []
         tapes: list = []
+        plans: list = []
+        plan = extremizers._checkpoint_plan
+        monkeypatch.setattr(
+            extremizers, "_checkpoint_plan", lambda *args: plans.append(args) or plan(*args)
+        )
         spy(monkeypatch, "_march_forward", marches)
         spy(monkeypatch, "_retape", tapes)
-        for spectra in (4, 8, 24, 60, 200, 800):
+        for spectra in (4, 8, 24, 60, 200, 400):
             budget = spectra * spectrum_bytes
             marches.clear()
             tapes.clear()
@@ -362,6 +366,8 @@ class TestStageTape:
             checkpoints = sum(uh.nbytes for m in marches for uh in m[2].values())
             live = checkpoints + max(tape_bytes(t) for t in tapes)
             assert live <= max(budget, floor), spectra
+        # every plan is made for the size of one step of the tape itself
+        assert {args[3] for args in plans} == {tapes[0][0][1].nbytes}
 
     def test_checkpoint_plan_fits_its_budget(self):
         spectrum_bytes, step_bytes = 2064, 16384
