@@ -248,6 +248,12 @@ def _assertion(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
+def _require(cfg: dict, name: str, ok: bool, rule: str) -> None:
+    """Reject the value of flag ``name`` as a usage error unless ``ok``."""
+    if not ok:
+        raise ValueError(f"--{name.replace('_', '-')} {rule}, got {cfg[name]!r}")
+
+
 # ----------------------------------------------------------------------
 # data constructors shared by subcommands
 # ----------------------------------------------------------------------
@@ -312,6 +318,7 @@ def _cmd_simulate(cfg: dict, out: _RunDir, seed: int):
 
 
 def _cmd_oracle_check(cfg: dict, out: _RunDir, seed: int):
+    _require(cfg, "t", cfg["t"] > 0, "must be positive")
     grid = GridSpec1D(cfg["n_points"])
     u0 = Field1D(grid, cfg["amp"] * np.sin(2 * np.pi * grid.x))
     sim_cfg = SolverConfig(nu=cfg["nu"], t_end=cfg["t"])
@@ -359,6 +366,7 @@ def _heat_family(grid: GridSpec1D, seed: int):
 
 
 def _cmd_heat_estimates(cfg: dict, out: _RunDir, seed: int):
+    _require(cfg, "t_count", cfg["t_count"] >= 1, "must be at least 1")
     grid = GridSpec1D(cfg["n_points"])
     family = _heat_family(grid, seed)
     ts = np.logspace(-6.0, 0.0, cfg["t_count"])
@@ -426,10 +434,11 @@ def _cmd_sweep_nu(cfg: dict, out: _RunDir, seed: int):
 
 def run_sweep_e0(cfg: dict, seed: int) -> list[tuple[float, float, float]]:
     """Finite-time sweep rows (e0, best max E(T), best T), one per level."""
-    if cfg["seeds"] < 1:
-        raise ValueError(f"--seeds must be at least 1, got {cfg['seeds']}")
-    e0s = np.logspace(np.log10(cfg["e0_min"]), np.log10(cfg["e0_max"]), cfg["count"])
+    _require(cfg, "seeds", cfg["seeds"] >= 1, "must be at least 1")
+    _require(cfg, "count", cfg["count"] >= 1, "must be at least 1")
     prefactors = [float(tok) for tok in str(cfg["prefactors"]).split(",") if tok]
+    _require(cfg, "prefactors", min(prefactors, default=0) > 0, "must be positive")
+    e0s = np.logspace(np.log10(cfg["e0_min"]), np.log10(cfg["e0_max"]), cfg["count"])
     grid = GridSpec1D(cfg["n_points"])
     rows = []
     for e0 in map(float, e0s):
@@ -510,6 +519,8 @@ def _cmd_maximize_instant(cfg: dict, out: _RunDir, seed: int):
 
 
 def _cmd_maximize_finite(cfg: dict, out: _RunDir, seed: int):
+    _require(cfg, "horizon", cfg["horizon"] > 0, "must be positive")
+    _require(cfg, "seed_index", cfg["seed_index"] >= 0, "must be at least 0")
     grid = GridSpec1D(cfg["n_points"])
     opt_cfg = OptimConfig(
         e0=cfg["e0"],
@@ -519,8 +530,6 @@ def _cmd_maximize_finite(cfg: dict, out: _RunDir, seed: int):
         grad_tol=cfg["grad_tol"],
     )
     index = cfg["seed_index"]
-    if index < 0:
-        raise ValueError(f"--seed-index must be at least 0, got {index}")
     start = default_seeds(grid, cfg["e0"], count=index + 1, rng_seed=seed)[index]
     optimum, objective, record = finite_time_maximize(opt_cfg, grid, start)
     first = float(np.asarray(record.objective)[0])
@@ -580,6 +589,7 @@ def _cmd_dissipation(cfg: dict, out: _RunDir, seed: int):
 def _cmd_conslaw_nd(cfg: dict, out: _RunDir, seed: int):
     # the manifest records the flux that ran
     cfg["flux"] = cfg["flux"] or f"burgers{cfg['dim']}d"
+    _require(cfg, "stride", cfg["stride"] >= 1, "must be at least 1")
     grid = GridSpecND(cfg["dim"], cfg["n_points"])
     u0 = nd_initial_datum(cfg["init"], grid)
     flux = get_flux(cfg["flux"])

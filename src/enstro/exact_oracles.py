@@ -54,9 +54,8 @@ def hopf_cole_solution(u0: Field1D, nu: float, t: float) -> Field1D:
 
     ops = spectral_ops(n)
     uh = np.fft.rfft(u0.values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ph = np.where(ops.k2 > 0, uh / np.where(ops.k2 > 0, ops.ik, 1.0), 0.0)
-    ph[-1] = 0.0
+    ph = np.zeros_like(uh)  # the antiderivative, without mean or Nyquist mode
+    ph[1:-1] = uh[1:-1] / ops.ik[1:-1]
     phi = np.fft.irfft(ph, n)
 
     theta0 = np.exp(-(phi - phi.min()) / (2.0 * nu))

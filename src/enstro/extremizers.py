@@ -15,10 +15,11 @@ E(u) = int (u_x)^2:
   and rebuilds the tape block by block by re-marching from them.
 
 Ascent is Riemannian: the L2 gradient is preconditioned by the inverse
-Laplacian (H1-seminorm metric), projected onto the tangent
-space of the constraint sphere, and iterates are retracted back by
-amplitude rescaling.  Armijo backtracking keeps the objective monotone
-across accepted steps.
+Laplacian (H1-seminorm metric), in which the constraint sphere's normal
+at u is u itself; it is projected along u onto the sphere's tangent
+space, so the slope along the step is its squared H1 seminorm, and
+iterates are retracted back by amplitude rescaling.  Armijo backtracking
+keeps the objective monotone across accepted steps.
 """
 
 from __future__ import annotations
@@ -146,39 +147,24 @@ def _retract(vals: np.ndarray, e0: float, n: int, dx: float) -> np.ndarray:
     return vals * np.sqrt(e0 / e)
 
 
-def _precondition(g_vals: np.ndarray, n: int) -> np.ndarray:
-    """(-d_xx)^-1 of the mean-free part: the gradient in the H1-seminorm metric."""
-    ops = spectral_ops(n)
-    gh = np.fft.rfft(g_vals)
-    gh = np.where(ops.k2 > 0, gh / np.where(ops.k2 > 0, ops.k2, 1.0), 0.0)
-    return np.fft.irfft(gh, n)
-
-
 def _tangent_direction(
     u_vals: np.ndarray, g_vals: np.ndarray, n: int, dx: float
 ) -> tuple[np.ndarray, float, float]:
     """Preconditioned gradient projected tangent to {E = const}.
 
-    Returns (direction, slope, metric_norm) where slope = <g_L2, d>_L2 is
-    the directional derivative along d (nonnegative by construction) and
-    metric_norm is the H1 seminorm of d.
+    With P = (-d_xx)^-1 on the mean-free part, P g is the gradient in the
+    H1-seminorm metric, where the sphere's normal at u is u itself and
+    <P g, u>_H1 = <g, u>_L2.  So d = P g - (<g, u>_L2 / E(u)) u.  Returns
+    (direction, slope, metric_norm) where slope = <g, d>_L2 = ||d||_H1^2 >= 0
+    is the directional derivative along d and metric_norm = ||d||_H1.
     """
-    ops = spectral_ops(n)
-    uh = np.fft.rfft(u_vals)
-    c_vals = np.fft.irfft(-ops.k2 * uh, n) * (-2.0)  # dE/du
-    pg = _precondition(g_vals, n)
-    pc = _precondition(c_vals, n)
-    denom = float(np.sum(pc * c_vals) * dx)
-    if abs(denom) < 1e-300:
-        d = pg
-    else:
-        coef = float(np.sum(pg * c_vals) * dx) / denom
-        d = pg - coef * pc
+    gh = np.fft.rfft(g_vals)
+    gh[0] = 0.0
+    gh[1:] /= spectral_ops(n).k2[1:]
+    coef = float(np.sum(g_vals * u_vals) * dx) / _enstrophy_vals(u_vals, n, dx)
+    d = np.fft.irfft(gh, n) - coef * u_vals
     slope = float(np.sum(g_vals * d) * dx)
-    dh = np.fft.rfft(d)
-    dd = np.fft.irfft(ops.ik * dh, n)
-    metric_norm = float(np.sqrt(np.sum(dd**2) * dx))
-    return d, slope, metric_norm
+    return d, slope, float(np.sqrt(_enstrophy_vals(d, n, dx)))
 
 
 def _ascend(

@@ -13,6 +13,7 @@ from enstro.burgers_solver import SolverConfig
 from enstro.bounds_lab import (
     SWEEP_COLUMNS,
     SweepAbortedError,
+    auto_grid,
     build_lower_bound_datum,
     characteristics_report,
     datum_family,
@@ -272,6 +273,14 @@ class TestDissipationWindow:
             _, reference = dissipation_window(zero, capital_u, nu, 0.1)
             ideal = nu * shock_enstrophy(capital_u, nu)
             assert ideal == pytest.approx(reference, rel=1e-15)
+
+    def test_captures_the_shock_dissipation_at_small_nu(self):
+        """Criterion 4's law where the window is wider than the shock layer:
+        at nu = 1e-4 (auto N = 8192) the ratio is 0.9973."""
+        grid = auto_grid("lower-bound", 1e-4)
+        u0, capital_u = datum_family("lower-bound", grid)
+        measured, reference = dissipation_window(u0, capital_u, 1e-4, 0.02)
+        assert abs(measured / reference - 1.0) <= 0.01
 
     def test_capture_grows_as_nu_shrinks(self, datum):
         """The origin window collects more dissipation at smaller nu."""

@@ -42,6 +42,18 @@ def _manifest(root: Path, command: str) -> dict:
     )
 
 
+# command line -> the usage error it must exit 2 with
+OUT_OF_RANGE = {
+    "sweep-e0 --count 0": "--count must be at least 1, got 0",
+    "heat-estimates --t-count 0": "--t-count must be at least 1, got 0",
+    "sweep-e0 --prefactors ,": "--prefactors must be positive, got ','",
+    "sweep-e0 --prefactors 0": "--prefactors must be positive, got '0'",
+    "maximize-finite --horizon 0": "--horizon must be positive, got 0.0",
+    "oracle-check --t 0": "--t must be positive, got 0.0",
+    "conslaw-nd --stride 0": "--stride must be at least 1, got 0",
+}
+
+
 class TestExitCodes:
     """0 on success, 1 on assertion failure, 2 on usage errors."""
 
@@ -95,6 +107,14 @@ class TestExitCodes:
         assert manifest["outputs"] == []
         run_dir = _single_run_dir(runs_root, "lower-bound")
         assert [p.name for p in run_dir.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("line", list(OUT_OF_RANGE))
+    def test_out_of_range_flag_exits_two(self, runs_root, capsys, line):
+        argv = line.split()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {OUT_OF_RANGE[line]}\n"
+        manifest = _manifest(runs_root, argv[0])
+        assert manifest["outputs"] == [] and manifest["passed"] is False
 
 
 def test_cli_import_leaves_scipy_out():

@@ -128,6 +128,53 @@ class TestInstantaneousMaximize:
         assert record.converged is False
 
 
+def round_trip_direction(u, g, n, dx):
+    """The projection written out through the constraint gradient -2 u_xx,
+    both gradients preconditioned by (-d_xx)^-1."""
+    k2 = spectral_ops(n).k2
+
+    def precondition(v):
+        vh = np.fft.rfft(v)
+        return np.fft.irfft(np.where(k2 > 0, vh / np.where(k2 > 0, k2, 1.0), 0.0), n)
+
+    c = -2.0 * np.fft.irfft(-k2 * np.fft.rfft(u), n)
+    pg, pc = precondition(g), precondition(c)
+    return pg - (np.sum(pg * c) * dx / (np.sum(pc * c) * dx)) * pc
+
+
+class TestTangentDirection:
+    """The ascent step: the H1 gradient projected along the sphere's normal u."""
+
+    @staticmethod
+    def case(seed):
+        """Band-limited u on {E = 1} and a gradient g with a nonzero mean."""
+        grid = GridSpec1D(256)
+        rng = np.random.default_rng(seed)
+        u = extremizers._retract(band_limited(grid, rng), 1.0, 256, grid.dx)
+        return grid, u, band_limited(grid, rng, kmax=20) + 0.3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tangent_and_slope_is_squared_norm(self, seed):
+        grid, u, g = self.case(seed)
+        d, slope, metric_norm = extremizers._tangent_direction(u, g, 256, grid.dx)
+        assert abs(d.mean()) <= 1e-15 * np.abs(d).max()
+        d_x = derivative(Field1D(grid, d)).values
+        u_x = derivative(Field1D(grid, u)).values
+        u_norm = np.sqrt(enstrophy(Field1D(grid, u)))
+        assert abs(np.sum(d_x * u_x) * grid.dx) <= 1e-13 * metric_norm * u_norm
+        assert metric_norm == pytest.approx(np.sqrt(np.sum(d_x**2) * grid.dx), rel=1e-14)
+        assert abs(slope / metric_norm**2 - 1.0) <= 1e-12
+        want = round_trip_direction(u, g, 256, grid.dx)
+        assert np.abs(d - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_six_transforms(self, fft_calls):
+        grid, u, g = self.case(0)
+        fft_calls[0] = 0
+        extremizers._tangent_direction(u, g, 256, grid.dx)
+        # P g: 2; E(u): 2; the H1 norm of d: 2
+        assert fft_calls[0] == 6
+
+
 class TestFiniteTimeGradient:
     """Discrete-adjoint gradient of u0 -> E(u(T))."""
 
