@@ -304,6 +304,7 @@ def _monotone_assertions(diag) -> list[dict]:
 
 
 def _cmd_simulate(cfg: dict, out: _RunDir, seed: int):
+    _require(cfg, "t_end", cfg["t_end"] > 0, "must be positive")
     grid = GridSpec1D(cfg["n_points"])
     u0 = _initial_field(cfg["init"], cfg["amp"], grid)
     sim_cfg = SolverConfig(nu=cfg["nu"], t_end=cfg["t_end"], cfl=cfg["cfl"])
@@ -436,7 +437,10 @@ def run_sweep_e0(cfg: dict, seed: int) -> list[tuple[float, float, float]]:
     """Finite-time sweep rows (e0, best max E(T), best T), one per level."""
     _require(cfg, "seeds", cfg["seeds"] >= 1, "must be at least 1")
     _require(cfg, "count", cfg["count"] >= 1, "must be at least 1")
-    prefactors = [float(tok) for tok in str(cfg["prefactors"]).split(",") if tok]
+    try:
+        prefactors = [float(tok) for tok in str(cfg["prefactors"]).split(",") if tok]
+    except ValueError:
+        prefactors = []  # rejected just below, naming the flag
     _require(cfg, "prefactors", min(prefactors, default=0) > 0, "must be positive")
     e0s = np.logspace(np.log10(cfg["e0_min"]), np.log10(cfg["e0_max"]), cfg["count"])
     grid = GridSpec1D(cfg["n_points"])
@@ -498,14 +502,22 @@ def _write_ascent(out: _RunDir, e0: float, optimum, key: str, value, record) -> 
     )
 
 
-def _cmd_maximize_instant(cfg: dict, out: _RunDir, seed: int):
-    grid = GridSpec1D(cfg["n_points"])
-    opt_cfg = OptimConfig(
+def _optim_config(cfg: dict, horizon: float | None = None) -> OptimConfig:
+    """The ascent settings of a maximize command, range-checked by flag."""
+    _require(cfg, "e0", cfg["e0"] > 0, "must be positive")
+    _require(cfg, "max_iters", cfg["max_iters"] >= 1, "must be at least 1")
+    return OptimConfig(
         e0=cfg["e0"],
         nu=cfg["nu"],
+        T=horizon,
         max_iters=cfg["max_iters"],
         grad_tol=cfg["grad_tol"],
     )
+
+
+def _cmd_maximize_instant(cfg: dict, out: _RunDir, seed: int):
+    grid = GridSpec1D(cfg["n_points"])
+    opt_cfg = _optim_config(cfg)
     optimum, rate, record = instantaneous_maximize(opt_cfg, grid, rng_seed=seed)
     objective_vals = np.asarray(record.objective)
     return [
@@ -522,13 +534,7 @@ def _cmd_maximize_finite(cfg: dict, out: _RunDir, seed: int):
     _require(cfg, "horizon", cfg["horizon"] > 0, "must be positive")
     _require(cfg, "seed_index", cfg["seed_index"] >= 0, "must be at least 0")
     grid = GridSpec1D(cfg["n_points"])
-    opt_cfg = OptimConfig(
-        e0=cfg["e0"],
-        nu=cfg["nu"],
-        T=cfg["horizon"],
-        max_iters=cfg["max_iters"],
-        grad_tol=cfg["grad_tol"],
-    )
+    opt_cfg = _optim_config(cfg, cfg["horizon"])
     index = cfg["seed_index"]
     start = default_seeds(grid, cfg["e0"], count=index + 1, rng_seed=seed)[index]
     optimum, objective, record = finite_time_maximize(opt_cfg, grid, start)

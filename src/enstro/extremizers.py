@@ -7,10 +7,10 @@ E(u) = int (u_x)^2:
   R(u) = -nu int (u_xx)^2 - (1/2) int (u_x)^3;
 * the finite-time problem maximizes E(u(T)) along the viscous Burgers
   flow, with gradients from the exact discrete adjoint of the
-  integrating-factor RK4 march.  The forward march records a stage tape,
-  the samples u of every RK4 stage, and the adjoint reads them
-  back; the ascent's gradient reuses the tape of the objective's march at
-  the same point, so each iterate marches forward once.  Above
+  integrating-factor RK4 march.  The forward march keeps the stage tape
+  each RK4 step returns, the samples u of its four stages, and the adjoint
+  reads it back; the ascent's gradient reuses the tape of the objective's
+  march at the same point, so each iterate marches forward once.  Above
   ``ADJOINT_STORAGE_BUDGET_BYTES`` the gradient keeps checkpoints instead
   and rebuilds the tape block by block by re-marching from them.
 
@@ -70,7 +70,12 @@ class OptimConfig:
 
 @dataclass(frozen=True, eq=False)
 class OptimRecord:
-    """Per-accepted-iteration ascent history plus a convergence flag."""
+    """Per-accepted-iteration ascent history plus a convergence flag.
+
+    ``converged`` is True when the ascent stopped before ``max_iters``: the
+    relative gradient norm fell to ``grad_tol``, or no Armijo step survived
+    backtracking to round-off, which makes the point stationary.
+    """
 
     objective: np.ndarray
     step: np.ndarray
@@ -181,29 +186,28 @@ def _ascend(
     rows = [(j, 0.0, abs(_enstrophy_vals(u, n, dx) - cfg.e0) / cfg.e0, np.nan)]
     eta = _STEP0
     norm0 = None
-    converged = False
+    converged = True
     for _ in range(cfg.max_iters):
         g = gradient(u)
         d, slope, gnorm = _tangent_direction(u, g, n, dx)
         if norm0 is None:
             norm0 = max(gnorm, 1e-300)
         if gnorm <= cfg.grad_tol * norm0:
-            converged = True
             break
-        accepted = False
         while eta * gnorm > 1e-16 * max(1.0, np.sqrt(cfg.e0)):
             trial = _retract(u + eta * d, cfg.e0, n, dx)
             j_trial = objective(trial)
             if j_trial >= j + _ARMIJO_DECREASE * eta * slope:
-                accepted = True
                 break
             eta *= _ARMIJO_FACTOR
-        if not accepted:
+        else:
             break  # no ascent direction survives backtracking: stationary
         u, j = trial, j_trial
         resid = abs(_enstrophy_vals(u, n, dx) - cfg.e0) / cfg.e0
         rows.append((j, eta, resid, gnorm))
         eta = min(eta / _ARMIJO_FACTOR, 64.0 * _STEP0)
+    else:
+        converged = False
     cols = np.asarray(rows, dtype=float)
     record = OptimRecord(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3], converged)
     return u, j, record
@@ -269,9 +273,9 @@ def _march_forward(
 ) -> tuple[np.ndarray, list[float], dict[int, np.ndarray], list | None]:
     """March to time T; return ``(uh_T, dts, checkpoints, tape)``.
 
-    With ``tape_bytes > 0`` the march records a stage tape, one
-    ``(dt, stages)`` entry per step, while it fits in ``tape_bytes``; a
-    tape that outgrows them is dropped and returned as None.  With
+    With ``tape_bytes > 0`` it keeps the stage tape, one ``(dt, stages)``
+    entry per step, while it fits in ``tape_bytes``; a tape that outgrows
+    them is dropped and returned as None.  With
     ``stride > 0`` it keeps the spectra at steps 0, stride, 2*stride, ...
     before the last step instead.
     """
@@ -280,8 +284,7 @@ def _march_forward(
     checkpoints: dict[int, np.ndarray] = {0: uh} if stride else {}
     tape: list | None = [] if tape_bytes > 0 else None
     cfg = SolverConfig(nu=nu, t_end=T)
-    steps = march(uh, n, dx, cfg, record=tape is not None)
-    for i, (_, dt, uh, _, stages) in enumerate(steps, start=1):
+    for i, (_, dt, uh, _, stages) in enumerate(march(uh, n, dx, cfg), start=1):
         dts.append(dt)
         if stride and i % stride == 0:
             checkpoints[i] = uh
@@ -330,9 +333,8 @@ def _retape(uh: np.ndarray, dts: list[float], skip: int, nu: float, n: int) -> l
     ``skip`` steps."""
     tape = []
     for j, dt in enumerate(dts):
-        stages = np.empty((4, n)) if j >= skip else None
-        uh = step_spectral(uh, dt, nu, n, stages=stages)
-        if stages is not None:
+        uh, stages = step_spectral(uh, dt, nu, n)
+        if j >= skip:
             tape.append((dt, stages))
     return tape
 
@@ -340,8 +342,7 @@ def _retape(uh: np.ndarray, dts: list[float], skip: int, nu: float, n: int) -> l
 def _nonlinear_adjoint(a: np.ndarray, v_hat: np.ndarray, n: int) -> np.ndarray:
     """Transpose of the linearized dealiased advection -(a v)_x about the
     state with samples ``a``."""
-    ops = spectral_ops(n)
-    return np.fft.rfft(a * np.fft.irfft(ops.ik * ops.dealias * v_hat, n))
+    return np.fft.rfft(a * np.fft.irfft(-2.0 * spectral_ops(n).advect * v_hat, n))
 
 
 def _adjoint_step(

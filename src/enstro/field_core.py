@@ -88,13 +88,16 @@ class SpectralOps:
 
     ``ik`` = 2*pi*i*k drops the unpaired Nyquist mode, which keeps
     derivatives real and skew-adjoint; ``k2``, ``k4`` = (2*pi*k)**2, **4.
-    ``dealias`` is the 2/3-rule mask of a quadratic product.
+    ``dealias`` is the 2/3-rule mask of a quadratic product, and
+    ``advect`` = -0.5 * ik * dealias maps the spectrum of u**2 to the
+    dealiased spectrum of -(1/2) (u**2)_x.
     """
 
     ik: np.ndarray
     k2: np.ndarray
     k4: np.ndarray
     dealias: np.ndarray
+    advect: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -103,11 +106,13 @@ def spectral_ops(n: int) -> SpectralOps:
     k = np.fft.rfftfreq(n, d=1.0 / n)
     ik = 2j * np.pi * k
     ik[-1] = 0.0
+    dealias = (k <= n // 3).astype(float)
     ops = SpectralOps(
         ik=ik,
         k2=(2.0 * np.pi * k) ** 2,
         k4=(2.0 * np.pi * k) ** 4,
-        dealias=(k <= n // 3).astype(float),
+        dealias=dealias,
+        advect=-0.5 * ik * dealias,
     )
     for arr in vars(ops).values():
         arr.setflags(write=False)

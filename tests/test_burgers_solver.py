@@ -17,6 +17,7 @@ from enstro.burgers_solver import (
     ResolutionError,
     SolverConfig,
     Trajectory,
+    _nonlinear,
     enstrophy_rate,
     march,
     simulate,
@@ -25,7 +26,14 @@ from enstro.burgers_solver import (
 )
 from enstro.exact_oracles import hopf_cole_solution
 from enstro.extremizers import _march_forward
-from enstro.field_core import Field1D, GridSpec1D, derivative, norms, write_csv
+from enstro.field_core import (
+    Field1D,
+    GridSpec1D,
+    derivative,
+    norms,
+    spectral_ops,
+    write_csv,
+)
 
 
 def sin_field(n: int = 256, mode: int = 1, amp: float = 1.0) -> Field1D:
@@ -61,7 +69,7 @@ class TestStep:
     """Single-step contract of the spectral kernel and its marching loop."""
 
     def test_zero_field_fixed_point(self):
-        out = step_spectral(np.zeros(33, dtype=complex), 1e-3, 0.1, 64)
+        out, _ = step_spectral(np.zeros(33, dtype=complex), 1e-3, 0.1, 64)
         assert np.max(np.abs(np.fft.irfft(out, 64))) == 0.0
 
     def test_first_order_taylor(self):
@@ -72,7 +80,7 @@ class TestStep:
         rhs = -(u0.values * derivative(u0, 1).values) + nu * derivative(u0, 2).values
 
         def defect(dt: float) -> float:
-            out = np.fft.irfft(step_spectral(np.fft.rfft(u0.values), dt, nu, 256), 256)
+            out = np.fft.irfft(step_spectral(np.fft.rfft(u0.values), dt, nu, 256)[0], 256)
             return float(np.max(np.abs(out - (u0.values + dt * rhs))))
 
         d1, d2 = defect(1e-4), defect(5e-5)
@@ -85,9 +93,60 @@ class TestStep:
         for k in range(1, 7):
             v += rng.normal() / k * np.sin(2 * np.pi * k * grid.x)
         v -= v.mean()
-        out = step_spectral(np.fft.rfft(v), 1e-3, 0.05, 128)
+        out, _ = step_spectral(np.fft.rfft(v), 1e-3, 0.05, 128)
         assert out[0] == 0.0
         assert abs(np.fft.irfft(out, 128).mean()) < 1e-15
+
+    @staticmethod
+    def stage_case(n=128):
+        rng = np.random.default_rng(5)
+        x = GridSpec1D(n).x
+        v = sum(rng.normal() / k * np.sin(2 * np.pi * k * x + k) for k in range(1, 9))
+        return np.fft.rfft(v - v.mean()), 2e-3, 0.03
+
+    def test_stages_are_the_rk4_stage_samples(self):
+        n = 128
+        uh, dt, nu = self.stage_case(n)
+        ops = spectral_ops(n)
+        e1 = np.exp(-0.5 * dt * nu * ops.k2)
+        e2 = e1 * e1
+
+        def stage(vh):
+            u = np.fft.irfft(vh, n)
+            return u, dt * (ops.advect * np.fft.rfft(u * u))
+
+        u1, k1 = stage(uh)
+        u2, k2 = stage(e1 * (uh + 0.5 * k1))
+        u3, k3 = stage(e1 * uh + 0.5 * k2)
+        u4, k4 = stage(e2 * uh + e1 * k3)
+        want = e2 * uh + (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4) / 6.0
+        want[0] = 0.0
+        out, stages = step_spectral(uh, dt, nu, n)
+        assert stages.shape == (4, n)
+        assert np.array_equal(stages, np.stack([u1, u2, u3, u4]))
+        assert np.array_equal(out, want)
+
+    def test_stages_same_with_or_without_vals(self):
+        n = 128
+        uh, dt, nu = self.stage_case(n)
+        out, stages = step_spectral(uh, dt, nu, n)
+        vals = np.fft.irfft(uh, n)
+        out_v, stages_v = step_spectral(uh, dt, nu, n, vals)
+        assert np.array_equal(out_v, out) and np.array_equal(stages_v, stages)
+        assert not np.shares_memory(stages_v, vals)
+
+    def test_transform_counts(self, fft_calls):
+        n = 128
+        uh, dt, nu = self.stage_case(n)
+        vals = np.fft.irfft(uh, n)
+        for call, count in (
+            (lambda: _nonlinear(vals, n), 1),
+            (lambda: step_spectral(uh, dt, nu, n, vals), 7),
+            (lambda: step_spectral(uh, dt, nu, n), 8),
+        ):
+            fft_calls[0] = 0
+            call()
+            assert fft_calls[0] == count
 
     def test_blow_up_detected(self):
         # a state whose nonlinear term overflows must make the marching
@@ -403,7 +462,7 @@ class TestSpectralCore:
             last = dt >= cfg.t_end - t
             if last:
                 dt = cfg.t_end - t
-            uh = step_spectral(uh, dt, cfg.nu, n)
+            uh, _ = step_spectral(uh, dt, cfg.nu, n)
             t = cfg.t_end if last else t + dt
             times.append(t)
         assert np.array_equal(diag.t, times)

@@ -51,6 +51,11 @@ OUT_OF_RANGE = {
     "maximize-finite --horizon 0": "--horizon must be positive, got 0.0",
     "oracle-check --t 0": "--t must be positive, got 0.0",
     "conslaw-nd --stride 0": "--stride must be at least 1, got 0",
+    "simulate --t-end 0": "--t-end must be positive, got 0.0",
+    "maximize-finite --max-iters 0": "--max-iters must be at least 1, got 0",
+    "maximize-finite --e0 0": "--e0 must be positive, got 0.0",
+    "maximize-instant --e0 0": "--e0 must be positive, got 0.0",
+    "sweep-e0 --prefactors abc": "--prefactors must be positive, got 'abc'",
 }
 
 

@@ -12,6 +12,7 @@ from enstro.field_core import (
     heat_propagate,
     norms,
     read_field,
+    spectral_ops,
     write_csv,
     write_field,
 )
@@ -68,6 +69,16 @@ class TestTransform:
             lhs = norms(f).l2 ** 2
             rhs = float(np.sum(np.abs(coeffs) ** 2))
             assert abs(lhs - rhs) < 1e-12 * max(lhs, 1.0)
+
+
+class TestSpectralOps:
+    def test_advect_is_the_dealiased_half_derivative(self):
+        for n in (8, 256, 1024):
+            ops = spectral_ops(n)
+            assert np.array_equal(ops.advect, -0.5 * ops.ik * ops.dealias)
+            for arr in (ops.ik, ops.k2, ops.k4, ops.dealias, ops.advect):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1.0
 
 
 class TestDerivative:
