@@ -233,15 +233,13 @@ def dissipation_window(
         raise ValueError(f"U must be positive, got {U}")
     if not 0.0 < eps < 1.0 / (12.0 * U):
         raise ValueError(f"eps must lie in (0, 1/(12 U)), got {eps}")
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
     t_lo = 1.0 / (6.0 * U) + eps
     t_hi = 1.0 / (3.0 * U) - eps
+    cfg = SolverConfig(nu=nu, t_end=t_hi)  # checks nu
     grid = u0.grid
     linf0 = float(np.abs(u0.values).max())
     if linf0 == 0.0:
         return 0.0, (2.0 / 3.0) * U**3
-    cfg = SolverConfig(nu=nu, t_end=t_hi)
     validate_initial(u0, cfg)
     est_steps = t_hi / (cfg.cfl * grid.dx / linf0)
     stride = max(1, int(est_steps // 600))

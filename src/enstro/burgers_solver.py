@@ -56,6 +56,8 @@ def required_points(nu: float, linf: float, floor: int = 512) -> int:
     """Smallest power-of-two grid, at least ``floor``, that puts
     ``_MIN_RESOLUTION_PER_SHOCK`` points across the viscous shock width
     nu / linf."""
+    if not nu > 0:
+        raise ValueError(f"nu must be positive, got {nu}")
     return max(
         floor, 2 ** math.ceil(math.log2(_MIN_RESOLUTION_PER_SHOCK * linf / nu))
     )
@@ -71,13 +73,13 @@ class SolverConfig:
     sample_stride: int = 1  # diagnostics thinning of the finite-volume solver
 
     def __post_init__(self) -> None:
-        if self.nu <= 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0.0 < self.nu < math.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.sample_stride < 1:
+        if not self.sample_stride >= 1:
             raise ValueError("sample_stride must be a positive integer")
 
 

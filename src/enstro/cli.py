@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -53,91 +54,93 @@ class ConfigFileError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# option schemas: name -> (type, default, help)
+# option schemas: name -> (type, default, help, least).  Before the run an
+# int must be at least ``least``, a float finite and, where least is 0,
+# positive; the library checks the bounds it owns (power-of-two grids, ...)
 # ----------------------------------------------------------------------
 
 _INIT_CHOICES = ("sine", "sine2", "mix", "lower-bound", "smoothed-step")
 
-SCHEMAS: dict[str, dict[str, tuple[type, object, str]]] = {
+SCHEMAS: dict[str, dict[str, tuple[type, object, str, int | None]]] = {
     "simulate": {
-        "nu": (float, 0.05, "viscosity"),
-        "init": (str, "sine", f"initial datum, one of {_INIT_CHOICES}"),
-        "amp": (float, 0.9, "amplitude scale for the datum"),
-        "n_points": (int, 512, "grid points (power of two)"),
-        "t_end": (float, 0.5, "final time"),
-        "cfl": (float, 0.4, "CFL number"),
+        "nu": (float, 0.05, "viscosity", 0),
+        "init": (str, "sine", f"initial datum, one of {_INIT_CHOICES}", None),
+        "amp": (float, 0.9, "amplitude scale for the datum", None),
+        "n_points": (int, 512, "grid points (power of two)", 8),
+        "t_end": (float, 0.5, "final time", 0),
+        "cfl": (float, 0.4, "CFL number", 0),
     },
     "oracle-check": {
-        "nu": (float, 0.05, "viscosity"),
-        "t": (float, 0.5, "comparison time"),
-        "n_points": (int, 1024, "grid points"),
-        "amp": (float, 1.0, "sine amplitude"),
-        "tol": (float, 1e-6, "relative L2 error tolerance"),
+        "nu": (float, 0.05, "viscosity", 0),
+        "t": (float, 0.5, "comparison time", 0),
+        "n_points": (int, 1024, "grid points", 8),
+        "amp": (float, 1.0, "sine amplitude", None),
+        "tol": (float, 1e-6, "relative L2 error tolerance", 0),
     },
     "heat-estimates": {
-        "n_points": (int, 4096, "grid points for the test family"),
-        "nu": (float, 1.0, "diffusivity"),
-        "t_count": (int, 25, "log-spaced times in [1e-6, 1]"),
-        "bound": (float, 0.75, "single constant both ratios must stay under"),
+        "n_points": (int, 4096, "grid points for the test family", 8),
+        "nu": (float, 1.0, "diffusivity", 0),
+        "t_count": (int, 25, "log-spaced times in [1e-6, 1]", 1),
+        "bound": (float, 0.75, "single constant both ratios must stay under", 0),
     },
     "sweep-nu": {
-        "family": (str, "lower-bound", "datum family: lower-bound or sine"),
-        "nu_min": (float, 1e-3, "smallest viscosity"),
-        "nu_max": (float, 10 ** -1.5, "largest viscosity"),
-        "count": (int, 6, "number of log-spaced viscosities"),
-        "t_end": (float, 2.0, "horizon for each run"),
-        "n_points": (int, 0, "grid points; 0 = auto from the finest nu"),
+        "family": (str, "lower-bound", "datum family: lower-bound or sine", None),
+        "nu_min": (float, 1e-3, "smallest viscosity", 0),
+        "nu_max": (float, 10 ** -1.5, "largest viscosity", 0),
+        "count": (int, 6, "number of log-spaced viscosities", 4),
+        "t_end": (float, 2.0, "horizon for each run", 0),
+        "n_points": (int, 0, "grid points; 0 = auto from the finest nu", 0),
     },
     "sweep-e0": {
-        "nu": (float, 1.0, "viscosity"),
-        "e0_min": (float, 16.0, "smallest initial enstrophy"),
-        "e0_max": (float, 1024.0, "largest initial enstrophy"),
-        "count": (int, 7, "number of log-spaced enstrophy levels"),
-        "prefactors": (str, "0.5,1,2", "comma list: T = p / sqrt(E0)"),
-        "n_points": (int, 256, "grid points"),
-        "max_iters": (int, 80, "ascent iterations per start"),
-        "seeds": (int, 2, "multi-start seeds per (E0, prefactor)"),
+        "nu": (float, 1.0, "viscosity", 0),
+        "e0_min": (float, 16.0, "smallest initial enstrophy", 0),
+        "e0_max": (float, 1024.0, "largest initial enstrophy", 0),
+        "count": (int, 7, "number of log-spaced enstrophy levels", 1),
+        "prefactors": (str, "0.5,1,2", "comma list: T = p / sqrt(E0)", None),
+        "n_points": (int, 256, "grid points", 8),
+        "max_iters": (int, 80, "ascent iterations per start", 1),
+        "seeds": (int, 2, "multi-start seeds per (E0, prefactor)", 1),
     },
     "maximize-instant": {
-        "e0": (float, 1.0, "enstrophy level of the sphere"),
-        "nu": (float, 0.1, "viscosity"),
-        "n_points": (int, 512, "grid points"),
-        "max_iters": (int, 500, "ascent iterations"),
-        "grad_tol": (float, 1e-7, "relative gradient-norm stop"),
+        "e0": (float, 1.0, "enstrophy level of the sphere", 0),
+        "nu": (float, 0.1, "viscosity", 0),
+        "n_points": (int, 512, "grid points", 8),
+        "max_iters": (int, 500, "ascent iterations", 1),
+        "grad_tol": (float, 1e-7, "relative gradient-norm stop", 0),
     },
     "maximize-finite": {
-        "e0": (float, 1.0, "enstrophy level of the sphere"),
-        "nu": (float, 0.05, "viscosity"),
-        "horizon": (float, 0.15, "objective time T"),
-        "n_points": (int, 256, "grid points"),
-        "max_iters": (int, 60, "ascent iterations"),
-        "grad_tol": (float, 1e-6, "relative gradient-norm stop"),
-        "seed_index": (int, 0, "which deterministic seed to start from"),
+        "e0": (float, 1.0, "enstrophy level of the sphere", 0),
+        "nu": (float, 0.05, "viscosity", 0),
+        "horizon": (float, 0.15, "objective time T", 0),
+        "n_points": (int, 256, "grid points", 8),
+        "max_iters": (int, 60, "ascent iterations", 1),
+        "grad_tol": (float, 1e-6, "relative gradient-norm stop", 0),
+        "seed_index": (int, 0, "which deterministic seed to start from", 0),
     },
     "lower-bound": {
-        "n_points": (int, 1024, "grid points"),
+        "n_points": (int, 1024, "grid points", 8),
     },
     "dissipation": {
-        "nu": (float, 1e-3, "viscosity"),
-        "eps": (float, 0.02, "window margin"),
-        "n_points": (int, 0, "grid points; 0 = auto"),
+        "nu": (float, 1e-3, "viscosity", 0),
+        "eps": (float, 0.02, "window margin", 0),
+        "n_points": (int, 0, "grid points; 0 = auto", 0),
     },
     "conslaw-nd": {
-        "dim": (int, 2, "space dimension, 1 or 2"),
-        "n_points": (int, 64, "cells per axis (power of two)"),
-        "flux": (str, "", "flux name from the registry; empty = burgers<dim>d"),
-        "nu": (float, 0.01, "viscosity"),
-        "t_end": (float, 0.1, "final time"),
-        "init": (str, "product", "datum: product, diag, or mixed"),
-        "stride": (int, 1, "diagnostics thinning stride"),
+        "dim": (int, 2, "space dimension, 1 or 2", 1),
+        "n_points": (int, 64, "cells per axis (power of two)", 8),
+        "flux": (str, "", "flux name from the registry; empty = burgers<dim>d", None),
+        "nu": (float, 0.01, "viscosity", 0),
+        "t_end": (float, 0.1, "final time", 0),
+        "init": (str, "product", "datum: product, diag, or mixed", None),
+        "stride": (int, 1, "diagnostics thinning stride", 1),
     },
     "report": {},
 }
 
 _COMMON = {
-    "config": (str, "", "key = value config file; flags override it"),
-    "runs_dir": (str, "", "run-directory root (default ./runs or ENSTRO_RUNS_DIR)"),
-    "seed": (int, 2025, "seed for deterministic multi-start fields"),
+    "config": (str, "", "key = value config file; flags override it", None),
+    "runs_dir": (str, "", "run-directory root (default ./runs or ENSTRO_RUNS_DIR)", None),
+    "seed": (int, 2025, "seed for deterministic multi-start fields", 0),
 }
 
 
@@ -175,13 +178,6 @@ def load_config(path: str | Path, schema: dict) -> dict:
 # ----------------------------------------------------------------------
 # run-directory and manifest plumbing
 # ----------------------------------------------------------------------
-
-
-def _runs_root(cli_value: str) -> Path:
-    if cli_value:
-        return Path(cli_value)
-    env = os.environ.get("ENSTRO_RUNS_DIR", "")
-    return Path(env) if env else Path("runs")
 
 
 def _make_run_dir(root: Path, command: str) -> Path:
@@ -254,6 +250,23 @@ def _require(cfg: dict, name: str, ok: bool, rule: str) -> None:
         raise ValueError(f"--{name.replace('_', '-')} {rule}, got {cfg[name]!r}")
 
 
+def _check_ranges(cfg: dict, schema: dict) -> None:
+    """Reject the first value outside the range its schema row declares."""
+    for name, (typ, _, _, least) in schema.items():
+        if typ is float:
+            _require(cfg, name, math.isfinite(cfg[name]), "must be finite")
+            _require(cfg, name, least is None or cfg[name] > least, "must be positive")
+        elif typ is int:
+            _require(cfg, name, cfg[name] >= least, f"must be at least {least}")
+
+
+def _range_help(typ: type, least: int | None) -> str:
+    """The range of a schema row, in the words of its errors."""
+    if typ is not float:
+        return "" if least is None else f"; must be at least {least}"
+    return "; must be finite" + ("" if least is None else " and positive")
+
+
 # ----------------------------------------------------------------------
 # data constructors shared by subcommands
 # ----------------------------------------------------------------------
@@ -304,7 +317,6 @@ def _monotone_assertions(diag) -> list[dict]:
 
 
 def _cmd_simulate(cfg: dict, out: _RunDir, seed: int):
-    _require(cfg, "t_end", cfg["t_end"] > 0, "must be positive")
     grid = GridSpec1D(cfg["n_points"])
     u0 = _initial_field(cfg["init"], cfg["amp"], grid)
     sim_cfg = SolverConfig(nu=cfg["nu"], t_end=cfg["t_end"], cfl=cfg["cfl"])
@@ -319,7 +331,6 @@ def _cmd_simulate(cfg: dict, out: _RunDir, seed: int):
 
 
 def _cmd_oracle_check(cfg: dict, out: _RunDir, seed: int):
-    _require(cfg, "t", cfg["t"] > 0, "must be positive")
     grid = GridSpec1D(cfg["n_points"])
     u0 = Field1D(grid, cfg["amp"] * np.sin(2 * np.pi * grid.x))
     sim_cfg = SolverConfig(nu=cfg["nu"], t_end=cfg["t"])
@@ -344,9 +355,7 @@ def _cmd_oracle_check(cfg: dict, out: _RunDir, seed: int):
 def _heat_family(grid: GridSpec1D, seed: int):
     x = grid.x
     rng = np.random.default_rng(seed)
-    fields = []
-    for k in (1, 2, 5, 16):
-        fields.append((f"mode{k}", np.sin(2 * np.pi * k * x)))
+    fields = [(f"mode{k}", np.sin(2 * np.pi * k * x)) for k in (1, 2, 5, 16)]
     fields.append(
         (
             "mix",
@@ -355,8 +364,7 @@ def _heat_family(grid: GridSpec1D, seed: int):
             + 0.2 * np.cos(10 * np.pi * x),
         )
     )
-    for w in (0.02, 0.1):
-        fields.append((f"step{w:g}", np.tanh(np.sin(2 * np.pi * x) / w)))
+    fields += [(f"step{w:g}", np.tanh(np.sin(2 * np.pi * x) / w)) for w in (0.02, 0.1)]
     for i in range(3):
         coeffs = rng.normal(size=8) / np.arange(1, 9)
         vals = np.zeros_like(x)
@@ -367,7 +375,6 @@ def _heat_family(grid: GridSpec1D, seed: int):
 
 
 def _cmd_heat_estimates(cfg: dict, out: _RunDir, seed: int):
-    _require(cfg, "t_count", cfg["t_count"] >= 1, "must be at least 1")
     grid = GridSpec1D(cfg["n_points"])
     family = _heat_family(grid, seed)
     ts = np.logspace(-6.0, 0.0, cfg["t_count"])
@@ -435,13 +442,12 @@ def _cmd_sweep_nu(cfg: dict, out: _RunDir, seed: int):
 
 def run_sweep_e0(cfg: dict, seed: int) -> list[tuple[float, float, float]]:
     """Finite-time sweep rows (e0, best max E(T), best T), one per level."""
-    _require(cfg, "seeds", cfg["seeds"] >= 1, "must be at least 1")
-    _require(cfg, "count", cfg["count"] >= 1, "must be at least 1")
     try:
         prefactors = [float(tok) for tok in str(cfg["prefactors"]).split(",") if tok]
     except ValueError:
         prefactors = []  # rejected just below, naming the flag
     _require(cfg, "prefactors", min(prefactors, default=0) > 0, "must be positive")
+    _require(cfg, "prefactors", math.isfinite(sum(prefactors)), "must be finite")
     e0s = np.logspace(np.log10(cfg["e0_min"]), np.log10(cfg["e0_max"]), cfg["count"])
     grid = GridSpec1D(cfg["n_points"])
     rows = []
@@ -503,9 +509,7 @@ def _write_ascent(out: _RunDir, e0: float, optimum, key: str, value, record) -> 
 
 
 def _optim_config(cfg: dict, horizon: float | None = None) -> OptimConfig:
-    """The ascent settings of a maximize command, range-checked by flag."""
-    _require(cfg, "e0", cfg["e0"] > 0, "must be positive")
-    _require(cfg, "max_iters", cfg["max_iters"] >= 1, "must be at least 1")
+    """The ascent settings of a maximize command."""
     return OptimConfig(
         e0=cfg["e0"],
         nu=cfg["nu"],
@@ -531,8 +535,6 @@ def _cmd_maximize_instant(cfg: dict, out: _RunDir, seed: int):
 
 
 def _cmd_maximize_finite(cfg: dict, out: _RunDir, seed: int):
-    _require(cfg, "horizon", cfg["horizon"] > 0, "must be positive")
-    _require(cfg, "seed_index", cfg["seed_index"] >= 0, "must be at least 0")
     grid = GridSpec1D(cfg["n_points"])
     opt_cfg = _optim_config(cfg, cfg["horizon"])
     index = cfg["seed_index"]
@@ -595,7 +597,6 @@ def _cmd_dissipation(cfg: dict, out: _RunDir, seed: int):
 def _cmd_conslaw_nd(cfg: dict, out: _RunDir, seed: int):
     # the manifest records the flux that ran
     cfg["flux"] = cfg["flux"] or f"burgers{cfg['dim']}d"
-    _require(cfg, "stride", cfg["stride"] >= 1, "must be at least 1")
     grid = GridSpecND(cfg["dim"], cfg["n_points"])
     u0 = nd_initial_datum(cfg["init"], grid)
     flux = get_flux(cfg["flux"])
@@ -668,13 +669,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in SCHEMAS.items():
         p = sub.add_parser(command, help=f"run the {command} experiment")
-        for name, (typ, default, help_text) in {**_COMMON, **schema}.items():
+        for name, (typ, default, help_text, least) in {**_COMMON, **schema}.items():
             flag = "--" + name.replace("_", "-")
             p.add_argument(
                 flag,
                 type=typ,
                 default=None,
-                help=f"{help_text} (default: {default})",
+                help=f"{help_text} (default: {default}{_range_help(typ, least)})",
             )
     return parser
 
@@ -689,26 +690,24 @@ def main(argv: list[str] | None = None) -> int:
     command = args.command
     schema = {**_COMMON, **SCHEMAS[command]}
     resolved = {name: spec[1] for name, spec in schema.items()}
-    config_path = getattr(args, "config", None)
     try:
-        if config_path:
-            resolved.update(load_config(config_path, schema))
-        for name in schema:
-            cli_value = getattr(args, name, None)
-            if cli_value is not None:
-                resolved[name] = cli_value
+        if args.config:
+            resolved.update(load_config(args.config, schema))
+        flags = {name: getattr(args, name) for name in schema}
+        resolved.update({k: v for k, v in flags.items() if v is not None})
+        root = resolved.pop("runs_dir") or os.environ.get("ENSTRO_RUNS_DIR") or "runs"
+        out = _RunDir(_make_run_dir(Path(root), command))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     seed = int(resolved.pop("seed"))
     resolved.pop("config")
-    runs_root = _runs_root(str(resolved.pop("runs_dir")))
-    out = _RunDir(_make_run_dir(runs_root, command))
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
     failure = 0
     try:
+        _check_ranges({**resolved, "seed": seed}, schema)
         assertions = _COMMANDS[command](resolved, out, seed)
     except Exception as exc:
         # a ValueError or KeyError is a usage error, anything else a failed run

@@ -58,13 +58,13 @@ class OptimConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.e0 <= 0:
-            raise ValueError(f"e0 must be positive, got {self.e0}")
-        if self.nu <= 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.T is not None and self.T <= 0:
-            raise ValueError(f"T must be positive where used, got {self.T}")
-        if self.max_iters < 1:
+        if not 0.0 < self.e0 < np.inf:
+            raise ValueError(f"e0 must be positive and finite, got {self.e0}")
+        if not 0.0 < self.nu < np.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        if self.T is not None and not 0.0 < self.T < np.inf:
+            raise ValueError(f"T must be positive and finite where used, got {self.T}")
+        if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
 
 

@@ -247,6 +247,14 @@ class TestNuSweep:
         with pytest.raises(ValueError, match="at least 4"):
             nu_sweep("lower-bound", [0.03, 0.02, 0.015], cfg)
 
+    def test_zero_viscosity_names_nu(self):
+        # the auto grid divides by the finest nu; zero is a usage error
+        with pytest.raises(ValueError, match="nu must be positive, got 0.0"):
+            auto_grid("lower-bound", 0.0)
+        cfg = SolverConfig(nu=1.0, t_end=0.2)
+        with pytest.raises(ValueError, match="nu must be positive, got 0.0"):
+            nu_sweep("lower-bound", [0.03, 0.02, 0.015, 0.0], cfg)
+
     def test_sine_family(self):
         grid = GridSpec1D(512)
         u0, capital_u = datum_family("sine", grid)

@@ -64,6 +64,16 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="sample_stride"):
             SolverConfig(nu=0.1, t_end=1.0, sample_stride=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_values(self, bad):
+        # an infinite t_end would march forever, a NaN nu lose the field
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            SolverConfig(nu=bad, t_end=1.0)
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            SolverConfig(nu=0.1, t_end=bad)
+        with pytest.raises(ValueError, match="cfl"):
+            SolverConfig(nu=0.1, t_end=1.0, cfl=bad)
+
 
 class TestStep:
     """Single-step contract of the spectral kernel and its marching loop."""

@@ -56,7 +56,31 @@ OUT_OF_RANGE = {
     "maximize-finite --e0 0": "--e0 must be positive, got 0.0",
     "maximize-instant --e0 0": "--e0 must be positive, got 0.0",
     "sweep-e0 --prefactors abc": "--prefactors must be positive, got 'abc'",
+    "sweep-e0 --prefactors 1,inf": "--prefactors must be finite, got '1,inf'",
+    "sweep-e0 --seeds 0": "--seeds must be at least 1, got 0",
+    "maximize-finite --seed-index -1": "--seed-index must be at least 0, got -1",
+    # each of these hung or crashed the run before its range was checked
+    "simulate --t-end inf": "--t-end must be finite, got inf",
+    "oracle-check --t inf": "--t must be finite, got inf",
+    "conslaw-nd --t-end inf": "--t-end must be finite, got inf",
+    "maximize-finite --horizon inf": "--horizon must be finite, got inf",
+    "dissipation --nu 0": "--nu must be positive, got 0.0",
+    "simulate --nu nan": "--nu must be finite, got nan",
+    "sweep-nu --nu-min 0": "--nu-min must be positive, got 0.0",
+    "sweep-e0 --e0-min 0": "--e0-min must be positive, got 0.0",
+    "sweep-e0 --max-iters 0": "--max-iters must be at least 1, got 0",
+    "sweep-nu --t-end 0": "--t-end must be positive, got 0.0",
+    "sweep-nu --count 3": "--count must be at least 4, got 3",
 }
+
+
+def _ranged_rows():
+    """(command, flag, type, least) of every int or float schema row."""
+    for command, schema in enstro.cli.SCHEMAS.items():
+        for name, (typ, _, _, least) in {**enstro.cli._COMMON, **schema}.items():
+            if typ in (int, float):
+                flag = "--" + name.replace("_", "-")
+                yield pytest.param(command, flag, typ, least, id=f"{command} {flag}")
 
 
 class TestExitCodes:
@@ -120,6 +144,46 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {OUT_OF_RANGE[line]}\n"
         manifest = _manifest(runs_root, argv[0])
         assert manifest["outputs"] == [] and manifest["passed"] is False
+
+    @pytest.mark.parametrize("command, flag, typ, least", list(_ranged_rows()))
+    def test_every_schema_range_is_checked(
+        self, runs_root, capsys, command, flag, typ, least
+    ):
+        # an int row declares its least value; a float row 0 or no bound
+        assert least is not None if typ is int else least in (0, None)
+        cases = {"nan": "must be finite, got nan", "inf": "must be finite, got inf"}
+        if typ is int:
+            cases = {str(least - 1): f"must be at least {least}, got {least - 1}"}
+        elif least is not None:
+            cases["0"] = "must be positive, got 0.0"
+        for value, rule in cases.items():
+            assert main([command, f"{flag}={value}"]) == 2
+            assert capsys.readouterr().err == f"error: {flag} {rule}\n"
+        manifests = [json.loads(p.read_text()) for p in runs_root.glob("*/manifest.json")]
+        assert len(manifests) == len(cases)
+        assert all(m["outputs"] == [] and not m["passed"] for m in manifests)
+
+    def test_config_file_values_are_range_checked(self, runs_root, tmp_path, capsys):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("nu = 0\n")
+        assert main(["dissipation", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: --nu must be positive, got 0.0\n"
+        assert _manifest(runs_root, "dissipation")["outputs"] == []
+
+    def test_runs_dir_that_is_a_file_exits_two(self, tmp_path, capsys):
+        not_a_dir = tmp_path / "runs"
+        not_a_dir.write_text("")
+        assert main(["simulate", "--runs-dir", str(not_a_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not_a_dir.read_text() == ""
+
+
+def test_help_states_each_range(capsys):
+    assert main(["simulate", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--nu NU viscosity (default: 0.05; must be finite and positive)" in help_text
+    assert "(default: 512; must be at least 8)" in help_text
 
 
 def test_cli_import_leaves_scipy_out():
@@ -493,12 +557,6 @@ class TestSweepE0:
         assert len(starts) == 2 * 2 * 6
         sixth = default_seeds(GridSpec1D(64), 16.0, count=6, rng_seed=2025)[5]
         assert np.array_equal(starts[5], sixth.values)
-
-    def test_seed_count_below_one_exits_two(self, runs_root, capsys):
-        assert main(["sweep-e0", "--count", "2", "--seeds", "0"]) == 2
-        assert "--seeds must be at least 1, got 0" in capsys.readouterr().err
-        assert main(["maximize-finite", "--seed-index", "-1"]) == 2
-        assert "--seed-index must be at least 0, got -1" in capsys.readouterr().err
 
 
 class TestMaximizeFinite:

@@ -56,6 +56,19 @@ class TestOptimConfig:
         with pytest.raises(ValueError, match="T must be positive"):
             OptimConfig(e0=1.0, nu=0.1, T=-0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="e0 must be positive and finite"):
+            OptimConfig(e0=bad, nu=0.1)
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            OptimConfig(e0=1.0, nu=bad)
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            OptimConfig(e0=1.0, nu=0.1, T=bad)
+
+    def test_nan_max_iters_rejected(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            OptimConfig(e0=1.0, nu=0.1, max_iters=float("nan"))
+
 
 class TestRateGradient:
     """Exact discrete gradient of the production-rate functional."""
