@@ -13,7 +13,9 @@ The pieces fit together as a sandwich argument at slope one in 1/nu:
   predicted space-time window against the ideal value (2/3) U^3;
 * ``nu_sweep`` probes the upper bound sup_t E <= C (1 + 1/nu) across
   viscosities and measures each peak against the enstrophy of the
-  steepest admissible viscous shock, (2/3) U^3 / nu;
+  steepest admissible viscous shock, (2/3) U^3 / nu; it marches all its
+  viscosities as one stack along a leading batch axis, keeping only t
+  and E(t) of each member;
 * ``fit_power_law`` is the shared log-log least-squares fitter.
 
 All fitted constants are reported, never asserted against theory: the
@@ -29,10 +31,10 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .burgers_solver import (
+    BlowUpError,
     SolverConfig,
     march,
     required_points,
-    simulate,
     sup_enstrophy,
     validate_initial,
 )
@@ -338,6 +340,31 @@ def fit_power_law(rows: list[tuple[float, float]]) -> tuple[float, float, float]
     return float(slope), float(intercept), residual
 
 
+def _enstrophy_peaks(
+    u0: Field1D, cfgs: list[SolverConfig]
+) -> list[tuple[float, float]]:
+    """``sup_enstrophy`` of each config's run from ``u0``, all marched as
+    one stack.
+
+    Each step keeps only t and the enstrophy, by the formula of the
+    diagnostics row, so every member's samples equal its own
+    :func:`simulate` run's bit for bit.
+    """
+    n, dx = u0.grid.n_points, u0.grid.dx
+    ik = spectral_ops(n).ik
+
+    def enstrophies(uh: np.ndarray) -> np.ndarray:
+        ux = np.fft.irfft(ik * uh, n)
+        return np.sum(ux * ux, axis=-1) * dx
+
+    uh = np.fft.rfft(np.tile(u0.values, (len(cfgs), 1)))
+    steps = [(np.arange(len(cfgs)), np.zeros(len(cfgs)), enstrophies(uh))]
+    for live, t, _, uh, _, _ in march(uh, n, dx, cfgs):
+        steps.append((live, t, enstrophies(uh)))
+    member, t, e = (np.concatenate(col) for col in zip(*steps))
+    return [sup_enstrophy(t[member == j], e[member == j]) for j in range(len(cfgs))]
+
+
 def nu_sweep(
     family: str, nus: list[float], cfg: SolverConfig, grid: GridSpec1D | None = None
 ) -> SweepResult:
@@ -346,8 +373,13 @@ def nu_sweep(
     Fits log e_star against log(1/nu); reports C_hat = max over rows of
     e_star / (1 + 1/nu), c_hat = min over rows of nu * e_star, and the
     range over rows of e_star / shock_enstrophy(U, nu), U being the
-    datum's amplitude.  A run failure aborts the sweep, with completed
-    rows attached to the error.
+    datum's amplitude.
+
+    The viscosities march as one stack with a batch axis, one member per
+    nu (see :func:`march`); each row equals that of its own run through
+    :func:`simulate` and :func:`sup_enstrophy`.  A run that fails aborts
+    the sweep: the error names the largest failing nu and carries the
+    rows of the larger ones, re-marched without the failed members.
     """
     if len(nus) < 4:
         raise ValueError("sweep needs at least 4 viscosities for the fit")
@@ -357,17 +389,28 @@ def nu_sweep(
     e0 = enstrophy(u0)
     if abs(np.sqrt(e0) - 1.0) > 1e-10 or abs(float(u0.values.mean())) > 1e-12:
         raise DatumConstructionError("sweep datum violates the hypothesis set")
-    rows: list[tuple[float, float, float]] = []
+    cfgs: list[SolverConfig] = []
+    failure = None
     for nu in sorted(nus, reverse=True):
         try:
             run_cfg = dataclasses.replace(cfg, nu=nu)
-            _, diag = simulate(u0, run_cfg)
-            t_star, e_star = sup_enstrophy(diag)
-        except Exception as exc:
-            raise SweepAbortedError(
-                f"run at nu = {nu:g} failed: {exc}", rows
-            ) from exc
-        rows.append((nu, e_star, t_star))
+            validate_initial(u0, run_cfg)
+        except ValueError as exc:
+            failure = (nu, exc)
+            break
+        cfgs.append(run_cfg)
+    peaks: list[tuple[float, float]] = []
+    while cfgs:
+        try:
+            peaks = _enstrophy_peaks(u0, cfgs)
+            break
+        except BlowUpError as exc:
+            failure = (cfgs[exc.member].nu, exc)
+            cfgs = cfgs[: exc.member]
+    rows = [(c.nu, e_star, t_star) for c, (t_star, e_star) in zip(cfgs, peaks)]
+    if failure is not None:
+        nu, exc = failure
+        raise SweepAbortedError(f"run at nu = {nu:g} failed: {exc}", rows) from exc
     slope, intercept, residual = fit_power_law(
         [(1.0 / nu, e) for nu, e, _ in rows]
     )

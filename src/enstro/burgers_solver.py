@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .field_core import Field1D, spectral_ops
 
 # smallest amplitude a CFL rule divides by, so a zero state takes finite steps
 _CFL_FLOOR = 1e-12
+# most steps a run may predict from its first step, t_end / dt; see march
+_MAX_STEPS = 10**7
 # grid points required across the viscous shock width nu / max|u0|
 _MIN_RESOLUTION_PER_SHOCK = 4.0
 
@@ -36,8 +38,9 @@ _MIN_RESOLUTION_PER_SHOCK = 4.0
 class BlowUpError(FloatingPointError):
     """The state stopped being finite; carries the last valid time."""
 
-    def __init__(self, t_last: float):
+    def __init__(self, t_last: float, member: int = 0):
         self.t_last = float(t_last)
+        self.member = member  # index of the failing member of a marched stack
         super().__init__(f"solution lost finiteness after t = {t_last:.6g}")
 
 
@@ -183,7 +186,11 @@ def _nonlinear(u: np.ndarray, n: int) -> np.ndarray:
 
 
 def step_spectral(
-    uh: np.ndarray, dt: float, nu: float, n: int, vals: np.ndarray | None = None
+    uh: np.ndarray,
+    dt: float | np.ndarray,
+    nu: float | np.ndarray,
+    n: int,
+    vals: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One integrating-factor RK4 step on unnormalized rfft coefficients.
 
@@ -192,11 +199,17 @@ def step_spectral(
     adjoint reads.  ``vals``, if given, are the samples of ``uh``; they
     become row 0 in place of an inverse transform, so the step makes 7
     transforms instead of 8.
+
+    ``uh`` may be a (B, n//2+1) stack, with ``dt`` and ``nu`` (B, 1)
+    columns, one row per member; ``stages`` is then (4, B, n).  The
+    transforms run along the last axis and every expression keeps its
+    scalar order, so each member's result equals its own row call bit for
+    bit.
     """
     ops = spectral_ops(n)
     e1 = np.exp(-0.5 * dt * nu * ops.k2)
     e2 = e1 * e1
-    stages = np.empty((4, n))
+    stages = np.empty((4, *uh.shape[:-1], n))
     # overflow here means blow-up, which callers detect via isfinite
     with np.errstate(over="ignore", invalid="ignore"):
         if vals is None:
@@ -208,13 +221,13 @@ def step_spectral(
         k3 = dt * _nonlinear(np.fft.irfft(e1 * uh + 0.5 * k2, n, out=stages[2]), n)
         k4 = dt * _nonlinear(np.fft.irfft(e2 * uh + e1 * k3, n, out=stages[3]), n)
         out = e2 * uh + (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4) / 6.0
-    out[0] = 0.0
+    out[..., 0] = 0.0
     return out, stages
 
 
 def march(
-    uh: np.ndarray, n: int, dx: float, cfg: SolverConfig
-) -> Iterator[tuple[float, float, np.ndarray, np.ndarray, np.ndarray]]:
+    uh: np.ndarray, n: int, dx: float, cfg: SolverConfig | Sequence[SolverConfig]
+) -> Iterator[tuple]:
     """Advance rfft data ``uh`` to ``cfg.t_end`` with adaptive advective steps.
 
     Yields ``(t, dt, uh, vals, stages)`` after every step, ``vals`` being
@@ -223,21 +236,68 @@ def march(
     the samples the previous step yielded, and its first RK4 stage uses
     them too, so a step costs the RK4 transforms less one, plus one
     inverse transform: 8 in all.  Nothing is retained between steps.
+
+    A (B, n//2+1) stack takes a sequence of B configs, one per member.
+    Each member steps at its own dt, as it would alone, but all members
+    still marching share one :func:`step_spectral` call and one transform
+    of each kind; a member that reaches its ``t_end`` leaves the stack.
+    The stack yields ``(live, t, dt, uh, vals, stages)``: ``live`` holds
+    the indices of the members that took the step, and the other fields
+    have a leading axis over them (``stages`` a second one).  A member
+    that loses finiteness raises :class:`BlowUpError` naming it.
+
+    When the predicted step count t_end / dt of a member's first step
+    exceeds ``_MAX_STEPS``, the march raises ValueError after that step;
+    by the maximum principle the count bounds the steps the run would
+    take.  The first step comes before the check so that data that
+    cannot be stepped at all report :class:`BlowUpError`.
     """
+    single = uh.ndim == 1
+    cfgs = [cfg] if single else list(cfg)
+    # a stack steps with (B, 1) columns of dt and nu, one row per member
+    nu = cfg.nu if single else np.array([[c.nu] for c in cfgs])
+    live = list(range(len(cfgs)))
+    t = [0.0] * len(cfgs)
     vals = np.fft.irfft(uh, n)
-    t = 0.0
-    while t < cfg.t_end:
-        amp = max(float(np.abs(vals).max()), _CFL_FLOOR)
-        dt = cfg.cfl * dx / amp
-        last = dt >= cfg.t_end - t
-        if last:
-            dt = cfg.t_end - t
-        uh, stages = step_spectral(uh, dt, cfg.nu, n, vals)
+    amps = np.abs(vals).reshape(-1, n).max(axis=1).tolist()
+    first = True
+    while True:
+        dts, lasts = [], []
+        for j, amp in zip(live, amps):
+            c = cfgs[j]
+            dt = c.cfl * dx / max(amp, _CFL_FLOOR)
+            lasts.append(dt >= c.t_end - t[j])
+            dts.append(c.t_end - t[j] if lasts[-1] else dt)
+        uh, stages = step_spectral(
+            uh, dts[0] if single else np.array(dts)[:, None], nu, n, vals
+        )
         vals = np.fft.irfft(uh, n)
-        if not np.all(np.isfinite(vals)):
-            raise BlowUpError(t)
-        t = cfg.t_end if last else t + dt
-        yield t, dt, uh, vals, stages
+        # not finite unless every sample of the member is
+        amps = np.abs(vals).reshape(-1, n).max(axis=1).tolist()
+        for j, amp in zip(live, amps):
+            if not math.isfinite(amp):
+                raise BlowUpError(t[j], member=j)
+        if first:
+            first = False
+            count = max(cfgs[j].t_end / dt for j, dt in zip(live, dts))
+            if count > _MAX_STEPS:
+                raise ValueError(
+                    f"t_end / dt of the first step is {count:.3g}, more than "
+                    f"the {_MAX_STEPS:.0e} steps a run may take"
+                )
+        for j, dt, last in zip(live, dts, lasts):
+            t[j] = cfgs[j].t_end if last else t[j] + dt
+        if single:
+            yield t[0], dts[0], uh, vals, stages
+        else:
+            t_live = [t[j] for j in live]
+            yield np.array(live), np.array(t_live), np.array(dts), uh, vals, stages
+        if all(lasts):
+            return
+        if any(lasts):
+            keep = [i for i, last in enumerate(lasts) if not last]
+            live, amps = [live[i] for i in keep], [amps[i] for i in keep]
+            uh, vals, nu = uh[keep], vals[keep], nu[keep]
 
 
 def _rate_terms(
@@ -309,15 +369,14 @@ def simulate(u0: Field1D, cfg: SolverConfig) -> tuple[Trajectory, DiagnosticsSer
     )
 
 
-def sup_enstrophy(diag: DiagnosticsSeries) -> tuple[float, float]:
-    """Time and value of the enstrophy peak, refined by local quadratics.
+def sup_enstrophy(t: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """Time and value of the peak of the enstrophy samples ``e`` at times
+    ``t``, refined by local quadratics.
 
     The discrete argmax is sharpened by fitting a parabola through the
     three samples around it; interior maxima of smooth E(t) are thereby
     recovered to second order in the step size.
     """
-    e = diag.enstrophy
-    t = diag.t
     i = int(np.argmax(e))
     if i == 0 or i == len(e) - 1:
         return float(t[i]), float(e[i])

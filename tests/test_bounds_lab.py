@@ -6,10 +6,14 @@ characteristic leaving the falling ramp reaches the origin at exactly
 t = 7/48, and the plateau point alpha = -1/4 arrives at t = 1/4.
 """
 
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
-from enstro.burgers_solver import SolverConfig
+from enstro import burgers_solver
+from enstro.burgers_solver import BlowUpError, SolverConfig, simulate, sup_enstrophy
 from enstro.bounds_lab import (
     SWEEP_COLUMNS,
     SweepAbortedError,
@@ -241,6 +245,65 @@ class TestNuSweep:
                 grid=GridSpec1D(512),
             )
         assert len(info.value.partial_rows) == 3
+
+    @staticmethod
+    def sequential_rows(nus, cfg, grid):
+        """One simulate run per viscosity, largest first, as rows."""
+        u0, _ = datum_family("lower-bound", grid)
+        rows, steps = [], []
+        for nu in sorted(nus, reverse=True):
+            _, diag = simulate(u0, dataclasses.replace(cfg, nu=nu))
+            t_star, e_star = sup_enstrophy(diag.t, diag.enstrophy)
+            rows.append((nu, e_star, t_star))
+            steps.append(len(diag))
+        return rows, steps
+
+    def test_rows_equal_sequential_runs(self, coarse_sweep):
+        nus = [0.03, 0.02, 0.015, 0.01]
+        rows, steps = self.sequential_rows(
+            nus, SolverConfig(nu=1.0, t_end=1.0), GridSpec1D(512)
+        )
+        # the members leave the stack after different numbers of steps
+        assert len(set(steps)) == len(nus)
+        assert list(coarse_sweep.rows()) == rows
+
+    @staticmethod
+    def poison(monkeypatch, at):
+        """Make the step of the member with viscosity nu NaN on its
+        ``at[nu]``-th step, counted over every march of the test."""
+        real = burgers_solver.step_spectral
+        calls = collections.Counter()
+
+        def step(uh, dt, nu, n, vals=None):
+            out, stages = real(uh, dt, nu, n, vals)
+            for row, value in enumerate(np.ravel(nu)):
+                calls[value] += 1
+                if calls[value] == at.get(value):
+                    out[row] = np.nan
+            return out, stages
+
+        monkeypatch.setattr(burgers_solver, "step_spectral", step)
+
+    def test_blow_up_aborts_with_the_larger_rows(self, monkeypatch):
+        nus = [0.03, 0.02, 0.015, 0.01]
+        cfg = SolverConfig(nu=1.0, t_end=0.2)
+        rows, _ = self.sequential_rows(nus, cfg, GridSpec1D(512))
+        self.poison(monkeypatch, {0.02: 10})
+        with pytest.raises(SweepAbortedError, match="run at nu = 0.02 failed") as info:
+            nu_sweep("lower-bound", nus, cfg, grid=GridSpec1D(512))
+        assert isinstance(info.value.__cause__, BlowUpError)
+        assert info.value.partial_rows == rows[:1]
+
+    def test_largest_failing_viscosity_is_named(self, monkeypatch):
+        # nu = 0.01 fails first; the re-march of the larger three then
+        # fails at nu = 0.02, which the error names
+        nus = [0.03, 0.02, 0.015, 0.01]
+        cfg = SolverConfig(nu=1.0, t_end=0.2)
+        rows, _ = self.sequential_rows(nus, cfg, GridSpec1D(512))
+        self.poison(monkeypatch, {0.01: 5, 0.02: 20})
+        with pytest.raises(SweepAbortedError, match="run at nu = 0.02 failed") as info:
+            nu_sweep("lower-bound", nus, cfg, grid=GridSpec1D(512))
+        assert info.value.partial_rows == rows[:1]
 
     def test_needs_four_viscosities(self):
         cfg = SolverConfig(nu=1.0, t_end=0.2)

@@ -8,8 +8,10 @@ the PDE, and against finite differences in time of its own diagnostics.
 import numpy as np
 import pytest
 
+from enstro import burgers_solver
 from enstro.burgers_solver import (
     _CFL_FLOOR,
+    _MAX_STEPS,
     BlowUpError,
     DIAGNOSTIC_COLUMNS,
     DiagnosticsSeries,
@@ -157,6 +159,102 @@ class TestStep:
             fft_calls[0] = 0
             call()
             assert fft_calls[0] == count
+
+    def test_stack_equals_row_calls(self, fft_calls):
+        # three members with their own dt and nu, stepped as one stack
+        n = 128
+        rng = np.random.default_rng(11)
+        x = GridSpec1D(n).x
+        modes = np.arange(1, 9)[:, None]
+        amps = rng.normal(size=(3, 8, 1)) / modes
+        uh = np.fft.rfft((amps * np.sin(2 * np.pi * modes * x + modes)).sum(axis=1))
+        uh[:, 0] = 0.0
+        dt = np.array([[2e-3], [7e-4], [1.3e-3]])
+        nu = np.array([[0.03], [0.011], [0.2]])
+        vals = np.fft.irfft(uh, n)
+        for given in (None, vals):
+            fft_calls[0] = 0
+            out, stages = step_spectral(uh, dt, nu, n, given)
+            # one transform of each kind serves the whole stack
+            assert fft_calls[0] == (8 if given is None else 7)
+            assert out.shape == uh.shape and stages.shape == (4, 3, n)
+            for j in range(3):
+                row_vals = None if given is None else vals[j]
+                want, want_stages = step_spectral(
+                    uh[j], dt[j, 0], nu[j, 0], n, row_vals
+                )
+                assert np.array_equal(out[j], want)
+                assert np.array_equal(stages[:, j], want_stages)
+
+    def test_march_stack_equals_single_marches(self):
+        # members differ in data, nu, t_end and cfl, so each finishes
+        # after its own number of steps and then leaves the stack
+        n = 128
+        dx = 1.0 / n
+        data = [sin_field(n, amp=a).values for a in (0.9, 0.5, 0.7)]
+        cfgs = [
+            SolverConfig(nu=0.05, t_end=0.3),
+            SolverConfig(nu=0.02, t_end=0.2, cfl=0.3),
+            SolverConfig(nu=0.1, t_end=0.4),
+        ]
+        singles = [list(march(np.fft.rfft(v), n, dx, c)) for v, c in zip(data, cfgs)]
+        assert len({len(s) for s in singles}) == 3
+        got = [[] for _ in cfgs]
+        stack = np.fft.rfft(np.stack(data))
+        for live, t, dt, uh, vals, stages in march(stack, n, dx, cfgs):
+            assert len(t) == len(dt) == len(uh) == len(vals) == stages.shape[1]
+            for i, j in enumerate(live):
+                got[j].append((t[i], dt[i], uh[i], vals[i], stages[:, i]))
+        for mine, want in zip(got, singles):
+            assert len(mine) == len(want)
+            for a, b in zip(mine, want):
+                assert a[0] == b[0] and a[1] == b[1]
+                assert all(np.array_equal(p, q) for p, q in zip(a[2:], b[2:]))
+
+    def test_stack_blow_up_names_the_member(self, monkeypatch):
+        n = 64
+        data = np.stack([sin_field(n, amp=a).values for a in (0.5, 1e200, 0.5)])
+        cfgs = [SolverConfig(nu=1e-3, t_end=1.0)] * 3
+        with pytest.raises(BlowUpError) as info:
+            for _ in march(np.fft.rfft(data), n, 1.0 / n, cfgs):
+                pass
+        assert info.value.member == 1 and info.value.t_last == 0.0
+        # member 0 leaves after one step; member 2 then fails as the
+        # second of the two still marching, and is named by its index
+        real = burgers_solver.step_spectral
+
+        def step(uh, dt, nu, n, vals=None):
+            out, stages = real(uh, dt, nu, n, vals)
+            if len(uh) == 2:
+                out[1] = np.nan
+            return out, stages
+
+        monkeypatch.setattr(burgers_solver, "step_spectral", step)
+        cfgs = [SolverConfig(nu=0.1, t_end=1e-3), *cfgs[1:]]
+        data[1] = data[2]
+        steps = march(np.fft.rfft(data), n, 1.0 / n, cfgs)
+        (live, t, _, _, _, _) = next(steps)
+        assert list(live) == [0, 1, 2] and t[0] == 1e-3
+        with pytest.raises(BlowUpError) as info:
+            next(steps)
+        assert info.value.member == 2 and info.value.t_last == t[2]
+
+    def test_step_budget(self):
+        # t_end / dt of the first step bounds the step count by the
+        # maximum principle; past _MAX_STEPS the march refuses to go on
+        u = sin_field(256, amp=0.9)
+        uh = np.fft.rfft(u.values)
+        tiny = SolverConfig(nu=0.05, t_end=0.5, cfl=1e-300)
+        steps = march(uh, 256, u.grid.dx, tiny)
+        with pytest.raises(ValueError, match=r"first step is 1\.15e\+302, more"):
+            next(steps)
+        fine = SolverConfig(nu=0.05, t_end=0.5, cfl=0.4)
+        slow = SolverConfig(nu=0.05, t_end=0.5, cfl=1e-9)
+        with pytest.raises(ValueError, match=r"first step is 1\.15e\+11, more"):
+            next(march(np.stack([uh, uh]), 256, u.grid.dx, [fine, slow]))
+        count = 0.5 / (0.4 * u.grid.dx / np.abs(np.fft.irfft(uh, 256)).max())
+        assert count < _MAX_STEPS
+        assert len(list(march(uh, 256, u.grid.dx, fine))) <= int(count) + 1
 
     def test_blow_up_detected(self):
         # a state whose nonlinear term overflows must make the marching
@@ -330,21 +428,17 @@ class TestEnstrophyRate:
 class TestSupEnstrophy:
     """Peak extraction with quadratic refinement."""
 
-    def _series(self, t, e):
-        z = np.zeros_like(np.asarray(t, dtype=float))
-        return DiagnosticsSeries(np.asarray(t, float), z, np.asarray(e, float), z, z, z, z, z)
-
     def test_exact_parabola_vertex(self):
         t = np.linspace(0.0, 1.0, 11)
         e = 3.0 - 5.0 * (t - 0.437) ** 2
-        t_star, e_star = sup_enstrophy(self._series(t, e))
+        t_star, e_star = sup_enstrophy(t, e)
         assert t_star == pytest.approx(0.437, abs=1e-12)
         assert e_star == pytest.approx(3.0, abs=1e-12)
 
     def test_monotone_decreasing_returns_first_row(self):
         t = np.linspace(0.0, 1.0, 9)
         e = np.exp(-3.0 * t)
-        t_star, e_star = sup_enstrophy(self._series(t, e))
+        t_star, e_star = sup_enstrophy(t, e)
         assert t_star == 0.0
         assert e_star == 1.0
 
@@ -353,7 +447,7 @@ class TestSupEnstrophy:
         # t = 1/(2 pi); the peak must exceed the initial enstrophy
         u0 = sin_field(1024)
         _, diag = simulate(u0, SolverConfig(nu=0.004, t_end=0.35))
-        t_star, e_star = sup_enstrophy(diag)
+        t_star, e_star = sup_enstrophy(diag.t, diag.enstrophy)
         assert e_star > diag.enstrophy[0] * 1.5
         assert 0.05 < t_star < 0.3
 

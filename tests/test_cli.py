@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,11 @@ import pytest
 
 import enstro.cli
 import enstro.extremizers
+from enstro.bounds_lab import SWEEP_COLUMNS, datum_family
+from enstro.burgers_solver import SolverConfig, simulate, sup_enstrophy
 from enstro.cli import ConfigFileError, _build_parser, load_config, main, run_sweep_e0
 from enstro.extremizers import default_seeds
-from enstro.field_core import GridSpec1D
+from enstro.field_core import GridSpec1D, write_csv
 
 
 @pytest.fixture()
@@ -169,6 +172,24 @@ class TestExitCodes:
         assert main(["dissipation", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: --nu must be positive, got 0.0\n"
         assert _manifest(runs_root, "dissipation")["outputs"] == []
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "simulate --cfl 1e-300 --n-points 256",
+            "maximize-finite --horizon 1e300",
+            "sweep-nu --t-end 1e300",
+        ],
+    )
+    def test_step_budget_exits_two(self, runs_root, capsys, line):
+        # each passes the range check but would march for ever
+        argv = line.split()
+        assert main(argv) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: t_end / dt of the first step is ")
+        assert err.endswith("more than the 1e+07 steps a run may take")
+        manifest = _manifest(runs_root, argv[0])
+        assert manifest["outputs"] == [] and manifest["passed"] is False
 
     def test_runs_dir_that_is_a_file_exits_two(self, tmp_path, capsys):
         not_a_dir = tmp_path / "runs"
@@ -401,6 +422,35 @@ class TestDeterminism:
         assert first == second
 
 
+    def test_sweep_bytes_equal_sequential_runs(self, runs_root, tmp_path):
+        # the sweep marches its viscosities as one stack; its rows are
+        # the bytes of one simulate run per viscosity
+        argv = [
+            "sweep-nu",
+            "--nu-min",
+            "0.01",
+            "--nu-max",
+            "0.03",
+            "--count",
+            "4",
+            "--t-end",
+            "0.5",
+            "--n-points",
+            "512",
+        ]
+        assert main(argv) == 0
+        u0, _ = datum_family("lower-bound", GridSpec1D(512))
+        rows = []
+        for nu in np.logspace(np.log10(0.03), np.log10(0.01), 4):
+            _, diag = simulate(u0, SolverConfig(nu=nu, t_end=0.5))
+            t_star, e_star = sup_enstrophy(diag.t, diag.enstrophy)
+            rows.append((nu, e_star, t_star))
+        sequential = tmp_path / "sequential.csv"
+        write_csv(sequential, SWEEP_COLUMNS, rows)
+        batched = _single_run_dir(runs_root, "sweep-nu") / "sweep.csv"
+        assert batched.read_bytes() == sequential.read_bytes()
+
+
 class TestSweepNu:
     """CSV schema, summary contents, and the partial-abort path."""
 
@@ -605,6 +655,17 @@ class TestIndividualCommands:
         assert check["passed"] and check["detail"] == "4 sampled labels"
         argv = ["simulate", "--init", "lower-bound", "--n-points", "8", "--nu", "1"]
         assert main([*argv, "--t-end", "0.05"]) == 0
+
+    def test_oracle_check_of_the_zero_datum(self, runs_root, capsys):
+        # the exact solution is zero, so the error reported is absolute
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle-check", "--amp", "0", "--n-points", "256"]) == 0
+        assert "L2 error (zero exact solution) 0.000e+00" in capsys.readouterr().out
+        report = json.loads(
+            (_single_run_dir(runs_root, "oracle-check") / "report.json").read_text()
+        )
+        assert report["rel_l2_error"] == 0.0
 
     def test_dissipation_report(self, runs_root):
         code = main(
