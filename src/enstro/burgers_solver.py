@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -149,15 +148,6 @@ class DiagnosticsSeries:
     def rows(self) -> Iterator[tuple]:
         """Rows in DIAGNOSTIC_COLUMNS order; the inverse of :meth:`from_rows`."""
         return zip(*(getattr(self, c) for c in DIAGNOSTIC_COLUMNS))
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "DiagnosticsSeries":
-        lines = Path(path).read_text().strip().split("\n")
-        header = lines[0].split(",")
-        if tuple(header) != DIAGNOSTIC_COLUMNS:
-            raise ValueError(f"unexpected diagnostics header {lines[0]!r}")
-        rows = [tuple(float(tok) for tok in ln.split(",")) for ln in lines[1:]]
-        return cls.from_rows(rows)
 
 
 @dataclass(frozen=True, eq=False)

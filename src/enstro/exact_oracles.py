@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field_core import Field1D, derivative, heat_propagate, spectral_ops
+from .field_core import Field1D, derivative, enstrophy, heat_propagate, spectral_ops
 
 
 class UnderflowError(ArithmeticError):
@@ -70,7 +70,7 @@ def hopf_cole_solution(u0: Field1D, nu: float, t: float) -> Field1D:
         raise UnderflowError(
             "heat-propagated potential underflowed; increase nu or reduce t"
         )
-    theta_x = derivative(theta, 1).values
+    theta_x = derivative(theta).values
     return Field1D(u0.grid, -2.0 * nu * theta_x / tv)
 
 
@@ -97,9 +97,8 @@ def heat_estimate_ratios(v0: Field1D, nu: float, t: float) -> tuple[float, float
 
     damp = np.exp(-nu * t * ops.k2)
     wh = vh * damp
-    w_x = np.fft.irfft(ops.ik * wh, n)
     w_xx = np.fft.irfft(-ops.k2 * wh, n)
-    l2_1 = float(np.sqrt(np.sum(w_x**2) * dx))
+    l2_1 = float(np.sqrt(enstrophy(wh, n)))
     l2_2 = float(np.sqrt(np.sum(w_xx**2) * dx))
 
     denom = np.sqrt(sup) * np.sqrt(grad_l1)

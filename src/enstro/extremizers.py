@@ -35,7 +35,7 @@ from .burgers_solver import (
     march,
     step_spectral,
 )
-from .field_core import Field1D, GridSpec1D, spectral_ops
+from .field_core import Field1D, GridSpec1D, enstrophy, spectral_ops
 
 ADJOINT_STORAGE_BUDGET_BYTES = 256 * 2**20
 
@@ -140,13 +140,8 @@ def rate_gradient(u: Field1D, nu: float) -> Field1D:
 # ----------------------------------------------------------------------
 
 
-def _enstrophy_vals(vals: np.ndarray, n: int, dx: float) -> float:
-    ux = np.fft.irfft(spectral_ops(n).ik * np.fft.rfft(vals), n)
-    return float(np.sum(ux**2) * dx)
-
-
-def _retract(vals: np.ndarray, e0: float, n: int, dx: float) -> np.ndarray:
-    e = _enstrophy_vals(vals, n, dx)
+def _retract(vals: np.ndarray, e0: float, n: int) -> np.ndarray:
+    e = enstrophy(np.fft.rfft(vals), n)
     if e <= 0:
         raise ValueError("cannot retract a field with zero enstrophy")
     return vals * np.sqrt(e0 / e)
@@ -166,10 +161,10 @@ def _tangent_direction(
     gh = np.fft.rfft(g_vals)
     gh[0] = 0.0
     gh[1:] /= spectral_ops(n).k2[1:]
-    coef = float(np.sum(g_vals * u_vals) * dx) / _enstrophy_vals(u_vals, n, dx)
+    coef = float(np.sum(g_vals * u_vals) * dx) / enstrophy(np.fft.rfft(u_vals), n)
     d = np.fft.irfft(gh, n) - coef * u_vals
     slope = float(np.sum(g_vals * d) * dx)
-    return d, slope, float(np.sqrt(_enstrophy_vals(d, n, dx)))
+    return d, slope, float(np.sqrt(enstrophy(np.fft.rfft(d), n)))
 
 
 def _ascend(
@@ -181,9 +176,9 @@ def _ascend(
 ) -> tuple[np.ndarray, float, OptimRecord]:
     """Riemannian Armijo ascent on the enstrophy sphere {E = cfg.e0}."""
     n, dx = grid.n_points, grid.dx
-    u = _retract(start_vals - start_vals.mean(), cfg.e0, n, dx)
+    u = _retract(start_vals - start_vals.mean(), cfg.e0, n)
     j = objective(u)
-    rows = [(j, 0.0, abs(_enstrophy_vals(u, n, dx) - cfg.e0) / cfg.e0, np.nan)]
+    rows = [(j, 0.0, abs(enstrophy(np.fft.rfft(u), n) - cfg.e0) / cfg.e0, np.nan)]
     eta = _STEP0
     norm0 = None
     converged = True
@@ -195,7 +190,7 @@ def _ascend(
         if gnorm <= cfg.grad_tol * norm0:
             break
         while eta * gnorm > 1e-16 * max(1.0, np.sqrt(cfg.e0)):
-            trial = _retract(u + eta * d, cfg.e0, n, dx)
+            trial = _retract(u + eta * d, cfg.e0, n)
             j_trial = objective(trial)
             if j_trial >= j + _ARMIJO_DECREASE * eta * slope:
                 break
@@ -203,7 +198,7 @@ def _ascend(
         else:
             break  # no ascent direction survives backtracking: stationary
         u, j = trial, j_trial
-        resid = abs(_enstrophy_vals(u, n, dx) - cfg.e0) / cfg.e0
+        resid = abs(enstrophy(np.fft.rfft(u), n) - cfg.e0) / cfg.e0
         rows.append((j, eta, resid, gnorm))
         eta = min(eta / _ARMIJO_FACTOR, 64.0 * _STEP0)
     else:
@@ -219,7 +214,7 @@ def default_seeds(
     """Low modes plus seeded band-limited perturbations, all on {E = e0}."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    n, dx, x = grid.n_points, grid.dx, grid.x
+    n, x = grid.n_points, grid.x
     rng = np.random.default_rng(rng_seed)
     raw = [
         np.sin(2.0 * np.pi * x),
@@ -234,7 +229,7 @@ def default_seeds(
         raw.append(v)
     out = []
     for v in raw[:count]:
-        out.append(Field1D(grid, _retract(v - v.mean(), e0, n, dx)))
+        out.append(Field1D(grid, _retract(v - v.mean(), e0, n)))
     return out
 
 
@@ -411,7 +406,7 @@ def finite_time_objective(
         raise ValueError(f"nu must be positive, got {nu}")
     n, dx = u0.grid.n_points, u0.grid.dx
     if T == 0:
-        return _enstrophy_vals(u0.values, n, dx)
+        return float(enstrophy(np.fft.rfft(u0.values), n))
     budget = 0
     if last is not None:
         last.key = last.result = None  # free the old tape before marching
@@ -419,8 +414,7 @@ def finite_time_objective(
     uh, dts, _, tape = _march_forward(u0.values, T, nu, n, dx, budget)
     if last is not None:
         last.key, last.result = (T, nu, u0.values.tobytes()), (uh, dts, tape)
-    ux = np.fft.irfft(spectral_ops(n).ik * uh, n)
-    return float(np.sum(ux**2) * dx)
+    return float(enstrophy(uh, n))
 
 
 def finite_time_gradient(

@@ -9,7 +9,6 @@ pairing ``dx * sum(a*b)`` is the inner product used everywhere.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,18 +118,12 @@ def spectral_ops(n: int) -> SpectralOps:
     return ops
 
 
-def derivative(field: Field1D, order: int = 1) -> Field1D:
-    """Spectral derivative of the given order (1 or 2).
-
-    Multiplies mode k by 2*pi*i*k (Nyquist mode dropped) or by -(2*pi*k)**2;
-    see :class:`SpectralOps`.
-    """
-    if order not in (1, 2):
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
+def derivative(field: Field1D) -> Field1D:
+    """Spectral first derivative: mode k times 2*pi*i*k, Nyquist mode
+    dropped; see :class:`SpectralOps`."""
     n = field.grid.n_points
-    ops = spectral_ops(n)
-    mult = ops.ik if order == 1 else -ops.k2
-    return Field1D(field.grid, np.fft.irfft(np.fft.rfft(field.values) * mult, n))
+    uh = np.fft.rfft(field.values)
+    return Field1D(field.grid, np.fft.irfft(uh * spectral_ops(n).ik, n))
 
 
 def heat_propagate(field: Field1D, nu_t: float) -> Field1D:
@@ -151,28 +144,25 @@ def heat_propagate(field: Field1D, nu_t: float) -> Field1D:
 def norms(field: Field1D) -> FieldNorms:
     """Compute the standard summary norms in one pass.
 
-    ``tv`` is the wrap-around total variation sum |u_{j+1} - u_j|; the
-    enstrophy uses the spectral derivative and trapezoid quadrature.
+    ``tv`` is the wrap-around total variation sum |u_{j+1} - u_j|.
     """
     v = field.values
     dx = field.grid.dx
-    ux = derivative(field, 1).values
     return FieldNorms(
         l2=float(np.sqrt(np.sum(v * v) * dx)),
         linf=float(np.abs(v).max()),
         tv=float(np.abs(np.diff(v, append=v[:1])).sum()),
         mean=float(v.mean()),
-        enstrophy=float(np.sum(ux * ux) * dx),
+        enstrophy=float(enstrophy(np.fft.rfft(v), field.grid.n_points)),
     )
 
 
-def enstrophy(field: Field1D) -> float:
-    """Shortcut for ``norms(field).enstrophy``."""
-    ux = derivative(field, 1).values
-    return float(np.sum(ux * ux) * field.grid.dx)
-
-
-_HEADER_RE = re.compile(r"^N=(\d+) L=([0-9eE+.\-]+)$")
+def enstrophy(uh: np.ndarray, n: int) -> np.ndarray:
+    """E = ||u_x||_{L2}^2 of the n-point state with rfft data ``uh``, by the
+    spectral derivative and trapezoid quadrature; a stack of states along
+    the last axis gives one E per state."""
+    ux = np.fft.irfft(spectral_ops(n).ik * uh, n)
+    return np.sum(ux * ux, axis=-1) * (1.0 / n)
 
 
 def write_field(field: Field1D, path) -> None:
@@ -196,20 +186,3 @@ def write_csv(path, header, rows) -> None:
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_field(path) -> Field1D:
-    """Inverse of :func:`write_field`."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        m = _HEADER_RE.match(header)
-        if m is None:
-            raise ValueError(f"bad field header: {header!r}")
-        n = int(m.group(1))
-        length = float(m.group(2))
-        vals = np.array([float(line) for line in fh if line.strip()])
-    if vals.size != n:
-        raise ValueError(f"expected {n} samples, found {vals.size}")
-    if length != 1.0:
-        raise ValueError(f"1-D fields have unit length, file says {length}")
-    return Field1D(GridSpec1D(n), vals)

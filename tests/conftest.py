@@ -17,3 +17,17 @@ def fft_calls(monkeypatch) -> list[int]:
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+@pytest.fixture
+def read_table():
+    """Reader of the files the field and CSV writers make: asserts the
+    first line is exactly ``header`` and returns the values below it, one
+    row per line, with commas between the columns of a row."""
+
+    def read(path, header: str) -> np.ndarray:
+        with open(path) as fh:
+            assert fh.readline() == header + "\n"
+        return np.loadtxt(path, delimiter=",", skiprows=1)
+
+    return read

@@ -179,6 +179,7 @@ class TestExitCodes:
             "simulate --cfl 1e-300 --n-points 256",
             "maximize-finite --horizon 1e300",
             "sweep-nu --t-end 1e300",
+            "conslaw-nd --t-end 1e300 --n-points 16",
         ],
     )
     def test_step_budget_exits_two(self, runs_root, capsys, line):

@@ -19,7 +19,6 @@ from enstro.burgers_solver import (
 from enstro.cli import main
 from enstro.conslaw_nd import (
     FieldND,
-    FluxSpec,
     GridSpecND,
     _gradient_centered,
     _laplacian,
@@ -28,7 +27,6 @@ from enstro.conslaw_nd import (
     flux_registry,
     get_flux,
     nd_initial_datum,
-    read_field_nd,
     simulate_nd,
     write_field_nd,
 )
@@ -74,8 +72,15 @@ class TestFluxRegistry:
     """Built-in fluxes and their invariants."""
 
     def test_all_entries_validate(self):
+        # deriv is g' (central differences of eval), and the Euclidean
+        # |f'| = sqrt(dim) |g'| is at most 1 on [-1, 1]
+        u = np.linspace(-1.0, 1.0, 201)
+        h = 1e-6
         for spec in flux_registry():
-            spec.validate()
+            fd = (spec.eval(u + h) - spec.eval(u - h)) / (2.0 * h)
+            assert np.max(np.abs(fd - spec.deriv(u))) <= 1e-6, spec.name
+            speed = np.sqrt(spec.dim) * np.max(np.abs(spec.deriv(u)))
+            assert speed <= 1.0 + 1e-9, spec.name
 
     def test_burgers_2d_axis_normalization(self):
         # the per-axis profile u^2/(2 sqrt 2) keeps the Euclidean |f'| = |u|
@@ -90,26 +95,6 @@ class TestFluxRegistry:
     def test_unknown_name_lists_known(self):
         with pytest.raises(KeyError, match="burgers1d"):
             get_flux("kpz")
-
-    def test_validate_catches_bad_derivative(self):
-        bad = FluxSpec(
-            name="broken",
-            dim=1,
-            eval=lambda u: u**2 / 2,
-            deriv=lambda u: 0.5 * u,
-        )
-        with pytest.raises(ValueError, match="inconsistent"):
-            bad.validate()
-
-    def test_validate_catches_understated_lipschitz(self):
-        bad = FluxSpec(
-            name="steep",
-            dim=1,
-            eval=lambda u: 2.0 * u,
-            deriv=lambda u: np.full(u.shape, 2.0),
-        )
-        with pytest.raises(ValueError, match="exceeds 1"):
-            bad.validate()
 
 
 class TestScalarProfiles:
@@ -300,30 +285,14 @@ class TestTVHelpers:
 class TestSerializationND:
     """Dump format and extended CSV."""
 
-    def test_field_round_trip_2d(self, tmp_path):
+    def test_field_round_trip_2d(self, tmp_path, read_table):
         g = GridSpecND(dim=2, points=16)
         rng = np.random.default_rng(4)
         f = FieldND(g, rng.normal(size=(16, 16)))
         p = tmp_path / "f.dat"
         write_field_nd(f, p)
-        assert p.read_text().split("\n")[0] == "DIM=2 N=16 L=1.0"
-        back = read_field_nd(p)
-        assert back.grid == g
-        assert np.array_equal(back.values, f.values)
-
-    def test_read_rejects_bad_header_and_size(self, tmp_path):
-        p = tmp_path / "bad.dat"
-        p.write_text("N=16 L=1.0\n0.0\n")
-        with pytest.raises(ValueError, match="header"):
-            read_field_nd(p)
-        p2 = tmp_path / "short.dat"
-        p2.write_text("DIM=1 N=16 L=1.0\n" + "0.0\n" * 7)
-        with pytest.raises(ValueError, match="expected 16 samples"):
-            read_field_nd(p2)
-        p3 = tmp_path / "long.dat"
-        p3.write_text("DIM=2 N=16 L=2.0\n" + "0.0\n" * 256)
-        with pytest.raises(ValueError, match="unit length"):
-            read_field_nd(p3)
+        back = read_table(p, "DIM=2 N=16 L=1.0")
+        assert np.array_equal(back.reshape(g.shape), f.values)
 
     def test_diagnostics_csv_has_dim_and_length(self, tmp_path):
         """conslaw-nd writes one row per step plus constant dim, L columns."""

@@ -11,7 +11,6 @@ from enstro.field_core import (
     enstrophy,
     heat_propagate,
     norms,
-    read_field,
     spectral_ops,
     write_csv,
     write_field,
@@ -47,13 +46,6 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError, match="power of two"):
             GridSpec1D(4)
 
-    def test_rejects_nonunit_length(self, tmp_path):
-        # 1-D grids have unit length; a file is the one way to ask otherwise
-        path = tmp_path / "field.dat"
-        path.write_text("N=64 L=2.0\n" + "0.0\n" * 64)
-        with pytest.raises(ValueError, match="unit length"):
-            read_field(path)
-
     def test_sample_locations(self):
         grid = GridSpec1D(8)
         assert np.allclose(grid.x, np.arange(8) / 8.0, atol=0)
@@ -84,31 +76,25 @@ class TestSpectralOps:
 class TestDerivative:
     def test_sine_derivative_exact(self):
         f = sin_field(128)
-        df = derivative(f, 1)
+        df = derivative(f)
         expected = 2 * np.pi * np.cos(2 * np.pi * f.grid.x)
         assert np.abs(df.values - expected).max() < 1e-10
 
     def test_second_derivative_is_twice_first_symbolically(self):
         f = sin_field(128, mode=3)
-        d2 = derivative(f, 2)
+        d2 = derivative(derivative(f))
         expected = -(6 * np.pi) ** 2 * f.values
         assert np.abs(d2.values - expected).max() < 1e-8
 
     def test_annihilates_constants(self):
         grid = GridSpec1D(64)
         f = Field1D(grid, np.full(64, 3.7))
-        assert np.abs(derivative(f, 1).values).max() < 1e-12
-        assert np.abs(derivative(f, 2).values).max() < 1e-12
+        assert np.abs(derivative(f).values).max() < 1e-12
 
     def test_output_has_zero_mean(self):
         rng = np.random.default_rng(11)
         f = random_smooth_field(256, rng)
-        for order in (1, 2):
-            assert abs(derivative(f, order).values.mean()) < 1e-13
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError, match="order must be 1 or 2"):
-            derivative(sin_field(), order=3)
+        assert abs(derivative(f).values.mean()) < 1e-13
 
 
 class TestHeatPropagate:
@@ -158,7 +144,14 @@ class TestNorms:
     def test_enstrophy_scales_quadratically(self):
         f = sin_field(256)
         g = Field1D(f.grid, 3.0 * f.values)
-        assert enstrophy(g) == pytest.approx(9.0 * enstrophy(f), rel=1e-12)
+        e_f, e_g = (enstrophy(np.fft.rfft(h.values), 256) for h in (f, g))
+        assert e_g == pytest.approx(9.0 * e_f, rel=1e-12)
+
+    def test_enstrophy_of_a_stack_is_each_rows(self):
+        rng = np.random.default_rng(3)
+        stack = np.fft.rfft([random_smooth_field(64, rng).values for _ in range(3)])
+        rows = [enstrophy(uh, 64) for uh in stack]
+        assert np.array_equal(enstrophy(stack, 64), rows)
 
     def test_tv_wraps_around(self):
         """A single step up and down across the seam is counted twice."""
@@ -169,28 +162,18 @@ class TestNorms:
 
 
 class TestIO:
-    def test_round_trip_is_exact(self, tmp_path):
+    def test_round_trip_is_exact(self, tmp_path, read_table):
         rng = np.random.default_rng(21)
         f = random_smooth_field(128, rng)
         path = tmp_path / "field.dat"
         write_field(f, path)
-        g = read_field(path)
-        assert g.grid == f.grid
-        assert np.array_equal(g.values, f.values)
+        assert np.array_equal(read_table(path, "N=128 L=1.0"), f.values)
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "field.dat"
         write_field(sin_field(64), path)
         first = path.read_text().splitlines()[0]
         assert first == "N=64 L=1.0"
-
-    def test_rejects_truncated_file(self, tmp_path):
-        path = tmp_path / "field.dat"
-        write_field(sin_field(64), path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-4]) + "\n")
-        with pytest.raises(ValueError, match="expected 64 samples"):
-            read_field(path)
 
     def test_csv_cells(self, tmp_path):
         """Floats are written as repr (exact round trip), ints and strings as str."""
