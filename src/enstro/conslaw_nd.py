@@ -106,7 +106,7 @@ def flux_registry() -> list[FluxSpec]:
         rows = (
             (f"burgers{dim}d", lambda u, s=s: u**2 / (2.0 * s), lambda u, s=s: u / s),
             (f"linear{tag}(c=1)", lambda u, s=s: u / s, lambda u, s=s: np.ones_like(u) / s),
-            (f"cubic{tag}", lambda u, s=s: u**3 / (3.0 * s), lambda u, s=s: u**2 / s),
+            (f"cubic{tag}", lambda u, s=s: u * u * u / (3.0 * s), lambda u, s=s: u**2 / s),
         )
         entries.extend(FluxSpec(name, dim, g, dg) for name, g, dg in rows)
     return entries

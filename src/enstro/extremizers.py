@@ -31,6 +31,7 @@ import numpy as np
 
 from .burgers_solver import (
     SolverConfig,
+    _require_nu,
     enstrophy_rate,
     march,
     step_spectral,
@@ -60,8 +61,7 @@ class OptimConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.e0 < np.inf:
             raise ValueError(f"e0 must be positive and finite, got {self.e0}")
-        if not 0.0 < self.nu < np.inf:
-            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        _require_nu(self.nu)
         if self.T is not None and not 0.0 < self.T < np.inf:
             raise ValueError(f"T must be positive and finite where used, got {self.T}")
         if not self.max_iters >= 1:
@@ -124,8 +124,7 @@ def rate_gradient(u: Field1D, nu: float) -> Field1D:
     with pointwise squaring is its exact gradient (the derivative matrix
     is anti-self-adjoint), so finite differences match to roundoff.
     """
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    _require_nu(nu)
     n = u.grid.n_points
     ops = spectral_ops(n)
     uh = np.fft.rfft(u.values)

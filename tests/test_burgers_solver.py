@@ -20,6 +20,7 @@ from enstro.burgers_solver import (
     SolverConfig,
     Trajectory,
     _nonlinear,
+    _rate_terms,
     enstrophy_rate,
     march,
     simulate,
@@ -426,6 +427,59 @@ class TestEnstrophyRate:
             assert abs(fd - rate[i]) / max(abs(rate[i]), 1.0) < 1e-4
 
 
+class TestRateTerms:
+    """The two rate columns against their sample-space formulas."""
+
+    @staticmethod
+    def sample_space(uh, n, nu):
+        # u_xx by an inverse transform, u_x**3 by pow
+        ops = spectral_ops(n)
+        ux = np.fft.irfft(ops.ik * uh, n)
+        uxx = np.fft.irfft(-ops.k2 * uh, n)
+        dissipation = -nu * float(np.sum(uxx**2) * (1.0 / n))
+        cubic = -0.5 * float(np.sum(ux**3) * (1.0 / n))
+        return dissipation, cubic, 0.5 * float(np.sum(np.abs(ux) ** 3) / n)
+
+    def assert_close(self, uh, n, nu, dissipation, cubic):
+        want_diss, want_cubic, scale = self.sample_space(uh, n, nu)
+        assert abs(dissipation - want_diss) <= 2e-15 * abs(want_diss)
+        assert abs(cubic - want_cubic) <= 1e-15 * scale
+
+    def test_random_state_with_every_mode(self):
+        # white noise: every mode past the mean has nonzero real and
+        # imaginary parts, the Nyquist mode's imaginary part added below
+        n, nu = 256, 0.03
+        vals = np.random.default_rng(5).standard_normal(n)
+        uh = np.fft.rfft(vals - vals.mean())
+        uh[-1] += 0.5j  # irfft ignores it, and so must the dissipation
+        assert np.all(uh[1:].real != 0.0) and np.all(uh[1:].imag != 0.0)
+        ux, dissipation, cubic = _rate_terms(uh, n, 1.0 / n, nu)
+        assert np.array_equal(ux, np.fft.irfft(spectral_ops(n).ik * uh, n))
+        self.assert_close(uh, n, nu, dissipation, cubic)
+
+    def test_every_row_of_a_run(self):
+        nu, n = 0.01, 512
+        u0 = sin_field(n, amp=0.8)
+        cfg = SolverConfig(nu=nu, t_end=0.2)
+        _, diag = simulate(u0, cfg)
+        uh0 = np.fft.rfft(u0.values)
+        states = [uh0] + [uh for _, _, uh, _, _ in march(uh0, n, u0.grid.dx, cfg)]
+        assert len(states) == len(diag) > 20
+        for uh, diss, cubic in zip(states, diag.rate_diss, diag.rate_cubic):
+            self.assert_close(uh, n, nu, diss, cubic)
+
+    def test_enstrophy_rate_makes_two_transforms(self, fft_calls):
+        u = sin_field(256, amp=0.8)
+        fft_calls[0] = 0
+        enstrophy_rate(u, 0.01)
+        assert fft_calls[0] == 2
+
+    @pytest.mark.parametrize("nu", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_enstrophy_rate_rejects_bad_nu(self, nu):
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            enstrophy_rate(sin_field(64), nu)
+
+
 class TestSupEnstrophy:
     """Peak extraction with quadratic refinement."""
 
@@ -488,9 +542,9 @@ class TestSpectralCore:
         steps = len(diag) - 1
         assert steps > 50
         # 7 for RK4 (the first stage reuses the samples), 1 for the
-        # samples, 2 for the diagnostics row; the run also transforms u0
-        # once each way and takes row 0 (2 more)
-        assert fft_calls[0] <= 10 * steps + 4
+        # samples, 1 for the diagnostics row's u_x; before the first step,
+        # 1 forward transform of u0, 1 for row 0 and 1 for the first samples
+        assert fft_calls[0] == 9 * steps + 3
 
     def test_march_forward_fft_calls_per_step(self, fft_calls):
         u0 = sin_field(256, amp=0.8)

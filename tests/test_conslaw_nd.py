@@ -236,6 +236,21 @@ class TestStructuralProperties:
         _, diag = shock_run_2d
         assert np.all(np.diff(diag.tv) <= diag.tv[:-1] * 1e-8)
 
+    def test_cubic_2d_is_monotone(self):
+        # the cubic profile evaluates u*u*u, not pow, and the run keeps
+        # both monotone properties of the scheme
+        spec = get_flux("cubic2d")
+        u = np.linspace(-1.0, 1.0, 201)
+        want = u**3 / (3.0 * np.sqrt(2.0))
+        assert np.all(np.abs(spec.eval(u) - want) <= 1e-15 * np.abs(want))
+        g2 = GridSpecND(dim=2, points=64)
+        xc = g2.axis_coords()
+        u0 = FieldND(g2, np.sin(2 * np.pi * xc)[:, None] * np.cos(2 * np.pi * xc)[None, :])
+        _, diag = simulate_nd(u0, spec, SolverConfig(nu=0.005, t_end=0.4))
+        assert len(diag) > 10
+        assert np.all(np.diff(diag.linf) <= diag.linf[:-1] * 1e-10)
+        assert np.all(np.diff(diag.tv) <= diag.tv[:-1] * 1e-8)
+
     def test_mean_conserved(self, shock_run_2d):
         final, _ = shock_run_2d
         assert abs(final.values.mean()) < 1e-12

@@ -99,6 +99,12 @@ class TestRateGradient:
         # roundoff is amplified by the k^4 multiplier at the grid's top mode
         assert np.max(np.abs(g - expect)) < 1e-7 * np.max(np.abs(expect))
 
+    @pytest.mark.parametrize("nu", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_bad_nu(self, nu):
+        u = Field1D(GridSpec1D(64), np.sin(2 * np.pi * GridSpec1D(64).x))
+        with pytest.raises(ValueError, match="nu must be positive and finite"):
+            rate_gradient(u, nu)
+
     def test_zero_mean_output(self):
         grid = GridSpec1D(128)
         u = Field1D(grid, band_limited(grid, np.random.default_rng(1), 5))
