@@ -450,23 +450,25 @@ def run_sweep_e0(cfg: dict, seed: int) -> list[tuple[float, float, float]]:
     _require(cfg, "prefactors", math.isfinite(sum(prefactors)), "must be finite")
     e0s = np.logspace(np.log10(cfg["e0_min"]), np.log10(cfg["e0_max"]), cfg["count"])
     grid = GridSpec1D(cfg["n_points"])
-    rows = []
-    for e0 in map(float, e0s):
-        starts = default_seeds(grid, e0, count=cfg["seeds"], rng_seed=seed)
-        best, best_t = -np.inf, 0.0
+    # every (level, prefactor, seed) ascent, marched as one stack
+    levels, opt_cfgs, starts = [], [], []
+    for level, e0 in enumerate(map(float, e0s)):
+        seeds = default_seeds(grid, e0, count=cfg["seeds"], rng_seed=seed)
         for p in prefactors:
-            horizon = p / np.sqrt(e0)
             opt_cfg = OptimConfig(
                 e0=e0,
                 nu=cfg["nu"],
-                T=horizon,
+                T=p / np.sqrt(e0),
                 max_iters=cfg["max_iters"],
             )
-            for start in starts:
-                _, objective, _ = finite_time_maximize(opt_cfg, grid, start)
-                if objective > best:
-                    best, best_t = objective, horizon
-        rows.append((e0, float(best), float(best_t)))
+            levels.extend([level] * len(seeds))
+            opt_cfgs.extend([opt_cfg] * len(seeds))
+            starts.extend(seeds)
+    rows = [(float(e0), -np.inf, 0.0) for e0 in e0s]
+    results = finite_time_maximize(opt_cfgs, grid, starts)
+    for level, opt_cfg, (_, objective, _) in zip(levels, opt_cfgs, results):
+        if objective > rows[level][1]:
+            rows[level] = (opt_cfg.e0, float(objective), float(opt_cfg.T))
     return rows
 
 
@@ -540,7 +542,7 @@ def _cmd_maximize_finite(cfg: dict, out: _RunDir, seed: int):
     opt_cfg = _optim_config(cfg, cfg["horizon"])
     index = cfg["seed_index"]
     start = default_seeds(grid, cfg["e0"], count=index + 1, rng_seed=seed)[index]
-    optimum, objective, record = finite_time_maximize(opt_cfg, grid, start)
+    ((optimum, objective, record),) = finite_time_maximize([opt_cfg], grid, [start])
     first = float(np.asarray(record.objective)[0])
     return [
         _write_ascent(out, cfg["e0"], optimum, "objective", objective, record),

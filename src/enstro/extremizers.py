@@ -10,9 +10,11 @@ E(u) = int (u_x)^2:
   integrating-factor RK4 march.  The forward march keeps the stage tape
   each RK4 step returns, the samples u of its four stages, and the adjoint
   reads it back; the ascent's gradient reuses the tape of the objective's
-  march at the same point, so each iterate marches forward once.  Above
-  ``ADJOINT_STORAGE_BUDGET_BYTES`` the gradient keeps checkpoints instead
-  and rebuilds the tape block by block by re-marching from them.
+  march at the same point, so each iterate marches forward once.  Many
+  ascents run in lockstep, as one stacked march and one stacked adjoint
+  walk per round.  Above ``ADJOINT_STORAGE_BUDGET_BYTES`` the gradient
+  keeps checkpoints instead and rebuilds the tape block by block by
+  re-marching from them.
 
 Ascent is Riemannian: the L2 gradient is preconditioned by the inverse
 Laplacian (H1-seminorm metric), in which the constraint sphere's normal
@@ -25,7 +27,7 @@ keeps the objective monotone across accepted steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -167,44 +169,78 @@ def _tangent_direction(
 
 
 def _ascend(
-    start_vals: np.ndarray,
+    starts: np.ndarray,
     grid: GridSpec1D,
-    cfg: OptimConfig,
-    objective: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, float, OptimRecord]:
-    """Riemannian Armijo ascent on the enstrophy sphere {E = cfg.e0}."""
+    cfgs: Sequence[OptimConfig],
+    objective: Callable[[np.ndarray, list[int]], Sequence[float]],
+    gradient: Callable[[np.ndarray, list[int]], np.ndarray],
+) -> tuple[np.ndarray, list[float], list[OptimRecord]]:
+    """Riemannian Armijo ascents on the spheres {E = cfg.e0}, one per row of
+    ``starts`` and of ``cfgs``, run in lockstep.
+
+    ``objective(points, members)`` evaluates a stack of points, row i for
+    member ``members[i]``; ``gradient(points, members)`` gives the gradients
+    at points that the last objective call evaluated.  Each round makes one
+    gradient call, for the members that just started or just accepted a
+    step, and then one objective call, for every member's next Armijo trial.
+    A member keeps its own step size, Armijo test, stopping rules and
+    record, so it takes the steps it would take alone, and it leaves the
+    stack when it stops.  Returns the optima, their objectives and records.
+    """
     n, dx = grid.n_points, grid.dx
-    u = _retract(start_vals - start_vals.mean(), cfg.e0, n)
-    j = objective(u)
-    rows = [(j, 0.0, abs(enstrophy(np.fft.rfft(u), n) - cfg.e0) / cfg.e0, np.nan)]
-    eta = _STEP0
-    norm0 = None
-    converged = True
-    for _ in range(cfg.max_iters):
-        g = gradient(u)
-        d, slope, gnorm = _tangent_direction(u, g, n, dx)
-        if norm0 is None:
-            norm0 = max(gnorm, 1e-300)
-        if gnorm <= cfg.grad_tol * norm0:
+    u = np.array([_retract(s - s.mean(), c.e0, n) for s, c in zip(starts, cfgs)])
+
+    def residual(m: int) -> float:
+        return abs(enstrophy(np.fft.rfft(u[m]), n) - cfgs[m].e0) / cfgs[m].e0
+
+    members = list(range(len(cfgs)))
+    j = [float(v) for v in objective(u, members)]
+    rows = [[(j[m], 0.0, residual(m), np.nan)] for m in members]
+    eta = [_STEP0] * len(cfgs)
+    iters = [0] * len(cfgs)
+    norm0: list[float | None] = [None] * len(cfgs)
+    converged = [True] * len(cfgs)
+    step: list = [None] * len(cfgs)  # (d, slope, gnorm) at the member's iterate
+    fresh, trying = members, []  # members at a new iterate; members backtracking
+    while True:
+        for m in fresh:
+            if iters[m] == cfgs[m].max_iters:
+                converged[m] = False
+        fresh = [m for m in fresh if converged[m]]
+        for m, g in zip(fresh, gradient(u[fresh], fresh) if fresh else ()):
+            iters[m] += 1
+            step[m] = _tangent_direction(u[m], g, n, dx)
+            if norm0[m] is None:
+                norm0[m] = max(step[m][2], 1e-300)
+            if step[m][2] > cfgs[m].grad_tol * norm0[m]:
+                trying.append(m)
+        # a member whose step has shrunk to round-off is stationary
+        batch = sorted(
+            m
+            for m in trying
+            if eta[m] * step[m][2] > 1e-16 * max(1.0, np.sqrt(cfgs[m].e0))
+        )
+        if not batch:
             break
-        while eta * gnorm > 1e-16 * max(1.0, np.sqrt(cfg.e0)):
-            trial = _retract(u + eta * d, cfg.e0, n)
-            j_trial = objective(trial)
-            if j_trial >= j + _ARMIJO_DECREASE * eta * slope:
-                break
-            eta *= _ARMIJO_FACTOR
-        else:
-            break  # no ascent direction survives backtracking: stationary
-        u, j = trial, j_trial
-        resid = abs(enstrophy(np.fft.rfft(u), n) - cfg.e0) / cfg.e0
-        rows.append((j, eta, resid, gnorm))
-        eta = min(eta / _ARMIJO_FACTOR, 64.0 * _STEP0)
-    else:
-        converged = False
-    cols = np.asarray(rows, dtype=float)
-    record = OptimRecord(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3], converged)
-    return u, j, record
+        trials = np.array(
+            [_retract(u[m] + eta[m] * step[m][0], cfgs[m].e0, n) for m in batch]
+        )
+        fresh, trying = [], []
+        for m, trial, j_trial in zip(batch, trials, objective(trials, batch)):
+            j_trial = float(j_trial)
+            if j_trial >= j[m] + _ARMIJO_DECREASE * eta[m] * step[m][1]:
+                u[m], j[m] = trial, j_trial
+                rows[m].append((j[m], eta[m], residual(m), step[m][2]))
+                eta[m] = min(eta[m] / _ARMIJO_FACTOR, 64.0 * _STEP0)
+                fresh.append(m)
+            else:
+                eta[m] *= _ARMIJO_FACTOR
+                trying.append(m)
+    records = []
+    for r, ok in zip(rows, converged):
+        cols = np.asarray(r, dtype=float)
+        records.append(OptimRecord(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3], ok))
+    return u, j, records
 
 
 def default_seeds(
@@ -238,12 +274,12 @@ def instantaneous_maximize(
     """Maximize the production rate R over the sphere, best of multi-start."""
     best = None
     for seed in default_seeds(grid, cfg.e0, rng_seed=rng_seed):
-        u, j, record = _ascend(
-            seed.values,
+        (u,), (j,), (record,) = _ascend(
+            seed.values[None],
             grid,
-            cfg,
-            objective=lambda v: rate_functional(Field1D(grid, v), cfg.nu),
-            gradient=lambda v: rate_gradient(Field1D(grid, v), cfg.nu).values,
+            [cfg],
+            objective=lambda v, _: [rate_functional(Field1D(grid, v[0]), cfg.nu)],
+            gradient=lambda v, _: rate_gradient(Field1D(grid, v[0]), cfg.nu).values[None],
         )
         if best is None or j > best[1]:
             best = (u, j, record)
@@ -258,37 +294,46 @@ def instantaneous_maximize(
 
 def _march_forward(
     u0_vals: np.ndarray,
-    T: float,
-    nu: float,
+    T: Sequence[float],
+    nu: Sequence[float],
     n: int,
     dx: float,
     tape_bytes: int = 0,
     stride: int = 0,
-) -> tuple[np.ndarray, list[float], dict[int, np.ndarray], list | None]:
-    """March to time T; return ``(uh_T, dts, checkpoints, tape)``.
+) -> tuple[np.ndarray, list[list[float]], dict[int, np.ndarray], list | None]:
+    """March a (B, n) stack of starts, member i to time ``T[i]`` at viscosity
+    ``nu[i]``; return ``(uh_T, dts, checkpoints, tape)``.
 
-    With ``tape_bytes > 0`` it keeps the stage tape, one ``(dt, stages)``
-    entry per step, while it fits in ``tape_bytes``; a tape that outgrows
-    them is dropped and returned as None.  With
-    ``stride > 0`` it keeps the spectra at steps 0, stride, 2*stride, ...
-    before the last step instead.
+    The members step together through :func:`march`'s stack path, each at
+    its own dt.  ``uh_T`` holds each member's final spectrum and ``dts[i]``
+    member i's steps.  With ``tape_bytes > 0`` it keeps the stage tape, one
+    ``(live, dts, stages)`` entry per stacked step as :func:`march` yields
+    them, while the whole stack's tape fits in ``tape_bytes``; a tape that
+    outgrows them is dropped and returned as None.  With ``stride > 0`` it
+    keeps the spectra of the members still marching at stacked steps 0,
+    stride, 2*stride, ... before the last step instead.
     """
     uh = np.fft.rfft(u0_vals)
-    dts: list[float] = []
+    uh_T = np.empty_like(uh)
+    dts: list[list[float]] = [[] for _ in T]
     checkpoints: dict[int, np.ndarray] = {0: uh} if stride else {}
     tape: list | None = [] if tape_bytes > 0 else None
-    cfg = SolverConfig(nu=nu, t_end=T)
-    for i, (_, dt, uh, _, stages) in enumerate(march(uh, n, dx, cfg), start=1):
-        dts.append(dt)
+    kept = 0
+    cfgs = [SolverConfig(nu=v, t_end=t) for t, v in zip(T, nu)]
+    for i, (live, _, dt, uh, _, stages) in enumerate(march(uh, n, dx, cfgs), start=1):
+        for m, step in zip(live.tolist(), dt.tolist()):
+            dts[m].append(step)
+        uh_T[live] = uh  # a member's last write is its final spectrum
         if stride and i % stride == 0:
             checkpoints[i] = uh
         if tape is not None:
-            if (len(tape) + 1) * stages.nbytes > tape_bytes:
+            kept += stages.nbytes
+            if kept > tape_bytes:
                 tape = None
             else:
-                tape.append((dt, stages))
-    checkpoints.pop(len(dts), None)  # the final state starts no step
-    return uh, dts, checkpoints, tape
+                tape.append((live, dt, stages))
+    checkpoints.pop(i, None)  # the final state starts no step
+    return uh_T, dts, checkpoints, tape
 
 
 def _checkpoint_plan(
@@ -322,14 +367,17 @@ def _checkpoint_plan(
     return best[1], best[2]
 
 
-def _retape(uh: np.ndarray, dts: list[float], skip: int, nu: float, n: int) -> list:
-    """Re-march ``uh`` through ``dts``; the stage tape of all but the first
-    ``skip`` steps."""
+def _retape(uh: np.ndarray, dts: list[float], skip: int, nu: np.ndarray, n: int) -> list:
+    """Re-march the one-member stack ``uh`` at the (1, 1) viscosity column
+    ``nu`` through ``dts``; the stage tape of all but the first ``skip``
+    steps, in :func:`_march_forward`'s layout."""
+    live = np.zeros(1, dtype=int)
     tape = []
     for j, dt in enumerate(dts):
-        uh, stages = step_spectral(uh, dt, nu, n)
+        dt = np.array([dt])
+        uh, stages = step_spectral(uh, dt[:, None], nu, n)
         if j >= skip:
-            tape.append((dt, stages))
+            tape.append((live, dt, stages))
     return tape
 
 
@@ -340,17 +388,26 @@ def _nonlinear_adjoint(a: np.ndarray, v_hat: np.ndarray, n: int) -> np.ndarray:
 
 
 def _adjoint_step(
-    stages: np.ndarray, lam_hat: np.ndarray, dt: float, nu: float, n: int
+    stages: np.ndarray,
+    lam_hat: np.ndarray,
+    dt: float | np.ndarray,
+    nu: float | np.ndarray,
+    n: int,
 ) -> np.ndarray:
     """Pull the objective gradient back through one forward RK4 step, whose
-    stage samples ``stages`` the forward march recorded."""
+    stage samples ``stages`` the forward march recorded.
+
+    ``lam_hat`` may be a (B, n//2+1) stack, with ``dt`` and ``nu`` (B, 1)
+    columns and ``stages`` (4, B, n), one row per member; as in
+    :func:`step_spectral`, each row equals its own row call bit for bit.
+    """
     ops = spectral_ops(n)
     e1 = np.exp(-0.5 * dt * nu * ops.k2)
     e2 = e1 * e1
     s1, s2, s3, s4 = stages
 
     w = lam_hat.copy()
-    w[0] = 0.0  # transpose of the mean projection
+    w[..., 0] = 0.0  # transpose of the mean projection
     l_k1 = (dt / 6.0) * (e2 * w)
     l_k2 = (dt / 3.0) * (e1 * w)
     l_k3 = (dt / 3.0) * (e1 * w)
@@ -373,32 +430,91 @@ def _adjoint_step(
     return l_u
 
 
-def _pull_back(tape: list, lam: np.ndarray, nu: float, n: int) -> np.ndarray:
-    """Walk the adjoint back through a stage tape, last step first."""
-    for dt, stages in reversed(tape):
-        lam = _adjoint_step(stages, lam, dt, nu, n)
+def _pull_back(
+    tape: list, lam: np.ndarray, nu: np.ndarray, n: int, rows: Sequence[int]
+) -> np.ndarray:
+    """Walk the adjoint of the marched members ``rows`` back through a stage
+    tape of :func:`_march_forward`, last step first.
+
+    ``lam`` and the column ``nu`` hold one row per member of ``rows``, which
+    ascend.  A member joins the walk at its own last step, so tapes of
+    different lengths line up at their ends, and every row steps as it
+    would alone.
+    """
+    rows = np.asarray(rows)
+    marching = None
+    for live, dts, stages in reversed(tape):
+        # members only leave a march, so the live set changes with its size
+        if len(live) != marching:
+            marching = len(live)
+            cols = np.searchsorted(live, rows)
+            took = live[np.minimum(cols, marching - 1)] == rows  # rows that take the step
+            whole = len(rows) == marching and took.all()
+            cols = cols[took]
+        if whole:
+            lam = _adjoint_step(stages, lam, dts[:, None], nu, n)
+        elif cols.size:
+            lam[took] = _adjoint_step(
+                stages[:, cols], lam[took], dts[cols, None], nu[took], n
+            )
     return lam
 
 
-@dataclass(eq=False)
-class _LastMarch:
-    """The last forward march of an objective, kept for the gradient at the
-    same point: ``key`` is ``(T, nu, bytes of u0)``, ``result`` is
-    ``(uh_T, dts, tape)``."""
+def _gradients(
+    points: np.ndarray,
+    T: Sequence[float],
+    nu: Sequence[float],
+    marched: tuple,
+    rows: Sequence[int],
+    n: int,
+    dx: float,
+    budget_bytes: int,
+) -> np.ndarray:
+    """Exact L2 gradients of u0 -> E(u(T)) for the members ``rows``
+    (ascending) of the stack that :func:`_march_forward` marched to
+    ``marched``; row i of ``points`` is where member ``rows[i]`` started.
 
-    key: tuple | None = None
-    result: tuple | None = None
-
-
-def finite_time_objective(
-    u0: Field1D, T: float, nu: float, last: _LastMarch | None = None
-) -> float:
-    """E(u(T)) for the discrete forward march started at u0.
-
-    With ``last``, the march records its stage tape there (within
-    ``ADJOINT_STORAGE_BUDGET_BYTES``) for :func:`finite_time_gradient` at
-    the same u0, after dropping the tape it held before.
+    The backward pass transposes, step by step, exactly the arithmetic of
+    the forward march, reading each RK4 stage's samples from the march's
+    stage tape, one stacked walk for all rows.  When the march dropped its
+    tape, each row keeps checkpoints instead and rebuilds its tape block by
+    block by re-marching from them, checkpoints and tape together within
+    ``budget_bytes`` (see :func:`_checkpoint_plan`); the result is bit for
+    bit the same.
     """
+    uh_T, dts, _, tape = marched
+    # terminal condition: L2 gradient of E at u(T) is -2 u_xx(T)
+    lam = 2.0 * spectral_ops(n).k2 * uh_T[rows]
+    nu_col = np.array([[nu[r]] for r in rows])
+    if tape is not None:
+        lam = _pull_back(tape, lam, nu_col, n, rows)
+    else:
+        step_bytes = 4 * n * np.dtype(float).itemsize  # one step's (4, n) stage samples
+        for i, r in enumerate(rows):
+            steps, one = dts[r], slice(i, i + 1)
+            stride, block = _checkpoint_plan(len(steps), budget_bytes, uh_T[r].nbytes, step_bytes)
+            _, _, checkpoints, _ = _march_forward(
+                points[one], [T[r]], [nu[r]], n, dx, stride=stride
+            )
+            hi = len(steps)  # step j maps state j to state j + 1
+            while hi > 0:
+                seg = (hi - 1) // stride * stride
+                lo = max(seg, hi - block)
+                # a block's tape lives only while it is pulled back
+                lam[one] = _pull_back(
+                    _retape(checkpoints[seg], steps[seg:hi], lo - seg, nu_col[one], n),
+                    lam[one],
+                    nu_col[one],
+                    n,
+                    [0],
+                )
+                hi = lo
+    lam[..., 0] = 0.0
+    return np.fft.irfft(lam, n)
+
+
+def finite_time_objective(u0: Field1D, T: float, nu: float) -> float:
+    """E(u(T)) for the discrete forward march started at u0."""
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
     if nu <= 0:
@@ -406,14 +522,8 @@ def finite_time_objective(
     n, dx = u0.grid.n_points, u0.grid.dx
     if T == 0:
         return float(enstrophy(np.fft.rfft(u0.values), n))
-    budget = 0
-    if last is not None:
-        last.key = last.result = None  # free the old tape before marching
-        budget = ADJOINT_STORAGE_BUDGET_BYTES
-    uh, dts, _, tape = _march_forward(u0.values, T, nu, n, dx, budget)
-    if last is not None:
-        last.key, last.result = (T, nu, u0.values.tobytes()), (uh, dts, tape)
-    return float(enstrophy(uh, n))
+    uh_T, _, _, _ = _march_forward(u0.values[None], [T], [nu], n, dx)
+    return float(enstrophy(uh_T[0], n))
 
 
 def finite_time_gradient(
@@ -421,21 +531,13 @@ def finite_time_gradient(
     T: float,
     nu: float,
     budget_bytes: int = ADJOINT_STORAGE_BUDGET_BYTES,
-    last: _LastMarch | None = None,
 ) -> Field1D:
     """Exact L2 gradient of u0 -> E(u(T)) via the discrete adjoint.
 
-    The backward pass transposes, step by step, exactly the arithmetic of
-    the forward march, reading each RK4 stage's samples from the stage
-    tape the march recorded, so central finite differences of the discrete
-    objective match the result to roundoff-limited accuracy.  The march is
-    the one ``last`` holds when it started from u0 (its tape was recorded
-    within ``ADJOINT_STORAGE_BUDGET_BYTES``), and one this call makes
-    otherwise.  When the tape does not fit in the budget, the gradient
-    keeps checkpoints instead and rebuilds the tape block by block by
-    re-marching from them, checkpoints and tape together within
-    ``budget_bytes`` (see :func:`_checkpoint_plan`); the result is bit for
-    bit the same.
+    Central finite differences of the discrete objective match the result
+    to roundoff-limited accuracy.  The march keeps its stage tape within
+    ``budget_bytes``, or checkpoints when the tape does not fit (see
+    :func:`_gradients`); the result is bit for bit the same.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -444,48 +546,48 @@ def finite_time_gradient(
     n, dx = u0.grid.n_points, u0.grid.dx
     if abs(float(u0.values.mean())) > 1e-12:
         raise ValueError("initial data must have zero mean")
-    if last is not None and last.key == (T, nu, u0.values.tobytes()):
-        uh_T, dts, tape = last.result
-    else:
-        uh_T, dts, _, tape = _march_forward(u0.values, T, nu, n, dx, budget_bytes)
-    # terminal condition: L2 gradient of E at u(T) is -2 u_xx(T)
-    lam = 2.0 * spectral_ops(n).k2 * uh_T
-    if tape is not None:
-        lam = _pull_back(tape, lam, nu, n)
-    else:
-        step_bytes = 4 * n * np.dtype(float).itemsize  # one step's (4, n) stage samples
-        stride, block = _checkpoint_plan(len(dts), budget_bytes, uh_T.nbytes, step_bytes)
-        _, _, checkpoints, _ = _march_forward(u0.values, T, nu, n, dx, stride=stride)
-        hi = len(dts)  # step j maps state j to state j + 1
-        while hi > 0:
-            seg = (hi - 1) // stride * stride
-            lo = max(seg, hi - block)
-            # a block's tape lives only while it is pulled back
-            lam = _pull_back(
-                _retape(checkpoints[seg], dts[seg:hi], lo - seg, nu, n), lam, nu, n
-            )
-            hi = lo
-    lam[0] = 0.0
-    return Field1D(u0.grid, np.fft.irfft(lam, n))
+    u0s = u0.values[None]
+    marched = _march_forward(u0s, [T], [nu], n, dx, budget_bytes)
+    g = _gradients(u0s, [T], [nu], marched, [0], n, dx, budget_bytes)
+    return Field1D(u0.grid, g[0])
 
 
 def finite_time_maximize(
-    cfg: OptimConfig, grid: GridSpec1D, seed: Field1D
-) -> tuple[Field1D, float, OptimRecord]:
-    """Maximize E(u(T)) over the sphere {E(u0) = e0} from one seed."""
-    if cfg.T is None:
+    cfgs: Sequence[OptimConfig], grid: GridSpec1D, seeds: Sequence[Field1D]
+) -> list[tuple[Field1D, float, OptimRecord]]:
+    """Maximize E(u(T)) over the sphere {E(u0) = cfg.e0}, one ascent per
+    (cfg, seed) pair; returns one ``(optimum, E(u(T)), record)`` per pair.
+
+    The ascents run in lockstep (see :func:`_ascend`): every round marches
+    each member's next Armijo trial in one stack, keeping the stage tape
+    within ``ADJOINT_STORAGE_BUDGET_BYTES`` for the whole stack, and the
+    next round's gradients walk that tape back in one stack, so each
+    iterate marches forward once.  Each member's result equals that of its
+    ascent alone, bit for bit.
+    """
+    cfgs, seeds = list(cfgs), list(seeds)
+    if not cfgs or len(cfgs) != len(seeds):
+        raise ValueError("finite_time_maximize needs one seed per config, at least one")
+    if any(cfg.T is None for cfg in cfgs):
         raise ValueError("finite_time_maximize needs cfg.T")
-    if float(np.abs(seed.values).max()) == 0.0:
+    if any(float(np.abs(seed.values).max()) == 0.0 for seed in seeds):
         raise ValueError("seed must be nonzero")
-    # each gradient is taken at the point the objective marched last
-    last = _LastMarch()
-    u, j, record = _ascend(
-        seed.values,
-        grid,
-        cfg,
-        objective=lambda v: finite_time_objective(Field1D(grid, v), cfg.T, cfg.nu, last),
-        gradient=lambda v: finite_time_gradient(
-            Field1D(grid, v), cfg.T, cfg.nu, last=last
-        ).values,
-    )
-    return Field1D(grid, u), j, record
+    n, dx = grid.n_points, grid.dx
+    last = None  # (members, T, nu, march) of the last objective call
+
+    def objective(points: np.ndarray, members: list[int]) -> np.ndarray:
+        nonlocal last
+        last = None  # free the old tape before marching
+        T, nu = [cfgs[m].T for m in members], [cfgs[m].nu for m in members]
+        marched = _march_forward(points, T, nu, n, dx, ADJOINT_STORAGE_BUDGET_BYTES)
+        last = members, T, nu, marched
+        return enstrophy(marched[0], n)
+
+    def gradient(points: np.ndarray, members: list[int]) -> np.ndarray:
+        marched_members, T, nu, marched = last
+        rows = [marched_members.index(m) for m in members]
+        return _gradients(points, T, nu, marched, rows, n, dx, ADJOINT_STORAGE_BUDGET_BYTES)
+
+    starts = np.array([seed.values for seed in seeds])
+    u, j, records = _ascend(starts, grid, cfgs, objective, gradient)
+    return [(Field1D(grid, row), jm, rec) for row, jm, rec in zip(u, j, records)]

@@ -598,9 +598,9 @@ class TestSweepE0:
         """--seeds 6 runs six starts per (E0, prefactor), as recorded."""
         starts = []
 
-        def fake_maximize(cfg, grid, start):
-            starts.append(start.values)
-            return start, 1.0, None
+        def fake_maximize(cfgs, grid, seeds):
+            starts.extend(seed.values for seed in seeds)
+            return [(seed, 1.0, None) for seed in seeds]
 
         monkeypatch.setattr(enstro.cli, "finite_time_maximize", fake_maximize)
         argv = ["sweep-e0", "--count", "2", "--prefactors", "0.5,1", "--seeds", "6"]
@@ -616,8 +616,8 @@ class TestMaximizeFinite:
     def test_seed_index_beyond_five_is_not_wrapped(self, runs_root, monkeypatch):
         starts = []
 
-        def fake_maximize(cfg, grid, start):
-            starts.append(start.values)
+        def fake_maximize(cfgs, grid, seeds):
+            starts.extend(seed.values for seed in seeds)
             raise RuntimeError("stop after recording the start")
 
         monkeypatch.setattr(enstro.cli, "finite_time_maximize", fake_maximize)

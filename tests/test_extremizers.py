@@ -153,7 +153,7 @@ class TestInstantaneousMaximize:
         grid = GridSpec1D(256)
         cfg = OptimConfig(e0=1.0, nu=0.05, T=0.15, max_iters=60, grad_tol=1e-6)
         seed = default_seeds(grid, 1.0, count=2)[1]
-        u_star, _, record = finite_time_maximize(cfg, grid, seed)
+        ((u_star, _, record),) = finite_time_maximize([cfg], grid, [seed])
         assert len(record) - 1 < cfg.max_iters
         g = finite_time_gradient(u_star, cfg.T, cfg.nu).values
         _, _, gnorm = extremizers._tangent_direction(u_star.values, g, 256, grid.dx)
@@ -333,7 +333,90 @@ def spy(monkeypatch, name: str, results: list) -> None:
 
 
 def tape_bytes(tape) -> int:
-    return sum(stages.nbytes for _, stages in tape or ())
+    return sum(stages.nbytes for _, _, stages in tape or ())
+
+
+def solo_ascent(cfg: OptimConfig, grid: GridSpec1D, seed: Field1D):
+    """One ascent alone, written out as the scalar Armijo loop over the
+    public objective and gradient: ``(optimum, objective, record rows,
+    converged, stop rule)``."""
+    n, dx = grid.n_points, grid.dx
+
+    def objective(v):
+        return finite_time_objective(Field1D(grid, v), cfg.T, cfg.nu)
+
+    def residual(v):
+        return abs(enstrophy(np.fft.rfft(v), n) - cfg.e0) / cfg.e0
+
+    u = extremizers._retract(seed.values - seed.values.mean(), cfg.e0, n)
+    j = objective(u)
+    rows = [(j, 0.0, residual(u), np.nan)]
+    eta, norm0 = 0.5, None
+    for _ in range(cfg.max_iters):
+        g = finite_time_gradient(Field1D(grid, u), cfg.T, cfg.nu).values
+        d, slope, gnorm = extremizers._tangent_direction(u, g, n, dx)
+        if norm0 is None:
+            norm0 = max(gnorm, 1e-300)
+        if gnorm <= cfg.grad_tol * norm0:
+            return u, j, rows, True, "grad_tol"
+        while eta * gnorm > 1e-16 * max(1.0, np.sqrt(cfg.e0)):
+            trial = extremizers._retract(u + eta * d, cfg.e0, n)
+            j_trial = objective(trial)
+            if j_trial >= j + 1e-4 * eta * slope:
+                break
+            eta *= 0.5
+        else:
+            return u, j, rows, True, "stationary"
+        u, j = trial, j_trial
+        rows.append((j, eta, residual(u), gnorm))
+        eta = min(eta / 0.5, 32.0)
+    return u, j, rows, False, "max_iters"
+
+
+class TestBatchedAdjoint:
+    """A stack of adjoints steps as its rows would alone."""
+
+    @staticmethod
+    def stacked_step_case(n=128):
+        rng = np.random.default_rng(3)
+        stages = rng.normal(size=(4, 3, n))
+        lam = np.fft.rfft(rng.normal(size=(3, n)))
+        return stages, lam, np.array([[1e-3], [2.5e-3], [7e-4]]), np.array([[0.05], [1.0], [0.3]])
+
+    def test_stacked_step_rows_equal_row_calls(self):
+        stages, lam, dt, nu = self.stacked_step_case()
+        got = extremizers._adjoint_step(stages, lam, dt, nu, 128)
+        for b in range(3):
+            want = extremizers._adjoint_step(stages[:, b], lam[b], dt[b, 0], nu[b, 0], 128)
+            assert np.array_equal(got[b], want), b
+
+    def test_stacked_step_makes_eight_transforms(self, fft_calls):
+        stages, lam, dt, nu = self.stacked_step_case()
+        fft_calls[0] = 0
+        extremizers._adjoint_step(stages, lam, dt, nu, 128)
+        # two per RK4 stage, whatever the stack's size
+        assert fft_calls[0] == 8
+
+    def test_pull_back_rows_equal_their_own_walks(self):
+        grid = GridSpec1D(128)
+        n, dx = 128, grid.dx
+        stack = np.array([s.values for s in default_seeds(grid, 64.0, count=3)])
+        T, nu = [0.0625, 0.125, 0.2], [1.0, 0.5, 2.0]
+        uh_T, dts, _, tape = extremizers._march_forward(stack, T, nu, n, dx, 2**30)
+        assert len({len(d) for d in dts}) == 3  # tapes of three lengths
+        lam = 2.0 * spectral_ops(n).k2 * uh_T
+        nu_col = np.array(nu)[:, None]
+        for rows in ([0, 1, 2], [0, 2], [1]):
+            got = extremizers._pull_back(tape, lam[rows], nu_col[rows], n, rows)
+            for i, r in enumerate(rows):
+                _, (steps,), _, alone = extremizers._march_forward(
+                    stack[r : r + 1], [T[r]], [nu[r]], n, dx, 2**30
+                )
+                assert steps == dts[r]
+                want = lam[r]
+                for _, dt, stages in reversed(alone):
+                    want = extremizers._adjoint_step(stages[:, 0], want, dt[0], nu[r], n)
+                assert np.array_equal(got[i], want), (rows, r)
 
 
 class TestStageTape:
@@ -351,73 +434,93 @@ class TestStageTape:
             (Field1D(g1024, v - v.mean()), 0.3, 0.01),
         ]
 
+    @staticmethod
+    def ascent_case():
+        """Two ascents at N = 256; alone, the first rejects 7 Armijo trials."""
+        grid = GridSpec1D(256)
+        cfg = OptimConfig(e0=1024.0, nu=1.0, T=1.0 / 32.0, max_iters=12)
+        seeds = default_seeds(grid, 1024.0, count=3)
+        return grid, [cfg, cfg], [seeds[0], seeds[2]]
+
     def test_bit_identical_to_recompute_adjoint(self):
-        for u0, T, nu in self.prototype_cases():
-            want = recompute_gradient(u0, T, nu)
+        cases = self.prototype_cases()
+        wants = [recompute_gradient(u0, T, nu) for u0, T, nu in cases]
+        for (u0, T, nu), want in zip(cases, wants):
             assert np.array_equal(finite_time_gradient(u0, T, nu).values, want)
-            last = extremizers._LastMarch()
-            finite_time_objective(u0, T, nu, last)
-            got = finite_time_gradient(u0, T, nu, last=last).values
-            assert np.array_equal(got, want)
+        # the first two march as one stack and walk back as one
+        T, nu = [cases[0][1], cases[1][1]], [cases[0][2], cases[1][2]]
+        stack = np.array([cases[0][0].values, cases[1][0].values])
+        dx = cases[0][0].grid.dx
+        marched = extremizers._march_forward(stack, T, nu, 256, dx, 2**30)
+        got = extremizers._gradients(stack, T, nu, marched, [0, 1], 256, dx, 2**30)
+        assert np.array_equal(got[0], wants[0]) and np.array_equal(got[1], wants[1])
 
     def test_gradient_after_objective_reads_the_tape(self, monkeypatch, fft_calls):
-        u0, T, nu = self.prototype_cases()[1]
-        last = extremizers._LastMarch()
-        finite_time_objective(u0, T, nu, last)
-        steps = len(last.result[1])
+        grid, cfgs, seeds = self.ascent_case()
         marches: list = []
+        walks: list = []
         spy(monkeypatch, "_march_forward", marches)
-        fft_calls[0] = 0
-        finite_time_gradient(u0, T, nu, last=last)
-        assert marches == []
-        # 2 per RK4 stage, and the final inverse transform
-        assert fft_calls[0] <= 8 * steps + 1
+        gradients = extremizers._gradients
 
-    def test_gradient_at_another_point_marches_itself(self, monkeypatch):
-        u0, T, nu = self.prototype_cases()[0]
-        other = default_seeds(u0.grid, 16.0)[1]
-        last = extremizers._LastMarch()
-        finite_time_objective(other, T, nu, last)
-        marches: list = []
-        spy(monkeypatch, "_march_forward", marches)
-        got = finite_time_gradient(u0, T, nu, last=last).values
-        assert len(marches) == 1
-        assert np.array_equal(got, finite_time_gradient(u0, T, nu).values)
-        # a memo of the same point at another horizon is not reused
-        finite_time_objective(u0, 2 * T, nu, last)
-        assert np.array_equal(finite_time_gradient(u0, T, nu, last=last).values, got)
-        assert len(marches) == 4
+        def counted(points, T, nu, marched, rows, *args):
+            made, calls = len(marches), fft_calls[0]
+            g = gradients(points, T, nu, marched, rows, *args)
+            walks.append((len(marches) - made, fft_calls[0] - calls, marched[3], len(rows)))
+            return g
 
-    def test_objective_frees_the_old_tape_before_marching(self):
-        u0, T, nu = self.prototype_cases()[1]
-        other = Field1D(u0.grid, np.roll(u0.values, 7))  # as many steps
-        last = extremizers._LastMarch()
+        monkeypatch.setattr(extremizers, "_gradients", counted)
+        finite_time_maximize(cfgs, grid, seeds)
+        assert max(rows for *_, rows in walks) == 2  # both members in one walk
+        for made, calls, tape, _ in walks:
+            assert made == 0 and tape is not None
+            # 8 per stacked adjoint step, and the final inverse transform
+            assert calls <= 8 * len(tape) + 1
+
+    def test_objective_frees_the_old_tape_before_marching(self, monkeypatch):
+        grid, cfgs, seeds = self.ascent_case()
+        sizes: list = []
+        march_forward = extremizers._march_forward
+
+        def sized(*args, **kwargs):
+            result = march_forward(*args, **kwargs)
+            sizes.append(tape_bytes(result[3]))  # keeps no reference to it
+            return result
+
+        monkeypatch.setattr(extremizers, "_march_forward", sized)
         tracemalloc.start()
         try:
-            finite_time_objective(u0, T, nu, last)
-            size = tape_bytes(last.result[2])
             before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            finite_time_objective(other, T, nu, last)
+            finite_time_maximize(cfgs, grid, seeds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert abs(tape_bytes(last.result[2]) - size) < size / 4
+        assert len(sizes) > 10 and min(sizes) > 0
         # one tape is alive at a time, not the old one beside the new
-        assert peak - before < size / 2
+        assert peak - before < 1.5 * max(sizes)
 
     def test_ascent_marches_once_per_objective(self, monkeypatch):
-        # this ascent rejects 7 Armijo trials, each also one march
-        grid = GridSpec1D(256)
-        cfg = OptimConfig(e0=1024.0, nu=1.0, T=1.0 / 32.0, max_iters=12)
-        objectives: list = []
-        marches: list = []
-        spy(monkeypatch, "finite_time_objective", objectives)
-        spy(monkeypatch, "_march_forward", marches)
-        _, _, record = finite_time_maximize(cfg, grid, default_seeds(grid, 1024.0)[0])
-        assert len(record) == 13
-        assert len(objectives) == 20
-        assert len(marches) == len(objectives)
+        grid, cfgs, seeds = self.ascent_case()
+        marched: list = []  # members of each march
+        march_forward = extremizers._march_forward
+        monkeypatch.setattr(
+            extremizers,
+            "_march_forward",
+            lambda *args, **kwargs: marched.append(len(args[1])) or march_forward(*args, **kwargs),
+        )
+        alone, records = [], []
+        for cfg, seed in zip(cfgs, seeds):
+            marched.clear()
+            ((_, _, record),) = finite_time_maximize([cfg], grid, [seed])
+            alone.append(len(marched))
+            records.append(record)
+            assert set(marched) == {1}
+        # the first: its start, 12 accepted and 7 rejected trials
+        assert len(records[0]) == 13 and alone[0] == 20
+        marched.clear()
+        finite_time_maximize(cfgs, grid, seeds)
+        # one march per round, holding every member's next objective
+        assert len(marched) == max(alone)
+        assert sum(marched) == sum(alone)
 
     def test_fallback_live_bytes_within_budget(self, monkeypatch):
         # 117 steps at N = 256; one step's tape is about 4.0 spectra
@@ -441,13 +544,13 @@ class TestStageTape:
             tapes.clear()
             got = finite_time_gradient(u0, T, nu, budget_bytes=budget).values
             assert np.array_equal(got, want), spectra
-            assert len(marches[0][1]) == 117
+            assert len(marches[0][1][0]) == 117
             assert all(tape_bytes(m[3]) <= budget for m in marches)
             checkpoints = sum(uh.nbytes for m in marches for uh in m[2].values())
             live = checkpoints + max(tape_bytes(t) for t in tapes)
             assert live <= max(budget, floor), spectra
         # every plan is made for the size of one step of the tape itself
-        assert {args[3] for args in plans} == {tapes[0][0][1].nbytes}
+        assert {args[3] for args in plans} == {tapes[0][0][2].nbytes}
 
     def test_checkpoint_plan_fits_its_budget(self):
         spectrum_bytes, step_bytes = 2064, 16384
@@ -469,7 +572,7 @@ class TestFiniteTimeMaximize:
         grid = GridSpec1D(256)
         seed = default_seeds(grid, 1.0)[0]
         cfg = OptimConfig(e0=1.0, nu=0.05, T=0.2, max_iters=40)
-        _, e_t, record = finite_time_maximize(cfg, grid, seed)
+        ((_, e_t, record),) = finite_time_maximize([cfg], grid, [seed])
         assert e_t >= finite_time_objective(seed, 0.2, 0.05)
         assert np.all(record.constraint_residual <= 1e-10)
 
@@ -483,21 +586,20 @@ class TestFiniteTimeMaximize:
         s2 = Field1D(grid, lam * s1.values)
         c1 = OptimConfig(e0=1.0, nu=0.3, T=0.2, max_iters=25)
         c2 = OptimConfig(e0=lam**2, nu=lam * 0.3, T=0.2 / lam, max_iters=25)
-        _, j1, _ = finite_time_maximize(c1, grid, s1)
-        _, j2, _ = finite_time_maximize(c2, grid, s2)
+        ((_, j1, _),) = finite_time_maximize([c1], grid, [s1])
+        ((_, j2, _),) = finite_time_maximize([c2], grid, [s2])
         assert abs(j2 / j1 - lam**2) / lam**2 < 1e-9
 
     def test_requires_horizon_and_nonzero_seed(self):
         grid = GridSpec1D(64)
         seed = default_seeds(grid, 1.0)[0]
+        cfg = OptimConfig(e0=1.0, nu=0.1, T=0.1)
         with pytest.raises(ValueError, match="cfg.T"):
-            finite_time_maximize(OptimConfig(e0=1.0, nu=0.1), grid, seed)
+            finite_time_maximize([cfg, OptimConfig(e0=1.0, nu=0.1)], grid, [seed, seed])
         with pytest.raises(ValueError, match="nonzero"):
-            finite_time_maximize(
-                OptimConfig(e0=1.0, nu=0.1, T=0.1),
-                grid,
-                Field1D(grid, np.zeros(64)),
-            )
+            finite_time_maximize([cfg, cfg], grid, [seed, Field1D(grid, np.zeros(64))])
+        with pytest.raises(ValueError, match="one seed per config"):
+            finite_time_maximize([cfg, cfg], grid, [seed])
 
 
 class TestSeedsAndRecord:
@@ -545,3 +647,51 @@ class TestSeedsAndRecord:
                 np.array([0.0]),
                 converged=False,
             )
+
+
+# (e0, nu, T, max_iters, grad_tol, seed index, the rule that stops it alone)
+LOCKSTEP_MEMBERS = (
+    (16.0, 1.0, 0.25, 12, 1e-6, 0, "max_iters"),
+    (1024.0, 1.0, 1.0 / 32.0, 80, 1e-6, 0, "grad_tol"),
+    (1.0, 0.05, 0.15, 60, 1e-9, 0, "stationary"),
+    (4.0, 0.2, 0.3, 40, 1e-2, 3, "grad_tol"),
+    (1024.0, 1.0, 1.0 / 32.0, 80, 1e-9, 2, "stationary"),
+)
+
+
+class TestLockstepAscent:
+    """Ascents run as one stack take the steps they would take alone."""
+
+    @staticmethod
+    def members():
+        grid = GridSpec1D(64)
+        cfgs, seeds = [], []
+        for e0, nu, T, iters, tol, k, _ in LOCKSTEP_MEMBERS:
+            cfgs.append(OptimConfig(e0=e0, nu=nu, T=T, max_iters=iters, grad_tol=tol))
+            seeds.append(default_seeds(grid, e0, count=k + 1)[k])
+        return grid, cfgs, seeds
+
+    @pytest.mark.parametrize("budget", [None, 4 * 64 * 8])
+    def test_each_member_equals_its_ascent_alone(self, monkeypatch, budget):
+        grid, cfgs, seeds = self.members()
+        alone = [solo_ascent(cfg, grid, seed) for cfg, seed in zip(cfgs, seeds)]
+        assert [a[4] for a in alone] == [m[-1] for m in LOCKSTEP_MEMBERS]
+        stack = np.array([seed.values for seed in seeds])
+        T, nu = [c.T for c in cfgs], [c.nu for c in cfgs]
+        _, dts, _, _ = extremizers._march_forward(stack, T, nu, 64, grid.dx)
+        assert len({len(d) for d in dts}) >= 4  # tapes of different lengths
+        retapes: list = []
+        if budget is not None:
+            # one step of one member's tape: every gradient re-marches
+            monkeypatch.setattr(extremizers, "ADJOINT_STORAGE_BUDGET_BYTES", budget)
+            spy(monkeypatch, "_retape", retapes)
+        results = finite_time_maximize(cfgs, grid, seeds)
+        assert bool(retapes) == (budget is not None)
+        assert len(results) == len(cfgs)
+        for (u, j, record), (u_alone, j_alone, rows, converged, _) in zip(results, alone):
+            assert np.array_equal(u.values, u_alone)
+            assert j == j_alone
+            cols = np.asarray(rows)
+            for k, name in enumerate(("objective", "step", "constraint_residual", "grad_norm")):
+                assert np.array_equal(getattr(record, name), cols[:, k], equal_nan=True), name
+            assert record.converged is converged
