@@ -39,7 +39,9 @@ from .burgers_solver import (
     validate_initial,
 )
 from .exact_oracles import shock_enstrophy
-from .field_core import Field1D, GridSpec1D, derivative, enstrophy, spectral_ops
+from .field_core import (
+    Field1D, GridSpec1D, _require_positive, derivative, enstrophy, spectral_ops
+)
 
 
 class DatumConstructionError(RuntimeError):
@@ -230,8 +232,7 @@ def dissipation_window(
     time over about 600 sampled steps and rectangle quadrature in space.
     The samples are taken while marching; no field is retained.
     """
-    if U <= 0:
-        raise ValueError(f"U must be positive, got {U}")
+    _require_positive("U", U)
     if not 0.0 < eps < 1.0 / (12.0 * U):
         raise ValueError(f"eps must lie in (0, 1/(12 U)), got {eps}")
     t_lo = 1.0 / (6.0 * U) + eps

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .field_core import Field1D, spectral_ops
+from .field_core import Field1D, _require_positive, _require_zero_mean, spectral_ops
 
 # smallest amplitude a CFL rule divides by, so a zero state takes finite steps
 _CFL_FLOOR = 1e-12
@@ -60,16 +60,21 @@ def required_points(nu: float, linf: float, floor: int = 512) -> int:
     """Smallest power-of-two grid, at least ``floor``, that puts
     ``_MIN_RESOLUTION_PER_SHOCK`` points across the viscous shock width
     nu / linf."""
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    _require_positive("nu", nu)
+    _require_positive("linf", linf)
     return max(
         floor, 2 ** math.ceil(math.log2(_MIN_RESOLUTION_PER_SHOCK * linf / nu))
     )
 
 
-def _require_nu(nu: float) -> None:
-    if not 0.0 < nu < math.inf:
-        raise ValueError(f"nu must be positive and finite, got {nu}")
+def _check_step_budget(count: float) -> None:
+    """Refuse a run whose first step predicts ``count`` = t_end / dt steps,
+    more than ``_MAX_STEPS``."""
+    if count > _MAX_STEPS:
+        raise ValueError(
+            f"t_end / dt of the first step is {count:.3g}, more than "
+            f"the {_MAX_STEPS:.0e} steps a run may take"
+        )
 
 
 @dataclass(frozen=True)
@@ -82,21 +87,12 @@ class SolverConfig:
     sample_stride: int = 1  # diagnostics thinning of the finite-volume solver
 
     def __post_init__(self) -> None:
-        _require_nu(self.nu)
-        if not 0.0 < self.t_end < math.inf:
-            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        _require_positive("nu", self.nu)
+        _require_positive("t_end", self.t_end)
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not self.sample_stride >= 1:
             raise ValueError("sample_stride must be a positive integer")
-
-
-class EnstrophyRate(NamedTuple):
-    """(1/2) dE/dt split into its viscous and cubic parts."""
-
-    total: float
-    dissipation: float
-    cubic: float
 
 
 DIAGNOSTIC_COLUMNS = (
@@ -243,10 +239,10 @@ def march(
     that loses finiteness raises :class:`BlowUpError` naming it.
 
     When the predicted step count t_end / dt of a member's first step
-    exceeds ``_MAX_STEPS``, the march raises ValueError after that step;
-    by the maximum principle the count bounds the steps the run would
-    take.  The first step comes before the check so that data that
-    cannot be stepped at all report :class:`BlowUpError`.
+    exceeds ``_MAX_STEPS``, :func:`_check_step_budget` raises ValueError
+    after that step; by the maximum principle the count bounds the steps
+    the run would take.  The first step comes before the check so that
+    data that cannot be stepped at all report :class:`BlowUpError`.
     """
     single = uh.ndim == 1
     cfgs = [cfg] if single else list(cfg)
@@ -275,12 +271,7 @@ def march(
                 raise BlowUpError(t[j], member=j)
         if first:
             first = False
-            count = max(cfgs[j].t_end / dt for j, dt in zip(live, dts))
-            if count > _MAX_STEPS:
-                raise ValueError(
-                    f"t_end / dt of the first step is {count:.3g}, more than "
-                    f"the {_MAX_STEPS:.0e} steps a run may take"
-                )
+            _check_step_budget(max(cfgs[j].t_end / dt for j, dt in zip(live, dts)))
         for j, dt, last in zip(live, dts, lasts):
             t[j] = cfgs[j].t_end if last else t[j] + dt
         if single:
@@ -315,14 +306,6 @@ def _rate_terms(
     return ux, dissipation, cubic
 
 
-def enstrophy_rate(u: Field1D, nu: float) -> EnstrophyRate:
-    """Instantaneous (1/2) dE/dt and its two addends, computed spectrally."""
-    _require_nu(nu)
-    n = u.grid.n_points
-    _, dissipation, cubic = _rate_terms(np.fft.rfft(u.values), n, u.grid.dx, nu)
-    return EnstrophyRate(dissipation + cubic, dissipation, cubic)
-
-
 def _diagnostics_row(
     t: float, uh: np.ndarray, vals: np.ndarray, nu: float, dx: float
 ) -> tuple:
@@ -343,8 +326,7 @@ def _diagnostics_row(
 
 def validate_initial(u0: Field1D, cfg: SolverConfig) -> None:
     """Reject data with nonzero mean or a grid too coarse for its shock."""
-    if abs(float(u0.values.mean())) > 1e-12:
-        raise ValueError("initial data must have zero mean (|mean| <= 1e-12)")
+    _require_zero_mean(u0.values)
     linf0 = float(np.abs(u0.values).max())
     if linf0 > 0:
         width = cfg.nu / linf0

@@ -27,12 +27,12 @@ import numpy as np
 
 from .burgers_solver import (
     _CFL_FLOOR,
-    _MAX_STEPS,
     BlowUpError,
     DiagnosticsSeries,
     SolverConfig,
+    _check_step_budget,
 )
-from .field_core import ConfigurationError, _is_power_of_two
+from .field_core import ConfigurationError, _require_grid_size
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,7 @@ class GridSpecND:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
             raise ConfigurationError(f"dim must be 1 or 2, got {self.dim}")
-        if self.points < 8 or not _is_power_of_two(self.points):
-            raise ConfigurationError(
-                f"points must be a power of two >= 8, got {self.points}"
-            )
+        _require_grid_size("points", self.points)
 
     @property
     def dx(self) -> float:
@@ -214,11 +211,11 @@ def simulate_nd(
     """March u0 with viscosity cfg.nu to cfg.t_end; returns the terminal
     field and diagnostics.
 
-    As in :func:`march`, a run whose first step predicts more than
-    ``_MAX_STEPS`` steps, t_end / dt, raises ValueError after that step.
-    The count bounds the steps taken: every registry flux has |g'(u)|
-    nondecreasing in |u|, so by the maximum principle dt never falls
-    below its first value.
+    As in :func:`march`, a run whose first step predicts more steps,
+    t_end / dt, than :func:`_check_step_budget` allows raises ValueError
+    after that step.  The count bounds the steps taken: every registry
+    flux has |g'(u)| nondecreasing in |u|, so by the maximum principle dt
+    never falls below its first value.
     """
     if flux.dim != u0.grid.dim:
         raise ValueError(
@@ -250,11 +247,8 @@ def simulate_nd(
         u = u + dt * nu * _laplacian(u, dx)
         if not np.all(np.isfinite(u)):
             raise BlowUpError(t)
-        if step_index == 0 and cfg.t_end / dt > _MAX_STEPS:
-            raise ValueError(
-                f"t_end / dt of the first step is {cfg.t_end / dt:.3g}, more "
-                f"than the {_MAX_STEPS:.0e} steps a run may take"
-            )
+        if step_index == 0:
+            _check_step_budget(cfg.t_end / dt)
         t = cfg.t_end if last else t + dt
         step_index += 1
         if last or step_index % cfg.sample_stride == 0:

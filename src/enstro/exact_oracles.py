@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field_core import Field1D, derivative, enstrophy, heat_propagate, spectral_ops
+from .field_core import _require_positive, _require_zero_mean
 
 
 class UnderflowError(ArithmeticError):
@@ -31,8 +32,8 @@ def shock_enstrophy(U: float, nu: float) -> float:
     u_x = -(U/l) sech^2(x/l) and integral of sech^4 equal to 4/3, the
     enstrophy is (U/l)^2 * l * 4/3 = (2/3) U^3 / nu.
     """
-    if U <= 0 or nu <= 0:
-        raise ValueError("shock_enstrophy needs U > 0 and nu > 0")
+    _require_positive("U", U)
+    _require_positive("nu", nu)
     return (2.0 / 3.0) * U**3 / nu
 
 
@@ -44,13 +45,11 @@ def hopf_cole_solution(u0: Field1D, nu: float, t: float) -> Field1D:
     so the largest value of theta0 is exactly 1; this pushes the available
     float64 range entirely toward small values of theta.
     """
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _require_positive("nu", nu)
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
+    _require_zero_mean(u0.values)
     n = u0.grid.n_points
-    if abs(u0.values.mean()) > 1e-12:
-        raise ValueError("initial data must have zero mean")
 
     ops = spectral_ops(n)
     uh = np.fft.rfft(u0.values)
@@ -83,8 +82,8 @@ def heat_estimate_ratios(v0: Field1D, nu: float, t: float) -> tuple[float, float
     Both stay bounded by an absolute constant over all nonconstant data and
     all positive times; they degenerate for constant data.
     """
-    if nu <= 0 or t <= 0:
-        raise ValueError("heat_estimate_ratios needs nu > 0 and t > 0")
+    _require_positive("nu", nu)
+    _require_positive("t", t)
     n = v0.grid.n_points
     dx = v0.grid.dx
     ops = spectral_ops(n)

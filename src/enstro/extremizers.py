@@ -31,14 +31,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .burgers_solver import (
-    SolverConfig,
-    _require_nu,
-    enstrophy_rate,
-    march,
-    step_spectral,
+from .burgers_solver import SolverConfig, _rate_terms, march, step_spectral
+from .field_core import (
+    Field1D, GridSpec1D, _require_positive, _require_zero_mean, enstrophy, spectral_ops
 )
-from .field_core import Field1D, GridSpec1D, enstrophy, spectral_ops
 
 ADJOINT_STORAGE_BUDGET_BYTES = 256 * 2**20
 
@@ -61,11 +57,10 @@ class OptimConfig:
     grad_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.e0 < np.inf:
-            raise ValueError(f"e0 must be positive and finite, got {self.e0}")
-        _require_nu(self.nu)
-        if self.T is not None and not 0.0 < self.T < np.inf:
-            raise ValueError(f"T must be positive and finite where used, got {self.T}")
+        _require_positive("e0", self.e0)
+        _require_positive("nu", self.nu)
+        if self.T is not None:
+            _require_positive("T", self.T)
         if not self.max_iters >= 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -114,8 +109,12 @@ class OptimRecord:
 
 
 def rate_functional(u: Field1D, nu: float) -> float:
-    """R(u) = -nu int (u_xx)^2 - (1/2) int (u_x)^3 on the grid."""
-    return enstrophy_rate(u, nu).total
+    """R(u) = -nu int (u_xx)^2 - (1/2) int (u_x)^3 on the grid, the
+    instantaneous (1/2) dE/dt, computed spectrally."""
+    _require_positive("nu", nu)
+    n = u.grid.n_points
+    _, dissipation, cubic = _rate_terms(np.fft.rfft(u.values), n, u.grid.dx, nu)
+    return dissipation + cubic
 
 
 def rate_gradient(u: Field1D, nu: float) -> Field1D:
@@ -126,7 +125,7 @@ def rate_gradient(u: Field1D, nu: float) -> Field1D:
     with pointwise squaring is its exact gradient (the derivative matrix
     is anti-self-adjoint), so finite differences match to roundoff.
     """
-    _require_nu(nu)
+    _require_positive("nu", nu)
     n = u.grid.n_points
     ops = spectral_ops(n)
     uh = np.fft.rfft(u.values)
@@ -468,7 +467,6 @@ def _gradients(
     rows: Sequence[int],
     n: int,
     dx: float,
-    budget_bytes: int,
 ) -> np.ndarray:
     """Exact L2 gradients of u0 -> E(u(T)) for the members ``rows``
     (ascending) of the stack that :func:`_march_forward` marched to
@@ -479,8 +477,8 @@ def _gradients(
     stage tape, one stacked walk for all rows.  When the march dropped its
     tape, each row keeps checkpoints instead and rebuilds its tape block by
     block by re-marching from them, checkpoints and tape together within
-    ``budget_bytes`` (see :func:`_checkpoint_plan`); the result is bit for
-    bit the same.
+    ``ADJOINT_STORAGE_BUDGET_BYTES`` (see :func:`_checkpoint_plan`); the
+    result is bit for bit the same.
     """
     uh_T, dts, _, tape = marched
     # terminal condition: L2 gradient of E at u(T) is -2 u_xx(T)
@@ -492,7 +490,9 @@ def _gradients(
         step_bytes = 4 * n * np.dtype(float).itemsize  # one step's (4, n) stage samples
         for i, r in enumerate(rows):
             steps, one = dts[r], slice(i, i + 1)
-            stride, block = _checkpoint_plan(len(steps), budget_bytes, uh_T[r].nbytes, step_bytes)
+            stride, block = _checkpoint_plan(
+                len(steps), ADJOINT_STORAGE_BUDGET_BYTES, uh_T[r].nbytes, step_bytes
+            )
             _, _, checkpoints, _ = _march_forward(
                 points[one], [T[r]], [nu[r]], n, dx, stride=stride
             )
@@ -515,10 +515,9 @@ def _gradients(
 
 def finite_time_objective(u0: Field1D, T: float, nu: float) -> float:
     """E(u(T)) for the discrete forward march started at u0."""
-    if T < 0:
-        raise ValueError(f"T must be nonnegative, got {T}")
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    if not 0.0 <= T < np.inf:
+        raise ValueError(f"T must be nonnegative and finite, got {T}")
+    _require_positive("nu", nu)
     n, dx = u0.grid.n_points, u0.grid.dx
     if T == 0:
         return float(enstrophy(np.fft.rfft(u0.values), n))
@@ -526,29 +525,21 @@ def finite_time_objective(u0: Field1D, T: float, nu: float) -> float:
     return float(enstrophy(uh_T[0], n))
 
 
-def finite_time_gradient(
-    u0: Field1D,
-    T: float,
-    nu: float,
-    budget_bytes: int = ADJOINT_STORAGE_BUDGET_BYTES,
-) -> Field1D:
+def finite_time_gradient(u0: Field1D, T: float, nu: float) -> Field1D:
     """Exact L2 gradient of u0 -> E(u(T)) via the discrete adjoint.
 
     Central finite differences of the discrete objective match the result
     to roundoff-limited accuracy.  The march keeps its stage tape within
-    ``budget_bytes``, or checkpoints when the tape does not fit (see
-    :func:`_gradients`); the result is bit for bit the same.
+    ``ADJOINT_STORAGE_BUDGET_BYTES``, or checkpoints when the tape does not
+    fit (see :func:`_gradients`); the result is bit for bit the same.
     """
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    _require_positive("T", T)
+    _require_positive("nu", nu)
+    _require_zero_mean(u0.values)
     n, dx = u0.grid.n_points, u0.grid.dx
-    if abs(float(u0.values.mean())) > 1e-12:
-        raise ValueError("initial data must have zero mean")
     u0s = u0.values[None]
-    marched = _march_forward(u0s, [T], [nu], n, dx, budget_bytes)
-    g = _gradients(u0s, [T], [nu], marched, [0], n, dx, budget_bytes)
+    marched = _march_forward(u0s, [T], [nu], n, dx, ADJOINT_STORAGE_BUDGET_BYTES)
+    g = _gradients(u0s, [T], [nu], marched, [0], n, dx)
     return Field1D(u0.grid, g[0])
 
 
@@ -586,7 +577,7 @@ def finite_time_maximize(
     def gradient(points: np.ndarray, members: list[int]) -> np.ndarray:
         marched_members, T, nu, marched = last
         rows = [marched_members.index(m) for m in members]
-        return _gradients(points, T, nu, marched, rows, n, dx, ADJOINT_STORAGE_BUDGET_BYTES)
+        return _gradients(points, T, nu, marched, rows, n, dx)
 
     starts = np.array([seed.values for seed in seeds])
     u, j, records = _ascend(starts, grid, cfgs, objective, gradient)

@@ -19,8 +19,25 @@ class ConfigurationError(ValueError):
     """Raised for invalid grid or solver configuration values."""
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _require_grid_size(name: str, n: int) -> None:
+    """The one grid rule: ``n`` points, an integer power of two >= 8."""
+    if not isinstance(n, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer")
+    if n < 8 or n & (n - 1):
+        raise ConfigurationError(f"{name} must be a power of two >= 8, got {n}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    """The one rule for a viscosity, time, amplitude or enstrophy level:
+    positive and finite, so nan and inf are refused too."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _require_zero_mean(values: np.ndarray) -> None:
+    """The zero-mean hypothesis on initial data, to round-off."""
+    if abs(float(values.mean())) > 1e-12:
+        raise ValueError("initial data must have zero mean (|mean| <= 1e-12)")
 
 
 @dataclass(frozen=True)
@@ -34,12 +51,7 @@ class GridSpec1D:
     n_points: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_points, (int, np.integer)):
-            raise ConfigurationError("n_points must be an integer")
-        if self.n_points < 8 or not _is_power_of_two(int(self.n_points)):
-            raise ConfigurationError(
-                f"n_points must be a power of two >= 8, got {self.n_points}"
-            )
+        _require_grid_size("n_points", self.n_points)
 
     @property
     def dx(self) -> float:

@@ -30,6 +30,8 @@ from enstro.field_core import Field1D, GridSpec1D, enstrophy, norms, write_csv
 
 DELTA = 1.0 / 48.0
 RAMP_SLOPE = 1.0 / (1.0 / 6.0 - DELTA)  # 48/7
+# zero, negative and non-finite: none is a viscosity or an amplitude
+NOT_POSITIVE = [0.0, -1.0, float("nan"), float("inf")]
 
 
 @pytest.fixture(scope="module")
@@ -312,10 +314,10 @@ class TestNuSweep:
 
     def test_zero_viscosity_names_nu(self):
         # the auto grid divides by the finest nu; zero is a usage error
-        with pytest.raises(ValueError, match="nu must be positive, got 0.0"):
+        with pytest.raises(ValueError, match="nu must be positive and finite, got 0.0"):
             auto_grid("lower-bound", 0.0)
         cfg = SolverConfig(nu=1.0, t_end=0.2)
-        with pytest.raises(ValueError, match="nu must be positive, got 0.0"):
+        with pytest.raises(ValueError, match="nu must be positive and finite, got 0.0"):
             nu_sweep("lower-bound", [0.03, 0.02, 0.015, 0.0], cfg)
 
     def test_sine_family(self):
@@ -370,3 +372,11 @@ class TestDissipationWindow:
             dissipation_window(u0, 0.0, 0.01, 0.01)
         with pytest.raises(ValueError, match="nu must be positive"):
             dissipation_window(u0, capital_u, 0.0, 0.01)
+
+    @pytest.mark.parametrize("bad", NOT_POSITIVE)
+    @pytest.mark.parametrize("name", ["U", "nu"])
+    def test_rejects_non_positive_or_non_finite(self, datum, name, bad):
+        u0, capital_u = datum
+        args = {"U": capital_u, "nu": 0.01, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+            dissipation_window(u0, eps=0.01, **args)

@@ -15,20 +15,19 @@ from enstro.burgers_solver import (
     BlowUpError,
     DIAGNOSTIC_COLUMNS,
     DiagnosticsSeries,
-    EnstrophyRate,
     ResolutionError,
     SolverConfig,
     Trajectory,
     _nonlinear,
     _rate_terms,
-    enstrophy_rate,
     march,
+    required_points,
     simulate,
     step_spectral,
     sup_enstrophy,
 )
 from enstro.exact_oracles import hopf_cole_solution
-from enstro.extremizers import _march_forward
+from enstro.extremizers import _march_forward, rate_functional
 from enstro.field_core import (
     Field1D,
     GridSpec1D,
@@ -37,6 +36,10 @@ from enstro.field_core import (
     spectral_ops,
     write_csv,
 )
+
+
+# zero, negative and non-finite: none is a viscosity, time or amplitude
+NOT_POSITIVE = [0.0, -1.0, float("nan"), float("inf")]
 
 
 def sin_field(n: int = 256, mode: int = 1, amp: float = 1.0) -> Field1D:
@@ -373,6 +376,13 @@ class TestSimulateValidation:
         with pytest.raises(ValueError, match="zero mean"):
             simulate(u0, SolverConfig(nu=0.1, t_end=0.1))
 
+    @pytest.mark.parametrize("bad", NOT_POSITIVE)
+    @pytest.mark.parametrize("name", ["nu", "linf"])
+    def test_required_points_rejects_bad_parameters(self, name, bad):
+        args = {"nu": 1e-3, "linf": 0.5, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+            required_points(**args)
+
     def test_resolution_error_carries_required_n(self):
         u0 = sin_field(64)
         with pytest.raises(ResolutionError) as exc:
@@ -385,14 +395,23 @@ class TestSimulateValidation:
 class TestEnstrophyRate:
     """The production identity (1/2) dE/dt = rate_diss + rate_cubic."""
 
+    @staticmethod
+    def addends(u: Field1D, nu: float) -> tuple[float, float]:
+        """(dissipation, cubic) of the field u, by ``_rate_terms``."""
+        _, dissipation, cubic = _rate_terms(
+            np.fft.rfft(u.values), u.grid.n_points, u.grid.dx, nu
+        )
+        return dissipation, cubic
+
     def test_single_mode_closed_form(self):
         # u = A sin(2 pi x): the cubic term vanishes by symmetry and
         # -nu int u_xx^2 = -8 pi^4 A^2 nu
         A, nu = 0.7, 0.03
-        r = enstrophy_rate(sin_field(256, amp=A), nu)
-        assert r.cubic == pytest.approx(0.0, abs=1e-12)
-        assert r.dissipation == pytest.approx(-8.0 * np.pi**4 * A**2 * nu, rel=1e-10)
-        assert r.total == r.dissipation + r.cubic
+        u = sin_field(256, amp=A)
+        dissipation, cubic = self.addends(u, nu)
+        assert cubic == pytest.approx(0.0, abs=1e-12)
+        assert dissipation == pytest.approx(-8.0 * np.pi**4 * A**2 * nu, rel=1e-10)
+        assert rate_functional(u, nu) == dissipation + cubic
 
     def test_cubic_term_asymmetric_field(self):
         # u = sin(2 pi x) + 0.3 sin(4 pi x):
@@ -402,17 +421,17 @@ class TestEnstrophyRate:
             grid,
             np.sin(2 * np.pi * grid.x) + 0.3 * np.sin(4 * np.pi * grid.x),
         )
-        r = enstrophy_rate(u, nu=0.01)
-        assert r.cubic == pytest.approx(-1.8 * np.pi**3, rel=1e-10)
+        _, cubic = self.addends(u, nu=0.01)
+        assert cubic == pytest.approx(-1.8 * np.pi**3, rel=1e-10)
         # independent quadrature check of the same integral
         xq = np.linspace(0.0, 1.0, 100_001)
         uxq = 2 * np.pi * np.cos(2 * np.pi * xq) + 1.2 * np.pi * np.cos(4 * np.pi * xq)
         assert np.trapezoid(uxq**3, xq) == pytest.approx(3.6 * np.pi**3, rel=1e-8)
 
     def test_zero_field(self):
-        grid = GridSpec1D(64)
-        r = enstrophy_rate(Field1D(grid, np.zeros(64)), nu=0.1)
-        assert r == EnstrophyRate(0.0, 0.0, 0.0)
+        zero = Field1D(GridSpec1D(64), np.zeros(64))
+        assert self.addends(zero, nu=0.1) == (0.0, 0.0)
+        assert rate_functional(zero, nu=0.1) == 0.0
 
     def test_matches_time_derivative_along_run(self):
         # the definitive sign check: (1/2) dE/dt from the diagnostics
@@ -471,13 +490,13 @@ class TestRateTerms:
     def test_enstrophy_rate_makes_two_transforms(self, fft_calls):
         u = sin_field(256, amp=0.8)
         fft_calls[0] = 0
-        enstrophy_rate(u, 0.01)
+        rate_functional(u, 0.01)
         assert fft_calls[0] == 2
 
     @pytest.mark.parametrize("nu", [float("nan"), float("inf"), 0.0, -1.0])
     def test_enstrophy_rate_rejects_bad_nu(self, nu):
         with pytest.raises(ValueError, match="nu must be positive and finite"):
-            enstrophy_rate(sin_field(64), nu)
+            rate_functional(sin_field(64), nu)
 
 
 class TestSupEnstrophy:

@@ -55,6 +55,11 @@ class TestGridAndField:
         with pytest.raises(ConfigurationError, match="power of two"):
             GridSpecND(dim=1, points=100)
 
+    def test_grid_rejects_non_integer_points(self):
+        # the grid rule of GridSpec1D, with its own parameter name
+        with pytest.raises(ConfigurationError, match="points must be an integer"):
+            GridSpecND(2, 64.0)
+
     def test_field_shape_and_finiteness(self):
         g = GridSpecND(dim=2, points=8)
         with pytest.raises(ValueError, match="shape"):

@@ -20,6 +20,10 @@ from enstro.exact_oracles import (
 from enstro.field_core import Field1D, GridSpec1D, heat_propagate, norms
 
 
+# zero, negative and non-finite: none is a viscosity, time or amplitude
+NOT_POSITIVE = [0.0, -1.0, float("nan"), float("inf")]
+
+
 def sin_field(n: int = 256, mode: int = 1, amp: float = 1.0) -> Field1D:
     grid = GridSpec1D(n)
     return Field1D(grid, amp * np.sin(2.0 * np.pi * mode * grid.x))
@@ -77,10 +81,17 @@ class TestShockEnstrophy:
         assert np.max(residual) < 1e-6 * np.max(np.abs(u * ux))
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError, match="U > 0"):
+        with pytest.raises(ValueError, match="U must be positive and finite, got -1.0"):
             shock_enstrophy(-1.0, 1e-3)
-        with pytest.raises(ValueError, match="nu > 0"):
+        with pytest.raises(ValueError, match="nu must be positive and finite, got 0.0"):
             shock_enstrophy(1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", NOT_POSITIVE)
+    @pytest.mark.parametrize("name", ["U", "nu"])
+    def test_rejects_non_positive_or_non_finite(self, name, bad):
+        args = {"U": 1.0, "nu": 1e-3, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+            shock_enstrophy(**args)
 
 
 class TestHopfCole:
@@ -142,6 +153,17 @@ class TestHopfCole:
         with pytest.raises(ValueError, match="positive"):
             hopf_cole_solution(u0, nu=0.0, t=0.1)
 
+    @pytest.mark.parametrize(
+        "name, bad, rule",
+        [("nu", v, "positive") for v in NOT_POSITIVE]
+        # t = 0 is the initial datum itself
+        + [("t", v, "nonnegative") for v in NOT_POSITIVE[1:]],
+    )
+    def test_refuses_instead_of_returning_nan(self, name, bad, rule):
+        args = {"nu": 0.05, "t": 0.1, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be {rule} and finite, got"):
+            hopf_cole_solution(sin_field(64), **args)
+
 
 class TestHeatEstimateRatios:
     """Dimensionless smoothing ratios of the heat semigroup."""
@@ -199,5 +221,12 @@ class TestHeatEstimateRatios:
             heat_estimate_ratios(v0, nu=0.1, t=0.1)
 
     def test_rejects_bad_time(self):
-        with pytest.raises(ValueError, match="nu > 0 and t > 0"):
+        with pytest.raises(ValueError, match="t must be positive and finite, got 0.0"):
             heat_estimate_ratios(sin_field(64), nu=0.1, t=0.0)
+
+    @pytest.mark.parametrize("bad", NOT_POSITIVE)
+    @pytest.mark.parametrize("name", ["nu", "t"])
+    def test_rejects_non_positive_or_non_finite(self, name, bad):
+        args = {"nu": 0.1, "t": 0.1, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got"):
+            heat_estimate_ratios(sin_field(64), **args)

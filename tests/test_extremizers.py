@@ -34,6 +34,10 @@ from enstro.field_core import (
 )
 
 
+# zero, negative and non-finite: none is a viscosity, time or amplitude
+NOT_POSITIVE = [0.0, -1.0, float("nan"), float("inf")]
+
+
 def band_limited(grid: GridSpec1D, rng, kmax: int = 8) -> np.ndarray:
     v = np.zeros(grid.n_points)
     for k in range(1, kmax + 1):
@@ -243,19 +247,22 @@ class TestFiniteTimeGradient:
         g = finite_time_gradient(Field1D(grid, np.zeros(128)), T=0.1, nu=0.1)
         assert np.max(np.abs(g.values)) == 0.0
 
-    def test_checkpoint_fallback_bitwise_identical(self):
+    def test_checkpoint_fallback_bitwise_identical(self, monkeypatch):
         grid = GridSpec1D(256)
         v = band_limited(grid, np.random.default_rng(9))
         v *= 0.5 / np.abs(v).max()
         u0 = Field1D(grid, v)
         g_full = finite_time_gradient(u0, 0.15, 0.05)
         spectrum_bytes = (256 // 2 + 1) * 16
-        g_thin = finite_time_gradient(u0, 0.15, 0.05, budget_bytes=8 * spectrum_bytes)
+        monkeypatch.setattr(extremizers, "ADJOINT_STORAGE_BUDGET_BYTES", 8 * spectrum_bytes)
+        g_thin = finite_time_gradient(u0, 0.15, 0.05)
         assert np.array_equal(g_full.values, g_thin.values)
         # budgets below the one-step floor, between it and a one-level
         # plan, and just short of the whole tape
         for spectra in (4, 12, 40, 120, 300):
-            g = finite_time_gradient(u0, 0.15, 0.05, budget_bytes=spectra * spectrum_bytes)
+            budget = spectra * spectrum_bytes
+            monkeypatch.setattr(extremizers, "ADJOINT_STORAGE_BUDGET_BYTES", budget)
+            g = finite_time_gradient(u0, 0.15, 0.05)
             assert np.array_equal(g_full.values, g.values), spectra
 
     def test_rejects_nonzero_mean(self):
@@ -263,6 +270,24 @@ class TestFiniteTimeGradient:
         u0 = Field1D(grid, np.sin(2 * np.pi * grid.x) + 0.01)
         with pytest.raises(ValueError, match="zero mean"):
             finite_time_gradient(u0, 0.1, 0.1)
+
+    @pytest.mark.parametrize(
+        "call, name, bad, rule",
+        [(finite_time_objective, "nu", v, "positive") for v in NOT_POSITIVE]
+        # the objective at T = 0 is E(u0) itself
+        + [(finite_time_objective, "T", v, "nonnegative") for v in NOT_POSITIVE[1:]]
+        + [
+            (finite_time_gradient, name, v, "positive")
+            for name in ("nu", "T")
+            for v in NOT_POSITIVE
+        ],
+    )
+    def test_rejects_non_positive_or_non_finite(self, call, name, bad, rule):
+        grid = GridSpec1D(64)
+        u0 = Field1D(grid, np.sin(2 * np.pi * grid.x))
+        args = {"T": 0.1, "nu": 0.1, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be {rule} and finite, got"):
+            call(u0, **args)
 
 
 def recompute_gradient(u0: Field1D, T: float, nu: float) -> np.ndarray:
@@ -442,7 +467,7 @@ class TestStageTape:
         seeds = default_seeds(grid, 1024.0, count=3)
         return grid, [cfg, cfg], [seeds[0], seeds[2]]
 
-    def test_bit_identical_to_recompute_adjoint(self):
+    def test_bit_identical_to_recompute_adjoint(self, monkeypatch):
         cases = self.prototype_cases()
         wants = [recompute_gradient(u0, T, nu) for u0, T, nu in cases]
         for (u0, T, nu), want in zip(cases, wants):
@@ -451,8 +476,9 @@ class TestStageTape:
         T, nu = [cases[0][1], cases[1][1]], [cases[0][2], cases[1][2]]
         stack = np.array([cases[0][0].values, cases[1][0].values])
         dx = cases[0][0].grid.dx
+        monkeypatch.setattr(extremizers, "ADJOINT_STORAGE_BUDGET_BYTES", 2**30)
         marched = extremizers._march_forward(stack, T, nu, 256, dx, 2**30)
-        got = extremizers._gradients(stack, T, nu, marched, [0, 1], 256, dx, 2**30)
+        got = extremizers._gradients(stack, T, nu, marched, [0, 1], 256, dx)
         assert np.array_equal(got[0], wants[0]) and np.array_equal(got[1], wants[1])
 
     def test_gradient_after_objective_reads_the_tape(self, monkeypatch, fft_calls):
@@ -540,9 +566,10 @@ class TestStageTape:
         spy(monkeypatch, "_retape", tapes)
         for spectra in (4, 8, 24, 60, 200, 400):
             budget = spectra * spectrum_bytes
+            monkeypatch.setattr(extremizers, "ADJOINT_STORAGE_BUDGET_BYTES", budget)
             marches.clear()
             tapes.clear()
-            got = finite_time_gradient(u0, T, nu, budget_bytes=budget).values
+            got = finite_time_gradient(u0, T, nu).values
             assert np.array_equal(got, want), spectra
             assert len(marches[0][1][0]) == 117
             assert all(tape_bytes(m[3]) <= budget for m in marches)

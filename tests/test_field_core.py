@@ -42,6 +42,10 @@ class TestGridSpec:
         with pytest.raises(ConfigurationError, match="power of two"):
             GridSpec1D(300)
 
+    def test_rejects_non_integer(self):
+        with pytest.raises(ConfigurationError, match="n_points must be an integer"):
+            GridSpec1D(64.0)
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(ConfigurationError, match="power of two"):
             GridSpec1D(4)
