@@ -289,8 +289,9 @@ def march(
 
 def _rate_terms(
     uh: np.ndarray, n: int, dx: float, nu: float
-) -> tuple[np.ndarray, float, float]:
-    """(u_x, dissipation, cubic) of the state with rfft data ``uh``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u_x, dissipation, cubic) of the state with rfft data ``uh``; a stack
+    of states along the last axis gives one dissipation and cubic per state.
 
     The dissipation reads int u_xx^2 off the spectrum by Parseval, with no
     transform: the interior modes count twice and the Nyquist mode once,
@@ -298,11 +299,11 @@ def _rate_terms(
     """
     ops = spectral_ops(n)
     ux = np.fft.irfft(ops.ik * uh, n)
-    re, im = uh.real[:-1], uh.imag[:-1]
-    uxx_sq = 2.0 * np.sum(ops.k4[:-1] * (re * re + im * im))
-    uxx_sq += ops.k4[-1] * uh.real[-1] * uh.real[-1]
-    dissipation = -nu * float(uxx_sq * dx / n)
-    cubic = -0.5 * float(np.sum(ux * ux * ux) * dx)
+    re, im = uh.real[..., :-1], uh.imag[..., :-1]
+    uxx_sq = 2.0 * np.sum(ops.k4[:-1] * (re * re + im * im), axis=-1)
+    uxx_sq += ops.k4[-1] * uh.real[..., -1] * uh.real[..., -1]
+    dissipation = -nu * (uxx_sq * dx / n)
+    cubic = -0.5 * (np.sum(ux * ux * ux, axis=-1) * dx)
     return ux, dissipation, cubic
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field_core import Field1D, derivative, enstrophy, heat_propagate, spectral_ops
-from .field_core import _require_positive, _require_zero_mean
+from .field_core import _require_nonnegative, _require_positive, _require_zero_mean
 
 
 class UnderflowError(ArithmeticError):
@@ -46,8 +46,7 @@ def hopf_cole_solution(u0: Field1D, nu: float, t: float) -> Field1D:
     float64 range entirely toward small values of theta.
     """
     _require_positive("nu", nu)
-    if not 0.0 <= t < np.inf:
-        raise ValueError(f"t must be nonnegative and finite, got {t}")
+    _require_nonnegative("t", t)
     _require_zero_mean(u0.values)
     n = u0.grid.n_points
 

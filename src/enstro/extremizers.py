@@ -10,11 +10,12 @@ E(u) = int (u_x)^2:
   integrating-factor RK4 march.  The forward march keeps the stage tape
   each RK4 step returns, the samples u of its four stages, and the adjoint
   reads it back; the ascent's gradient reuses the tape of the objective's
-  march at the same point, so each iterate marches forward once.  Many
-  ascents run in lockstep, as one stacked march and one stacked adjoint
-  walk per round.  Above ``ADJOINT_STORAGE_BUDGET_BYTES`` the gradient
-  keeps checkpoints instead and rebuilds the tape block by block by
-  re-marching from them.
+  march at the same point, so each iterate marches forward once.  Above
+  ``ADJOINT_STORAGE_BUDGET_BYTES`` the gradient keeps checkpoints instead
+  and rebuilds the tape block by block by re-marching from them.
+
+Both problems ascend their members (seeds, or sweep points) in lockstep,
+one stack per objective and per gradient call; see :func:`_ascend`.
 
 Ascent is Riemannian: the L2 gradient is preconditioned by the inverse
 Laplacian (H1-seminorm metric), in which the constraint sphere's normal
@@ -32,9 +33,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .burgers_solver import SolverConfig, _rate_terms, march, step_spectral
-from .field_core import (
-    Field1D, GridSpec1D, _require_positive, _require_zero_mean, enstrophy, spectral_ops
-)
+from .field_core import Field1D, GridSpec1D, enstrophy, spectral_ops
+from .field_core import _require_nonnegative, _require_positive, _require_zero_mean
 
 ADJOINT_STORAGE_BUDGET_BYTES = 256 * 2**20
 
@@ -59,6 +59,7 @@ class OptimConfig:
     def __post_init__(self) -> None:
         _require_positive("e0", self.e0)
         _require_positive("nu", self.nu)
+        _require_positive("grad_tol", self.grad_tol)
         if self.T is not None:
             _require_positive("T", self.T)
         if not self.max_iters >= 1:
@@ -114,7 +115,7 @@ def rate_functional(u: Field1D, nu: float) -> float:
     _require_positive("nu", nu)
     n = u.grid.n_points
     _, dissipation, cubic = _rate_terms(np.fft.rfft(u.values), n, u.grid.dx, nu)
-    return dissipation + cubic
+    return float(dissipation + cubic)
 
 
 def rate_gradient(u: Field1D, nu: float) -> Field1D:
@@ -126,13 +127,17 @@ def rate_gradient(u: Field1D, nu: float) -> Field1D:
     is anti-self-adjoint), so finite differences match to roundoff.
     """
     _require_positive("nu", nu)
-    n = u.grid.n_points
+    return Field1D(u.grid, _rate_gradient(u.values, nu, u.grid.n_points))
+
+
+def _rate_gradient(vals: np.ndarray, nu: float, n: int) -> np.ndarray:
+    """:func:`rate_gradient` of the samples ``vals``, a stack row by row."""
     ops = spectral_ops(n)
-    uh = np.fft.rfft(u.values)
+    uh = np.fft.rfft(vals)
     ux = np.fft.irfft(ops.ik * uh, n)
     fourth = np.fft.irfft(ops.k4 * uh, n)
     dsq = np.fft.irfft(ops.ik * np.fft.rfft(ux**2), n)
-    return Field1D(u.grid, -2.0 * nu * fourth + 1.5 * dsq)
+    return -2.0 * nu * fourth + 1.5 * dsq
 
 
 # ----------------------------------------------------------------------
@@ -140,31 +145,33 @@ def rate_gradient(u: Field1D, nu: float) -> Field1D:
 # ----------------------------------------------------------------------
 
 
-def _retract(vals: np.ndarray, e0: float, n: int) -> np.ndarray:
+def _retract(vals: np.ndarray, e0: float | np.ndarray, n: int) -> np.ndarray:
+    """Rescale ``vals`` onto {E = e0}; a (B, n) stack row by row, at one e0 per row."""
     e = enstrophy(np.fft.rfft(vals), n)
-    if e <= 0:
+    if np.any(e <= 0):
         raise ValueError("cannot retract a field with zero enstrophy")
-    return vals * np.sqrt(e0 / e)
+    return vals * np.sqrt(e0 / e)[..., None]
 
 
 def _tangent_direction(
     u_vals: np.ndarray, g_vals: np.ndarray, n: int, dx: float
-) -> tuple[np.ndarray, float, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Preconditioned gradient projected tangent to {E = const}.
 
     With P = (-d_xx)^-1 on the mean-free part, P g is the gradient in the
     H1-seminorm metric, where the sphere's normal at u is u itself and
     <P g, u>_H1 = <g, u>_L2.  So d = P g - (<g, u>_L2 / E(u)) u.  Returns
     (direction, slope, metric_norm) where slope = <g, d>_L2 = ||d||_H1^2 >= 0
-    is the directional derivative along d and metric_norm = ||d||_H1.
+    is the directional derivative along d and metric_norm = ||d||_H1; a
+    (B, n) stack of points and gradients gives one of each per row.
     """
     gh = np.fft.rfft(g_vals)
-    gh[0] = 0.0
-    gh[1:] /= spectral_ops(n).k2[1:]
-    coef = float(np.sum(g_vals * u_vals) * dx) / enstrophy(np.fft.rfft(u_vals), n)
-    d = np.fft.irfft(gh, n) - coef * u_vals
-    slope = float(np.sum(g_vals * d) * dx)
-    return d, slope, float(np.sqrt(enstrophy(np.fft.rfft(d), n)))
+    gh[..., 0] = 0.0
+    gh[..., 1:] /= spectral_ops(n).k2[1:]
+    coef = np.sum(g_vals * u_vals, axis=-1) * dx / enstrophy(np.fft.rfft(u_vals), n)
+    d = np.fft.irfft(gh, n) - coef[..., None] * u_vals
+    slope = np.sum(g_vals * d, axis=-1) * dx
+    return d, slope, np.sqrt(enstrophy(np.fft.rfft(d), n))
 
 
 def _ascend(
@@ -181,65 +188,52 @@ def _ascend(
     member ``members[i]``; ``gradient(points, members)`` gives the gradients
     at points that the last objective call evaluated.  Each round makes one
     gradient call, for the members that just started or just accepted a
-    step, and then one objective call, for every member's next Armijo trial.
-    A member keeps its own step size, Armijo test, stopping rules and
-    record, so it takes the steps it would take alone, and it leaves the
-    stack when it stops.  Returns the optima, their objectives and records.
+    step, and then one objective call, for every member's next Armijo trial;
+    tangent directions, retractions and residuals run as one stack too.  A
+    member keeps its own step size, Armijo test, stopping rules and record,
+    so it takes the steps it would take alone, and it leaves the stack when
+    it stops.  Returns the optima, their objectives and records.
     """
     n, dx = grid.n_points, grid.dx
-    u = np.array([_retract(s - s.mean(), c.e0, n) for s, c in zip(starts, cfgs)])
+    e0, grad_tol, max_iters = np.array([(c.e0, c.grad_tol, c.max_iters) for c in cfgs]).T
+    u = _retract(starts - starts.mean(axis=-1, keepdims=True), e0, n)
 
-    def residual(m: int) -> float:
-        return abs(enstrophy(np.fft.rfft(u[m]), n) - cfgs[m].e0) / cfgs[m].e0
+    def residual(m: np.ndarray) -> np.ndarray:
+        return np.abs(enstrophy(np.fft.rfft(u[m]), n) - e0[m]) / e0[m]
 
-    members = list(range(len(cfgs)))
-    j = [float(v) for v in objective(u, members)]
-    rows = [[(j[m], 0.0, residual(m), np.nan)] for m in members]
-    eta = [_STEP0] * len(cfgs)
-    iters = [0] * len(cfgs)
-    norm0: list[float | None] = [None] * len(cfgs)
-    converged = [True] * len(cfgs)
-    step: list = [None] * len(cfgs)  # (d, slope, gnorm) at the member's iterate
-    fresh, trying = members, []  # members at a new iterate; members backtracking
+    fresh, trying = np.arange(len(cfgs)), np.arange(0)  # at a new iterate; backtracking
+    j = np.asarray(objective(u, fresh.tolist()), dtype=float)
+    rows = [[(jm, 0.0, res, np.nan)] for jm, res in zip(j, residual(fresh))]
+    d, slope, gnorm = np.zeros_like(u), np.zeros_like(j), np.zeros_like(j)
+    eta, norm0 = np.full_like(j, _STEP0), np.zeros_like(j)
+    iters, converged = np.zeros(len(cfgs), dtype=int), np.ones(len(cfgs), dtype=bool)
     while True:
-        for m in fresh:
-            if iters[m] == cfgs[m].max_iters:
-                converged[m] = False
-        fresh = [m for m in fresh if converged[m]]
-        for m, g in zip(fresh, gradient(u[fresh], fresh) if fresh else ()):
-            iters[m] += 1
-            step[m] = _tangent_direction(u[m], g, n, dx)
-            if norm0[m] is None:
-                norm0[m] = max(step[m][2], 1e-300)
-            if step[m][2] > cfgs[m].grad_tol * norm0[m]:
-                trying.append(m)
+        converged[fresh[iters[fresh] == max_iters[fresh]]] = False
+        fresh = fresh[iters[fresh] < max_iters[fresh]]
+        if fresh.size:
+            g = gradient(u[fresh], fresh.tolist())
+            iters[fresh] += 1
+            d[fresh], slope[fresh], gnorm[fresh] = _tangent_direction(u[fresh], g, n, dx)
+            first = np.maximum(gnorm[fresh], 1e-300)
+            norm0[fresh] = np.where(iters[fresh] == 1, first, norm0[fresh])
+            moving = gnorm[fresh] > grad_tol[fresh] * norm0[fresh]
+            trying = np.sort(np.concatenate([trying, fresh[moving]]))
         # a member whose step has shrunk to round-off is stationary
-        batch = sorted(
-            m
-            for m in trying
-            if eta[m] * step[m][2] > 1e-16 * max(1.0, np.sqrt(cfgs[m].e0))
-        )
-        if not batch:
+        floor = 1e-16 * np.maximum(1.0, np.sqrt(e0[trying]))
+        batch = trying[eta[trying] * gnorm[trying] > floor]
+        if not batch.size:
             break
-        trials = np.array(
-            [_retract(u[m] + eta[m] * step[m][0], cfgs[m].e0, n) for m in batch]
-        )
-        fresh, trying = [], []
-        for m, trial, j_trial in zip(batch, trials, objective(trials, batch)):
-            j_trial = float(j_trial)
-            if j_trial >= j[m] + _ARMIJO_DECREASE * eta[m] * step[m][1]:
-                u[m], j[m] = trial, j_trial
-                rows[m].append((j[m], eta[m], residual(m), step[m][2]))
-                eta[m] = min(eta[m] / _ARMIJO_FACTOR, 64.0 * _STEP0)
-                fresh.append(m)
-            else:
-                eta[m] *= _ARMIJO_FACTOR
-                trying.append(m)
-    records = []
-    for r, ok in zip(rows, converged):
-        cols = np.asarray(r, dtype=float)
-        records.append(OptimRecord(cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3], ok))
-    return u, j, records
+        trials = _retract(u[batch] + eta[batch, None] * d[batch], e0[batch], n)
+        j_trial = np.asarray(objective(trials, batch.tolist()), dtype=float)
+        ok = j_trial >= j[batch] + _ARMIJO_DECREASE * eta[batch] * slope[batch]
+        fresh, trying = batch[ok], batch[~ok]
+        u[fresh], j[fresh] = trials[ok], j_trial[ok]
+        for m, res in zip(fresh, residual(fresh)):
+            rows[m].append((j[m], eta[m], res, gnorm[m]))
+        eta[fresh] = np.minimum(eta[fresh] / _ARMIJO_FACTOR, 64.0 * _STEP0)
+        eta[trying] *= _ARMIJO_FACTOR
+    records = [OptimRecord(*np.asarray(r).T, bool(c)) for r, c in zip(rows, converged)]
+    return u, j.tolist(), records
 
 
 def default_seeds(
@@ -261,29 +255,28 @@ def default_seeds(
             v += rng.normal() / k * np.sin(2.0 * np.pi * k * x)
             v += rng.normal() / k * np.cos(2.0 * np.pi * k * x)
         raw.append(v)
-    out = []
-    for v in raw[:count]:
-        out.append(Field1D(grid, _retract(v - v.mean(), e0, n)))
-    return out
+    raw = np.array(raw[:count])
+    return [Field1D(grid, v) for v in _retract(raw - raw.mean(axis=-1, keepdims=True), e0, n)]
 
 
 def instantaneous_maximize(
     cfg: OptimConfig, grid: GridSpec1D, rng_seed: int = 2025
 ) -> tuple[Field1D, float, OptimRecord]:
-    """Maximize the production rate R over the sphere, best of multi-start."""
-    best = None
-    for seed in default_seeds(grid, cfg.e0, rng_seed=rng_seed):
-        (u,), (j,), (record,) = _ascend(
-            seed.values[None],
-            grid,
-            [cfg],
-            objective=lambda v, _: [rate_functional(Field1D(grid, v[0]), cfg.nu)],
-            gradient=lambda v, _: rate_gradient(Field1D(grid, v[0]), cfg.nu).values[None],
-        )
-        if best is None or j > best[1]:
-            best = (u, j, record)
-    u, j, record = best
-    return Field1D(grid, u), j, record
+    """Maximize the production rate R over the sphere, best of multi-start:
+    the :func:`default_seeds` ascend in lockstep (see :func:`_ascend`), and
+    the first seed with the highest rate wins."""
+    n, dx = grid.n_points, grid.dx
+
+    def objective(points: np.ndarray, _) -> np.ndarray:
+        _, dissipation, cubic = _rate_terms(np.fft.rfft(points), n, dx, cfg.nu)
+        return dissipation + cubic
+
+    seeds = np.array([s.values for s in default_seeds(grid, cfg.e0, rng_seed=rng_seed)])
+    u, j, records = _ascend(
+        seeds, grid, [cfg] * len(seeds), objective, lambda v, _: _rate_gradient(v, cfg.nu, n)
+    )
+    best = int(np.argmax(j))
+    return Field1D(grid, u[best]), j[best], records[best]
 
 
 # ----------------------------------------------------------------------
@@ -515,8 +508,7 @@ def _gradients(
 
 def finite_time_objective(u0: Field1D, T: float, nu: float) -> float:
     """E(u(T)) for the discrete forward march started at u0."""
-    if not 0.0 <= T < np.inf:
-        raise ValueError(f"T must be nonnegative and finite, got {T}")
+    _require_nonnegative("T", T)
     _require_positive("nu", nu)
     n, dx = u0.grid.n_points, u0.grid.dx
     if T == 0:

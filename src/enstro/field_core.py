@@ -34,6 +34,13 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _require_nonnegative(name: str, value: float) -> None:
+    """The one rule for an elapsed time, or nu times one: zero or positive and
+    finite, so nan and inf are refused."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 def _require_zero_mean(values: np.ndarray) -> None:
     """The zero-mean hypothesis on initial data, to round-off."""
     if abs(float(values.mean())) > 1e-12:
@@ -144,8 +151,7 @@ def heat_propagate(field: Field1D, nu_t: float) -> Field1D:
     The argument is the *product* of diffusivity and elapsed time, so the
     semigroup property reads ``heat(heat(u, a), b) == heat(u, a + b)``.
     """
-    if nu_t < 0:
-        raise ValueError(f"nu_t must be nonnegative, got {nu_t}")
+    _require_nonnegative("nu_t", nu_t)
     if nu_t == 0:
         return Field1D(field.grid, field.values)
     n = field.grid.n_points

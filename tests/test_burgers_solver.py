@@ -487,6 +487,17 @@ class TestRateTerms:
         for uh, diss, cubic in zip(states, diag.rate_diss, diag.rate_cubic):
             self.assert_close(uh, n, nu, diss, cubic)
 
+    def test_stacked_rows_equal_row_calls(self):
+        n, nu = 256, 0.03
+        rng = np.random.default_rng(7)
+        vals = rng.standard_normal((3, n))
+        uh = np.fft.rfft(vals - vals.mean(axis=-1, keepdims=True))
+        ux, dissipation, cubic = _rate_terms(uh, n, 1.0 / n, nu)
+        for b in range(3):
+            want = _rate_terms(uh[b], n, 1.0 / n, nu)
+            assert np.array_equal(ux[b], want[0]), b
+            assert dissipation[b] == want[1] and cubic[b] == want[2], b
+
     def test_enstrophy_rate_makes_two_transforms(self, fft_calls):
         u = sin_field(256, amp=0.8)
         fft_calls[0] = 0

@@ -59,6 +59,9 @@ class TestOptimConfig:
             OptimConfig(e0=0.0, nu=0.1)
         with pytest.raises(ValueError, match="T must be positive"):
             OptimConfig(e0=1.0, nu=0.1, T=-0.5)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="grad_tol must be positive"):
+                OptimConfig(e0=1.0, nu=0.1, grad_tol=bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_values(self, bad):
@@ -68,6 +71,9 @@ class TestOptimConfig:
             OptimConfig(e0=1.0, nu=bad)
         with pytest.raises(ValueError, match="T must be positive and finite"):
             OptimConfig(e0=1.0, nu=0.1, T=bad)
+        # a nan tolerance would stop every ascent at its seed as converged
+        with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+            OptimConfig(e0=1.0, nu=0.1, grad_tol=bad)
 
     def test_nan_max_iters_rejected(self):
         with pytest.raises(ValueError, match="max_iters"):
@@ -204,12 +210,32 @@ class TestTangentDirection:
         want = round_trip_direction(u, g, 256, grid.dx)
         assert np.abs(d - want).max() <= 1e-13 * np.abs(want).max()
 
-    def test_six_transforms(self, fft_calls):
+    @staticmethod
+    def stacked_case():
+        """Three of :meth:`case`'s points and gradients as (3, 256) stacks."""
+        cases = [TestTangentDirection.case(seed) for seed in range(3)]
+        return cases[0][0], np.array([c[1] for c in cases]), np.array([c[2] for c in cases])
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_six_transforms(self, fft_calls, stacked):
         grid, u, g = self.case(0)
+        if stacked:
+            grid, u, g = self.stacked_case()
         fft_calls[0] = 0
         extremizers._tangent_direction(u, g, 256, grid.dx)
-        # P g: 2; E(u): 2; the H1 norm of d: 2
+        # P g: 2; E(u): 2; the H1 norm of d: 2; whatever the stack's size
         assert fft_calls[0] == 6
+
+    def test_stacked_rows_equal_row_calls(self):
+        grid, u, g = self.stacked_case()
+        e0 = np.array([0.5, 4.0, 1024.0])
+        retracted = extremizers._retract(g, e0, 256)
+        d, slope, metric_norm = extremizers._tangent_direction(u, g, 256, grid.dx)
+        for b in range(3):
+            assert np.array_equal(retracted[b], extremizers._retract(g[b], e0[b], 256)), b
+            want = extremizers._tangent_direction(u[b], g[b], 256, grid.dx)
+            assert np.array_equal(d[b], want[0]), b
+            assert slope[b] == want[1] and metric_norm[b] == want[2], b
 
 
 class TestFiniteTimeGradient:
@@ -722,3 +748,36 @@ class TestLockstepAscent:
             for k, name in enumerate(("objective", "step", "constraint_residual", "grad_norm")):
                 assert np.array_equal(getattr(record, name), cols[:, k], equal_nan=True), name
             assert record.converged is converged
+
+
+class TestLockstepInstantaneous:
+    """The instantaneous seeds, ascended as one stack, each as it would alone."""
+
+    def test_equals_best_of_seeds_ascended_alone(self):
+        grid = GridSpec1D(64)
+        cfg = OptimConfig(e0=4.0, nu=0.1, max_iters=40, grad_tol=0.03)
+
+        def objective(v, _):
+            return [rate_functional(Field1D(grid, v[0]), cfg.nu)]
+
+        def gradient(v, _):
+            return rate_gradient(Field1D(grid, v[0]), cfg.nu).values[None]
+
+        alone = [
+            extremizers._ascend(seed.values[None], grid, [cfg], objective, gradient)
+            for seed in default_seeds(grid, cfg.e0)
+        ]
+        # some seeds stop on grad_tol, the others at max_iters
+        assert {rec.converged for _, _, (rec,) in alone} == {True, False}
+        best = None
+        for (u,), (j,), (record,) in alone:
+            if best is None or j > best[1]:
+                best = (u, j, record)
+        u_star, rate, record = instantaneous_maximize(cfg, grid)
+        assert np.array_equal(u_star.values, best[0])
+        assert rate == best[1]
+        for name in ("objective", "step", "constraint_residual", "grad_norm"):
+            want = getattr(best[2], name)
+            assert np.array_equal(getattr(record, name), want, equal_nan=True), name
+        assert np.isnan(record.grad_norm[0])
+        assert record.converged is best[2].converged

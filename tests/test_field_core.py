@@ -129,9 +129,10 @@ class TestHeatPropagate:
         assert abs(norms(g).mean - norms(f).mean) < 1e-13
         assert norms(g).l2 <= norms(f).l2 + 1e-13
 
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            heat_propagate(sin_field(), -1e-6)
+    @pytest.mark.parametrize("bad", [-1e-6, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_time(self, bad):
+        with pytest.raises(ValueError, match="^nu_t must be nonnegative and finite, got"):
+            heat_propagate(sin_field(), bad)
 
 
 class TestNorms:
