@@ -14,6 +14,10 @@ Diagnostics reuse the 1D series type; the gradient-based columns use
 centered differences, with the production split generalizing to
 
     (1/2) dE/dt  ~  int (f'(u) . grad u) Lap u  -  nu * int (Lap u)^2.
+
+A run allocates its work set once: the state, five scratch fields and two
+masks.  Every kernel of the step loop writes into them with ufunc ``out=``,
+keeping the operands and rounding of the plain array expression.
 """
 
 from __future__ import annotations
@@ -85,12 +89,25 @@ class FluxSpec:
     """A flux f(u) = g(u) (1, ..., 1) on R^dim.
 
     `eval` is the scalar per-axis profile g and `deriv` its derivative g'.
+    Both write into an optional `out` array, else into a new one.
     """
 
     name: str
     dim: int
-    eval: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
+    eval: Callable[..., np.ndarray]
+    deriv: Callable[..., np.ndarray]
+
+
+def _monomial(power: int, denom: float) -> Callable[..., np.ndarray]:
+    """The profile u**power / denom, with the power taken as products."""
+
+    def profile(u, out=None):
+        num = 1.0 if power == 0 else u
+        for _ in range(power - 1):
+            num = np.multiply(num, u, out=out)
+        return np.divide(num, denom, out=np.empty_like(u) if out is None else out)
+
+    return profile
 
 
 def flux_registry() -> list[FluxSpec]:
@@ -101,9 +118,9 @@ def flux_registry() -> list[FluxSpec]:
         s = np.sqrt(float(dim))
         tag = "2d" if dim == 2 else ""
         rows = (
-            (f"burgers{dim}d", lambda u, s=s: u**2 / (2.0 * s), lambda u, s=s: u / s),
-            (f"linear{tag}(c=1)", lambda u, s=s: u / s, lambda u, s=s: np.ones_like(u) / s),
-            (f"cubic{tag}", lambda u, s=s: u * u * u / (3.0 * s), lambda u, s=s: u**2 / s),
+            (f"burgers{dim}d", _monomial(2, 2.0 * s), _monomial(1, s)),
+            (f"linear{tag}(c=1)", _monomial(1, s), _monomial(0, s)),
+            (f"cubic{tag}", _monomial(3, 3.0 * s), _monomial(2, s)),
         )
         entries.extend(FluxSpec(name, dim, g, dg) for name, g, dg in rows)
     return entries
@@ -118,45 +135,63 @@ def get_flux(name: str) -> FluxSpec:
     raise KeyError(f"unknown flux {name!r}; available: {known}")
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+def _roll(u: np.ndarray, shift: int, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """np.roll(u, shift, axis) for shift = +-1, written into `out`."""
+    lead = (slice(None),) * axis
+    head, tail = u[lead + (slice(-shift, None),)], u[lead + (slice(None, -shift),)]
+    return np.concatenate((head, tail), axis=axis, out=out)
 
 
-def _sweep(u: np.ndarray, axis: int, g, dg, dt: float, dx: float) -> np.ndarray:
-    """One MUSCL/minmod + local Lax-Friedrichs Euler sweep along `axis`
-    for the flux profile g with derivative dg."""
-    up = np.roll(u, -1, axis=axis)
-    um = np.roll(u, 1, axis=axis)
-    sigma = _minmod(u - um, up - u)
-    sigma_p = np.roll(sigma, -1, axis=axis)
-    # interface i+1/2: left state from cell i, right state from cell i+1
-    ul = u + 0.5 * sigma
-    ur = up - 0.5 * sigma_p
-    a = np.maximum(np.abs(dg(ul)), np.abs(dg(ur)))
-    f_face = 0.5 * (g(ul) + g(ur)) - 0.5 * a * (ur - ul)
-    return u - (dt / dx) * (f_face - np.roll(f_face, 1, axis=axis))
+def _sweep(u: np.ndarray, axis: int, flux: FluxSpec, dt: float, dx: float, work, masks) -> None:
+    """One MUSCL/minmod + local Lax-Friedrichs Euler sweep along `axis`,
+    applied to u in place; `work` holds five scratch fields, `masks` two."""
+    (w0, w1, w2, w3, w4), (positive, smaller) = work, masks
+    _roll(u, -1, axis, w0)  # u[i+1]
+    np.subtract(u, _roll(u, 1, axis, w1), out=w1)  # a = u[i] - u[i-1]
+    np.subtract(w0, u, out=w2)  # b = u[i+1] - u[i]
+    # minmod into w2: a where |a| < |b|, else b; 0 unless a*b > 0
+    np.greater(np.multiply(w1, w2, out=w3), 0.0, out=positive)
+    np.less(np.abs(w1, out=w3), np.abs(w2, out=w4), out=smaller)
+    np.copyto(w2, w1, where=smaller)
+    np.copyto(w2, 0.0, where=np.logical_not(positive, out=positive))
+    # interface i+1/2: left state from cell i, right state from cell i+1;
+    # ur reads 0.5 * sigma from w2 before ul overwrites it
+    ur = np.subtract(w0, _roll(np.multiply(w2, 0.5, out=w2), -1, axis, w1), out=w1)
+    ul = np.add(u, w2, out=w2)
+    # 0.5 * a * (ur - ul) with a = max(|g'(ul)|, |g'(ur)|)
+    a = np.abs(flux.deriv(ul, out=w3), out=w3)
+    np.maximum(a, np.abs(flux.deriv(ur, out=w4), out=w4), out=a)
+    np.multiply(np.multiply(a, 0.5, out=a), np.subtract(ur, ul, out=w4), out=a)
+    # f_face = 0.5 * (g(ul) + g(ur)) - 0.5 * a * (ur - ul)
+    f_face = np.add(flux.eval(ul, out=w0), flux.eval(ur, out=w4), out=w0)
+    np.subtract(np.multiply(f_face, 0.5, out=f_face), a, out=f_face)
+    jump = np.subtract(f_face, _roll(f_face, 1, axis, w1), out=w1)
+    np.subtract(u, np.multiply(jump, dt / dx, out=jump), out=u)
 
 
-def _laplacian(u: np.ndarray, dx: float) -> np.ndarray:
-    out = np.zeros_like(u)
+def _laplacian(u: np.ndarray, dx: float, out: np.ndarray, work) -> np.ndarray:
+    """The centered Laplacian of u into `out`; `work` holds two scratch fields."""
+    t, s = work
+    out.fill(0.0)
     for ax in range(u.ndim):
-        out += np.roll(u, -1, axis=ax) - 2.0 * u + np.roll(u, 1, axis=ax)
-    return out / dx**2
+        np.subtract(_roll(u, -1, ax, t), np.multiply(u, 2.0, out=s), out=t)
+        np.add(out, np.add(t, _roll(u, 1, ax, s), out=t), out=out)
+    return np.divide(out, dx**2, out=out)
 
 
-def _gradient_centered(u: np.ndarray, dx: float) -> list[np.ndarray]:
-    return [
-        (np.roll(u, -1, axis=ax) - np.roll(u, 1, axis=ax)) / (2.0 * dx)
-        for ax in range(u.ndim)
-    ]
+def _gradient_centered(u: np.ndarray, ax: int, dx: float, out=None, tmp=None) -> np.ndarray:
+    """Centered difference of u along `ax`, written into `out`."""
+    d = _roll(u, -1, ax, out)
+    return np.divide(np.subtract(d, _roll(u, 1, ax, tmp), out=d), 2.0 * dx, out=d)
 
 
-def anisotropic_tv(u: np.ndarray, dx: float) -> float:
+def anisotropic_tv(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> float:
     """Axis-summed discrete total variation (the TVD-controlled quantity)."""
     vol = dx**u.ndim
     total = 0.0
     for ax in range(u.ndim):
-        total += float(np.sum(np.abs(np.roll(u, -1, axis=ax) - u))) * (vol / dx)
+        d = _roll(u, -1, ax, out)
+        total += float(np.sum(np.abs(np.subtract(d, u, out=d), out=d))) * (vol / dx)
     return total
 
 
@@ -181,27 +216,34 @@ def nd_initial_datum(init: str, grid: GridSpecND) -> FieldND:
             raise ConfigurationError(
                 f"unknown init {init!r}; valid: product, diag, mixed"
             )
-    grad_sq = sum(d * d for d in _gradient_centered(vals, grid.dx))
+    grad_sq = sum(np.square(_gradient_centered(vals, ax, grid.dx)) for ax in range(grid.dim))
     e0 = float(grad_sq.mean())  # the box has unit volume
     return FieldND(grid, vals / np.sqrt(e0))
 
 
-def _diagnostics_row_nd(u: np.ndarray, t: float, nu: float, flux: FluxSpec, dx: float) -> tuple:
+def _diagnostics_row_nd(u: np.ndarray, t: float, nu: float, flux: FluxSpec, dx: float, work):
+    """One diagnostics row of u; `work` holds five scratch fields."""
     vol = dx**u.ndim
-    grads = _gradient_centered(u, dx)
-    lap = _laplacian(u, dx)
-    fprime = flux.deriv(u)
-    advect = sum(fprime * g for g in grads)
-    enstrophy = float(sum(np.sum(g**2) for g in grads) * vol)
+    lap, fprime, advect, grad, tmp = work
+    _laplacian(u, dx, lap, (grad, tmp))
+    flux.deriv(u, out=fprime)
+    # sums start from 0 as Python's sum does, which turns -0.0 into +0.0
+    advect.fill(0.0)
+    grad_sq, grad_mins = 0, []
+    for ax in range(u.ndim):
+        _gradient_centered(u, ax, dx, grad, tmp)
+        grad_sq += np.sum(np.multiply(grad, grad, out=tmp))
+        grad_mins.append(np.min(grad))
+        np.add(advect, np.multiply(fprime, grad, out=tmp), out=advect)
     return (
         t,
-        0.5 * float(np.sum(u**2) * vol),
-        enstrophy,
-        anisotropic_tv(u, dx),
-        float(np.abs(u).max()),
-        float(min(np.min(g) for g in grads)),
-        -nu * float(np.sum(lap**2) * vol),
-        float(np.sum(advect * lap) * vol),
+        0.5 * float(np.sum(np.multiply(u, u, out=tmp)) * vol),
+        float(grad_sq * vol),
+        anisotropic_tv(u, dx, tmp),
+        float(np.abs(u, out=tmp).max()),
+        float(min(grad_mins)),
+        -nu * float(np.sum(np.multiply(lap, lap, out=tmp)) * vol),
+        float(np.sum(np.multiply(advect, lap, out=tmp)) * vol),
     )
 
 
@@ -231,28 +273,33 @@ def simulate_nd(
     dim = u0.grid.dim
     dx = u0.grid.dx
     nu = cfg.nu
+    # the work set: the state, updated in place, and the scratch fields
     u = u0.values.copy()
+    work = np.empty((5, *u.shape))
+    masks = np.empty((2, *u.shape), dtype=bool)
     t = 0.0
-    rows = [_diagnostics_row_nd(u, t, nu, flux, dx)]
+    rows = [_diagnostics_row_nd(u, t, nu, flux, dx, work)]
     step_index = 0
     while t < cfg.t_end:
-        speed = max(float(np.abs(flux.deriv(u)).max()), _CFL_FLOOR)
+        speed = max(float(np.abs(flux.deriv(u, out=work[0]), out=work[0]).max()), _CFL_FLOOR)
         dt = cfg.cfl * min(dx / speed, dx**2 / (2.0 * dim * nu))
         last = dt >= cfg.t_end - t
         if last:
             dt = cfg.t_end - t
         axes = range(dim) if step_index % 2 == 0 else reversed(range(dim))
         for ax in axes:
-            u = _sweep(u, ax, flux.eval, flux.deriv, dt, dx)
-        u = u + dt * nu * _laplacian(u, dx)
-        if not np.all(np.isfinite(u)):
+            _sweep(u, ax, flux, dt, dx, work, masks)
+        # u + dt * nu * lap, as (dt * nu) * lap + u
+        lap = _laplacian(u, dx, work[0], work[1:3])
+        np.add(u, np.multiply(lap, dt * nu, out=lap), out=u)
+        if not np.isfinite(u, out=masks[0]).all():
             raise BlowUpError(t)
         if step_index == 0:
             _check_step_budget(cfg.t_end / dt)
         t = cfg.t_end if last else t + dt
         step_index += 1
         if last or step_index % cfg.sample_stride == 0:
-            rows.append(_diagnostics_row_nd(u, t, nu, flux, dx))
+            rows.append(_diagnostics_row_nd(u, t, nu, flux, dx, work))
     return FieldND(u0.grid, u), DiagnosticsSeries.from_rows(rows)
 
 

@@ -20,9 +20,6 @@ from enstro.cli import main
 from enstro.conslaw_nd import (
     FieldND,
     GridSpecND,
-    _gradient_centered,
-    _laplacian,
-    _sweep,
     anisotropic_tv,
     flux_registry,
     get_flux,
@@ -102,74 +99,144 @@ class TestFluxRegistry:
             get_flux("kpz")
 
 
-class TestScalarProfiles:
-    """simulate_nd against the full (dim, N, N) per-axis flux it replaced."""
+# ----------------------------------------------------------------------
+# Frozen reference: the roll-based profiles, step and diagnostics row the
+# solver had before its step loop wrote into a preallocated work set,
+# copied verbatim apart from the names, so that the bit-identity test
+# below cannot follow a change to the module's kernels.
+# ----------------------------------------------------------------------
 
-    @staticmethod
-    def _widened(profile, dim):
-        # the old registry's flux: every axis component is the profile
-        def per_axis(u):
-            u = np.asarray(u, dtype=float)
-            return np.broadcast_to(profile(u), (dim,) + u.shape).copy()
 
-        return per_axis
+def _frozen_profiles() -> dict:
+    entries = {}
+    for dim in (1, 2):
+        s = np.sqrt(float(dim))
+        tag = "2d" if dim == 2 else ""
+        rows = (
+            (f"burgers{dim}d", lambda u, s=s: u**2 / (2.0 * s), lambda u, s=s: u / s),
+            (f"linear{tag}(c=1)", lambda u, s=s: u / s, lambda u, s=s: np.ones_like(u) / s),
+            (f"cubic{tag}", lambda u, s=s: u * u * u / (3.0 * s), lambda u, s=s: u**2 / s),
+        )
+        entries.update((name, (g, dg)) for name, g, dg in rows)
+    return entries
 
-    @classmethod
-    def _reference_run(cls, u0, flux, cfg):
-        dim, dx, nu = u0.grid.dim, u0.grid.dx, cfg.nu
-        f = cls._widened(flux.eval, dim)
-        fp = cls._widened(flux.deriv, dim)
 
-        def row(u, t):
-            vol = dx**dim
-            grads = _gradient_centered(u, dx)
-            lap = _laplacian(u, dx)
-            fprime = fp(u)
-            advect = sum(fprime[ax] * grads[ax] for ax in range(dim))
-            return (
-                t,
-                0.5 * float(np.sum(u**2) * vol),
-                float(sum(np.sum(g**2) for g in grads) * vol),
-                anisotropic_tv(u, dx),
-                float(np.abs(u).max()),
-                float(min(np.min(g) for g in grads)),
-                -nu * float(np.sum(lap**2) * vol),
-                float(np.sum(advect * lap) * vol),
-            )
+def _frozen_minmod(a, b):
+    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
 
-        u, t, step = u0.values.copy(), 0.0, 0
-        rows = [row(u, t)]
-        while t < cfg.t_end:
-            speed = max(float(np.abs(fp(u)).max()), _CFL_FLOOR)
-            dt = cfg.cfl * min(dx / speed, dx**2 / (2.0 * dim * nu))
-            last = dt >= cfg.t_end - t
-            if last:
-                dt = cfg.t_end - t
-            axes = range(dim) if step % 2 == 0 else reversed(range(dim))
-            for ax in axes:
-                comp = lambda v, ax=ax: f(v)[ax]
-                comp_deriv = lambda v, ax=ax: fp(v)[ax]
-                u = _sweep(u, ax, comp, comp_deriv, dt, dx)
-            u = u + dt * nu * _laplacian(u, dx)
-            t = cfg.t_end if last else t + dt
-            step += 1
-            if last or step % cfg.sample_stride == 0:
-                rows.append(row(u, t))
-        return u, DiagnosticsSeries.from_rows(rows)
 
-    @pytest.mark.parametrize("name", [s.name for s in flux_registry()])
-    def test_bit_identical_to_per_axis_flux(self, name):
+def _frozen_sweep(u, axis, g, dg, dt, dx):
+    up = np.roll(u, -1, axis=axis)
+    um = np.roll(u, 1, axis=axis)
+    sigma = _frozen_minmod(u - um, up - u)
+    sigma_p = np.roll(sigma, -1, axis=axis)
+    # interface i+1/2: left state from cell i, right state from cell i+1
+    ul = u + 0.5 * sigma
+    ur = up - 0.5 * sigma_p
+    a = np.maximum(np.abs(dg(ul)), np.abs(dg(ur)))
+    f_face = 0.5 * (g(ul) + g(ur)) - 0.5 * a * (ur - ul)
+    return u - (dt / dx) * (f_face - np.roll(f_face, 1, axis=axis))
+
+
+def _frozen_laplacian(u, dx):
+    out = np.zeros_like(u)
+    for ax in range(u.ndim):
+        out += np.roll(u, -1, axis=ax) - 2.0 * u + np.roll(u, 1, axis=ax)
+    return out / dx**2
+
+
+def _frozen_gradient_centered(u, dx):
+    return [
+        (np.roll(u, -1, axis=ax) - np.roll(u, 1, axis=ax)) / (2.0 * dx)
+        for ax in range(u.ndim)
+    ]
+
+
+def _frozen_anisotropic_tv(u, dx):
+    vol = dx**u.ndim
+    total = 0.0
+    for ax in range(u.ndim):
+        total += float(np.sum(np.abs(np.roll(u, -1, axis=ax) - u))) * (vol / dx)
+    return total
+
+
+def _frozen_row(u, t, nu, deriv, dx):
+    vol = dx**u.ndim
+    grads = _frozen_gradient_centered(u, dx)
+    lap = _frozen_laplacian(u, dx)
+    fprime = deriv(u)
+    advect = sum(fprime * g for g in grads)
+    enstrophy = float(sum(np.sum(g**2) for g in grads) * vol)
+    return (
+        t,
+        0.5 * float(np.sum(u**2) * vol),
+        enstrophy,
+        _frozen_anisotropic_tv(u, dx),
+        float(np.abs(u).max()),
+        float(min(np.min(g) for g in grads)),
+        -nu * float(np.sum(lap**2) * vol),
+        float(np.sum(advect * lap) * vol),
+    )
+
+
+def _frozen_run(u0, name, cfg):
+    g, dg = _frozen_profiles()[name]
+    dim, dx, nu = u0.grid.dim, u0.grid.dx, cfg.nu
+    u = u0.values.copy()
+    t = 0.0
+    rows = [_frozen_row(u, t, nu, dg, dx)]
+    step_index = 0
+    while t < cfg.t_end:
+        speed = max(float(np.abs(dg(u)).max()), _CFL_FLOOR)
+        dt = cfg.cfl * min(dx / speed, dx**2 / (2.0 * dim * nu))
+        last = dt >= cfg.t_end - t
+        if last:
+            dt = cfg.t_end - t
+        axes = range(dim) if step_index % 2 == 0 else reversed(range(dim))
+        for ax in axes:
+            u = _frozen_sweep(u, ax, g, dg, dt, dx)
+        u = u + dt * nu * _frozen_laplacian(u, dx)
+        t = cfg.t_end if last else t + dt
+        step_index += 1
+        if last or step_index % cfg.sample_stride == 0:
+            rows.append(_frozen_row(u, t, nu, dg, dx))
+    return u, DiagnosticsSeries.from_rows(rows)
+
+
+class TestFrozenReference:
+    """simulate_nd, bit for bit, against the frozen roll-based solver."""
+
+    CASES = [
+        (spec.name, init)
+        for spec in flux_registry()
+        for init in (("product",) if spec.dim == 1 else ("product", "diag", "mixed"))
+    ]
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("name,init", CASES)
+    def test_bit_identical_to_frozen_reference(self, name, init, stride):
         flux = get_flux(name)
         grid = GridSpecND(dim=flux.dim, points=32 if flux.dim == 1 else 16)
-        u0 = nd_initial_datum("product" if flux.dim == 1 else "mixed", grid)
-        cfg = SolverConfig(nu=0.005, t_end=0.6, sample_stride=2)
+        u0 = nd_initial_datum(init, grid)
+        cfg = SolverConfig(nu=0.005, t_end=0.6, sample_stride=stride)
         final, diag = simulate_nd(u0, flux, cfg)
-        ref_u, ref_diag = self._reference_run(u0, flux, cfg)
+        ref_u, ref_diag = _frozen_run(u0, name, cfg)
         assert len(diag) > 4
-        assert np.array_equal(final.values, ref_u)
+        # bytes, which unlike np.array_equal also compare the sign of zeros
+        assert final.values.tobytes() == ref_u.tobytes()
         assert len(diag) == len(ref_diag)
         for col in DIAGNOSTIC_COLUMNS:
-            assert np.array_equal(getattr(diag, col), getattr(ref_diag, col)), col
+            assert getattr(diag, col).tobytes() == getattr(ref_diag, col).tobytes(), col
+
+    def test_profiles_write_into_out(self):
+        # with `out` a profile returns that array, with the values it
+        # returns without one
+        u = np.linspace(-1.0, 1.0, 65)
+        for spec in flux_registry():
+            for profile in (spec.eval, spec.deriv):
+                out = np.empty_like(u)
+                assert profile(u, out=out) is out
+                assert np.array_equal(out, profile(u)), spec.name
 
 
 class TestCrossValidation:
@@ -255,6 +322,36 @@ class TestStructuralProperties:
         assert len(diag) > 10
         assert np.all(np.diff(diag.linf) <= diag.linf[:-1] * 1e-10)
         assert np.all(np.diff(diag.tv) <= diag.tv[:-1] * 1e-8)
+
+    @pytest.mark.parametrize("init", ["product", "diag", "mixed"])
+    def test_criterion_10_runs_monotone_at_every_step(self, init):
+        # criterion 10's runs at 64^2, sampled at every step: the sup norm
+        # and the anisotropic TV never rise
+        grid = GridSpecND(dim=2, points=64)
+        for nu in (0.05, 0.02, 0.01):
+            cfg = SolverConfig(nu=nu, t_end=0.1, sample_stride=1)
+            _, diag = simulate_nd(nd_initial_datum(init, grid), get_flux("burgers2d"), cfg)
+            assert len(diag) > 40
+            assert np.all(np.diff(diag.linf) <= 0.0), nu
+            assert np.all(np.diff(diag.tv) <= 0.0), nu
+
+    def test_step_loop_faults_do_not_grow_with_steps(self):
+        # the step loop writes into a work set allocated once per run, so
+        # extra steps fault in (almost) no new pages; a loop that allocates
+        # fresh full-grid temporaries faults its heap back in at every step
+        resource = pytest.importorskip("resource")
+        u0 = nd_initial_datum("product", GridSpecND(dim=2, points=256))
+        flux = get_flux("burgers2d")
+
+        def run(t_end):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            _, diag = simulate_nd(u0, flux, SolverConfig(nu=0.05, t_end=t_end))
+            return len(diag) - 1, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        steps, faults = run(0.002)
+        more_steps, more_faults = run(0.004)
+        assert more_steps >= 2 * steps - 1
+        assert more_faults - faults < 50 * (more_steps - steps)
 
     def test_mean_conserved(self, shock_run_2d):
         final, _ = shock_run_2d
