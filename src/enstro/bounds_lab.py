@@ -252,8 +252,8 @@ def dissipation_window(
     n = grid.n_points
     ik = spectral_ops(n).ik
     times, integrals = [], []
-    steps = march(np.fft.rfft(u0.values), n, grid.dx, cfg)
-    for i, (t, _, uh, _, _) in enumerate(steps, start=1):
+    steps = march(np.fft.rfft(u0.values)[None], n, grid.dx, [cfg])
+    for i, (_, (t,), _, (uh,), _, _) in enumerate(steps, start=1):
         sampled = i % stride == 0 or t == t_hi
         if not sampled or t < t_lo:
             continue

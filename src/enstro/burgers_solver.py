@@ -26,7 +26,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .field_core import Field1D, _require_positive, _require_zero_mean, spectral_ops
+from .field_core import Field1D, _frozen_array, _require_positive, _require_zero_mean
+from .field_core import spectral_ops
 
 # smallest amplitude a CFL rule divides by, so a zero state takes finite steps
 _CFL_FLOOR = 1e-12
@@ -121,14 +122,10 @@ class DiagnosticsSeries:
     rate_cubic: np.ndarray
 
     def __post_init__(self) -> None:
-        cols = [getattr(self, name) for name in DIAGNOSTIC_COLUMNS]
-        n = len(cols[0])
-        for name, col in zip(DIAGNOSTIC_COLUMNS, cols):
-            arr = np.asarray(col, dtype=float)
-            if arr.ndim != 1 or len(arr) != n:
-                raise ValueError(f"column {name!r} has inconsistent length")
-            arr = arr.copy()
-            arr.setflags(write=False)
+        n = len(self.t)
+        for name in DIAGNOSTIC_COLUMNS:
+            message = f"column {name!r} has inconsistent length"
+            arr = _frozen_array(getattr(self, name), (n,), message)
             object.__setattr__(self, name, arr)
         if n == 0:
             raise ValueError("diagnostics series must be nonempty")
@@ -192,11 +189,11 @@ def step_spectral(
     become row 0 in place of an inverse transform, so the step makes 7
     transforms instead of 8.
 
-    ``uh`` may be a (B, n//2+1) stack, with ``dt`` and ``nu`` (B, 1)
-    columns, one row per member; ``stages`` is then (4, B, n).  The
-    transforms run along the last axis and every expression keeps its
-    scalar order, so each member's result equals its own row call bit for
-    bit.
+    :func:`march` passes a (B, n//2+1) stack, with ``dt`` and ``nu`` (B, 1)
+    columns, one row per member, and gets (4, B, n) stages; a single state
+    with scalar ``dt`` and ``nu`` gets (4, n).  The transforms run along
+    the last axis and every expression keeps its scalar order, so each
+    member's result equals its own row call bit for bit.
     """
     ops = spectral_ops(n)
     e1 = np.exp(-0.5 * dt * nu * ops.k2)
@@ -218,24 +215,23 @@ def step_spectral(
 
 
 def march(
-    uh: np.ndarray, n: int, dx: float, cfg: SolverConfig | Sequence[SolverConfig]
+    uh: np.ndarray, n: int, dx: float, cfgs: Sequence[SolverConfig]
 ) -> Iterator[tuple]:
-    """Advance rfft data ``uh`` to ``cfg.t_end`` with adaptive advective steps.
+    """Advance the (B, n//2+1) stack of rfft data ``uh``, member i to
+    ``cfgs[i].t_end``, with adaptive advective steps; a single run is a
+    stack of one.
 
-    Yields ``(t, dt, uh, vals, stages)`` after every step, ``vals`` being
-    the samples of ``uh`` and ``stages`` the step's (4, n) stage samples
-    (see :func:`step_spectral`).  Each step's CFL amplitude is read from
-    the samples the previous step yielded, and its first RK4 stage uses
-    them too, so a step costs the RK4 transforms less one, plus one
-    inverse transform: 8 in all.  Nothing is retained between steps.
-
-    A (B, n//2+1) stack takes a sequence of B configs, one per member.
     Each member steps at its own dt, as it would alone, but all members
     still marching share one :func:`step_spectral` call and one transform
     of each kind; a member that reaches its ``t_end`` leaves the stack.
-    The stack yields ``(live, t, dt, uh, vals, stages)``: ``live`` holds
-    the indices of the members that took the step, and the other fields
-    have a leading axis over them (``stages`` a second one).  A member
+    Yields ``(live, t, dt, uh, vals, stages)`` after every step: ``live``
+    holds the indices of the members that took the step, and the other
+    fields have a leading axis over them, ``vals`` being the samples of
+    ``uh`` and ``stages`` the step's (4, len(live), n) stage samples (see
+    :func:`step_spectral`).  Each step's CFL amplitude is read from the
+    samples the previous step yielded, and its first RK4 stage uses them
+    too, so a step costs the RK4 transforms less one, plus one inverse
+    transform: 8 in all.  Nothing is retained between steps.  A member
     that loses finiteness raises :class:`BlowUpError` naming it.
 
     When the predicted step count t_end / dt of a member's first step
@@ -244,14 +240,12 @@ def march(
     the run would take.  The first step comes before the check so that
     data that cannot be stepped at all report :class:`BlowUpError`.
     """
-    single = uh.ndim == 1
-    cfgs = [cfg] if single else list(cfg)
     # a stack steps with (B, 1) columns of dt and nu, one row per member
-    nu = cfg.nu if single else np.array([[c.nu] for c in cfgs])
+    nu = np.array([[c.nu] for c in cfgs])
     live = list(range(len(cfgs)))
     t = [0.0] * len(cfgs)
     vals = np.fft.irfft(uh, n)
-    amps = np.abs(vals).reshape(-1, n).max(axis=1).tolist()
+    amps = np.abs(vals).max(axis=1).tolist()
     first = True
     while True:
         dts, lasts = [], []
@@ -260,12 +254,10 @@ def march(
             dt = c.cfl * dx / max(amp, _CFL_FLOOR)
             lasts.append(dt >= c.t_end - t[j])
             dts.append(c.t_end - t[j] if lasts[-1] else dt)
-        uh, stages = step_spectral(
-            uh, dts[0] if single else np.array(dts)[:, None], nu, n, vals
-        )
+        uh, stages = step_spectral(uh, np.array(dts)[:, None], nu, n, vals)
         vals = np.fft.irfft(uh, n)
         # not finite unless every sample of the member is
-        amps = np.abs(vals).reshape(-1, n).max(axis=1).tolist()
+        amps = np.abs(vals).max(axis=1).tolist()
         for j, amp in zip(live, amps):
             if not math.isfinite(amp):
                 raise BlowUpError(t[j], member=j)
@@ -274,11 +266,8 @@ def march(
             _check_step_budget(max(cfgs[j].t_end / dt for j, dt in zip(live, dts)))
         for j, dt, last in zip(live, dts, lasts):
             t[j] = cfgs[j].t_end if last else t[j] + dt
-        if single:
-            yield t[0], dts[0], uh, vals, stages
-        else:
-            t_live = [t[j] for j in live]
-            yield np.array(live), np.array(t_live), np.array(dts), uh, vals, stages
+        t_live = [t[j] for j in live]
+        yield np.array(live), np.array(t_live), np.array(dts), uh, vals, stages
         if all(lasts):
             return
         if any(lasts):
@@ -346,7 +335,7 @@ def simulate(u0: Field1D, cfg: SolverConfig) -> tuple[Trajectory, DiagnosticsSer
     grid = u0.grid
     uh = np.fft.rfft(u0.values)
     rows = [_diagnostics_row(0.0, uh, u0.values, cfg.nu, grid.dx)]
-    for t, _, uh, vals, _ in march(uh, grid.n_points, grid.dx, cfg):
+    for _, (t,), _, (uh,), (vals,), _ in march(uh[None], grid.n_points, grid.dx, [cfg]):
         rows.append(_diagnostics_row(t, uh, vals, cfg.nu, grid.dx))
     return (
         Trajectory((0.0, cfg.t_end), (u0, Field1D(grid, vals))),

@@ -36,7 +36,8 @@ from .burgers_solver import (
     SolverConfig,
     _check_step_budget,
 )
-from .field_core import ConfigurationError, _require_grid_size
+from .field_core import _GRID_MISMATCH, ConfigurationError, _frozen_array
+from .field_core import _require_grid_size, _write_samples
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,9 @@ class FieldND:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid {self.grid.shape}"
-            )
+        vals = _frozen_array(self.values, self.grid.shape, _GRID_MISMATCH)
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
 
@@ -309,7 +304,6 @@ def simulate_nd(
 
 
 def write_field_nd(f: FieldND, path: str | Path) -> None:
-    g = f.grid
-    lines = [f"DIM={g.dim} N={g.points} L=1.0"]
-    lines.extend(repr(float(v)) for v in f.values.ravel(order="C"))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Plain-text dump: ``DIM=<dim> N=<points> L=1.0`` header, one cell
+    average per line in C order."""
+    _write_samples(path, f"DIM={f.grid.dim} N={f.grid.points} L=1.0", f.values)

@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .burgers_solver import SolverConfig, _rate_terms, march, step_spectral
-from .field_core import Field1D, GridSpec1D, enstrophy, spectral_ops
+from .field_core import Field1D, GridSpec1D, _frozen_array, enstrophy, spectral_ops
 from .field_core import _require_nonnegative, _require_positive, _require_zero_mean
 
 ADJOINT_STORAGE_BUDGET_BYTES = 256 * 2**20
@@ -84,10 +84,8 @@ class OptimRecord:
     def __post_init__(self) -> None:
         n = len(self.objective)
         for name in ("objective", "step", "constraint_residual", "grad_norm"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            if arr.shape != (n,):
-                raise ValueError(f"column {name!r} has inconsistent length")
-            arr.setflags(write=False)
+            message = f"column {name!r} has inconsistent length"
+            arr = _frozen_array(getattr(self, name), (n,), message)
             object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
@@ -296,7 +294,7 @@ def _march_forward(
     """March a (B, n) stack of starts, member i to time ``T[i]`` at viscosity
     ``nu[i]``; return ``(uh_T, dts, checkpoints, tape)``.
 
-    The members step together through :func:`march`'s stack path, each at
+    The members step together through :func:`march` as one stack, each at
     its own dt.  ``uh_T`` holds each member's final spectrum and ``dts[i]``
     member i's steps.  With ``tape_bytes > 0`` it keeps the stage tape, one
     ``(live, dts, stages)`` entry per stacked step as :func:`march` yields

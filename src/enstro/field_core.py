@@ -47,6 +47,22 @@ def _require_zero_mean(values: np.ndarray) -> None:
         raise ValueError("initial data must have zero mean (|mean| <= 1e-12)")
 
 
+# the message of a field whose samples do not fit its grid
+_GRID_MISMATCH = "values shape {0} does not match grid {1}"
+
+
+def _frozen_array(values, shape: tuple[int, ...], mismatch: str) -> np.ndarray:
+    """The one rule for an array a value type holds: ``values`` as floats of
+    ``shape``, copied and made read-only, so it aliases no caller's array.
+    Another shape raises ValueError(``mismatch.format(found, shape)``)."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(mismatch.format(arr.shape, shape))
+    arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class GridSpec1D:
     """Uniform periodic grid: ``n_points`` samples at x_j = j/n on [0, 1).
@@ -78,14 +94,7 @@ class Field1D:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"values shape {vals.shape} does not match grid "
-                f"({self.grid.n_points},)"
-            )
-        vals = vals.copy()
-        vals.setflags(write=False)
+        vals = _frozen_array(self.values, (int(self.grid.n_points),), _GRID_MISMATCH)
         object.__setattr__(self, "values", vals)
 
 
@@ -183,12 +192,19 @@ def enstrophy(uh: np.ndarray, n: int) -> np.ndarray:
     return np.sum(ux * ux, axis=-1) * (1.0 / n)
 
 
+def _write_samples(path, header: str, values: np.ndarray) -> None:
+    """The one field-file format: the ``header`` line, then one sample per
+    line in C order, as ``repr`` (exact round trip).  It goes out one row of
+    the last axis at a time, so the text of the whole field is never held."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in values.reshape(-1, values.shape[-1]):
+            fh.write("\n".join(map(repr, row.tolist())) + "\n")
+
+
 def write_field(field: Field1D, path) -> None:
     """Plain-text dump: ``N=<n> L=1.0`` header, one sample per line."""
-    lines = [f"N={field.grid.n_points} L=1.0"]
-    lines.extend(repr(float(v)) for v in field.values)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_samples(path, f"N={field.grid.n_points} L=1.0", field.values)
 
 
 def write_csv(path, header, rows) -> None:

@@ -202,7 +202,14 @@ class TestStep:
             SolverConfig(nu=0.02, t_end=0.2, cfl=0.3),
             SolverConfig(nu=0.1, t_end=0.4),
         ]
-        singles = [list(march(np.fft.rfft(v), n, dx, c)) for v, c in zip(data, cfgs)]
+        # each member's reference is its own one-member stack
+        singles = [
+            [
+                (t[0], dt[0], uh[0], vals[0], stages[:, 0])
+                for _, t, dt, uh, vals, stages in march(np.fft.rfft(v)[None], n, dx, [c])
+            ]
+            for v, c in zip(data, cfgs)
+        ]
         assert len({len(s) for s in singles}) == 3
         got = [[] for _ in cfgs]
         stack = np.fft.rfft(np.stack(data))
@@ -250,7 +257,7 @@ class TestStep:
         u = sin_field(256, amp=0.9)
         uh = np.fft.rfft(u.values)
         tiny = SolverConfig(nu=0.05, t_end=0.5, cfl=1e-300)
-        steps = march(uh, 256, u.grid.dx, tiny)
+        steps = march(uh[None], 256, u.grid.dx, [tiny])
         with pytest.raises(ValueError, match=r"first step is 1\.15e\+302, more"):
             next(steps)
         fine = SolverConfig(nu=0.05, t_end=0.5, cfl=0.4)
@@ -259,16 +266,16 @@ class TestStep:
             next(march(np.stack([uh, uh]), 256, u.grid.dx, [fine, slow]))
         count = 0.5 / (0.4 * u.grid.dx / np.abs(np.fft.irfft(uh, 256)).max())
         assert count < _MAX_STEPS
-        assert len(list(march(uh, 256, u.grid.dx, fine))) <= int(count) + 1
+        assert len(list(march(uh[None], 256, u.grid.dx, [fine]))) <= int(count) + 1
 
     def test_blow_up_detected(self):
         # a state whose nonlinear term overflows must make the marching
         # loop raise, never yield NaN silently
         u = sin_field(64, amp=1e200)
         cfg = SolverConfig(nu=1e-3, t_end=1.0)
-        steps = march(np.fft.rfft(u.values), 64, u.grid.dx, cfg)
+        steps = march(np.fft.rfft(u.values)[None], 64, u.grid.dx, [cfg])
         with pytest.raises(BlowUpError):
-            for _, _, _, vals, _ in steps:
+            for _, _, _, _, vals, _ in steps:
                 assert np.all(np.isfinite(vals))
 
 
@@ -334,8 +341,8 @@ class TestSimulateInvariants:
     def test_mean_conserved(self):
         u0 = sin_field(512, amp=0.9)
         cfg = SolverConfig(nu=0.02, t_end=0.6)
-        states = march(np.fft.rfft(u0.values), 512, u0.grid.dx, cfg)
-        for _, _, uh, vals, _ in states:
+        states = march(np.fft.rfft(u0.values)[None], 512, u0.grid.dx, [cfg])
+        for _, _, _, (uh,), (vals,), _ in states:
             assert uh[0] == 0.0
             assert abs(vals.mean()) < 1e-12
 
@@ -482,7 +489,8 @@ class TestRateTerms:
         cfg = SolverConfig(nu=nu, t_end=0.2)
         _, diag = simulate(u0, cfg)
         uh0 = np.fft.rfft(u0.values)
-        states = [uh0] + [uh for _, _, uh, _, _ in march(uh0, n, u0.grid.dx, cfg)]
+        steps = march(uh0[None], n, u0.grid.dx, [cfg])
+        states = [uh0] + [uh for _, _, _, (uh,), _, _ in steps]
         assert len(states) == len(diag) > 20
         for uh, diss, cubic in zip(states, diag.rate_diss, diag.rate_cubic):
             self.assert_close(uh, n, nu, diss, cubic)
@@ -601,8 +609,8 @@ class TestSpectralCore:
         k = np.fft.rfftfreq(n, d=1.0 / n)
         states = [(0.0, u0.values)] + [
             (t, vals)
-            for t, _, _, vals, _ in march(
-                np.fft.rfft(u0.values), n, dx, SolverConfig(nu=nu, t_end=0.3)
+            for _, (t,), _, _, (vals,), _ in march(
+                np.fft.rfft(u0.values)[None], n, dx, [SolverConfig(nu=nu, t_end=0.3)]
             )
         ]
         assert len(states) == len(diag)

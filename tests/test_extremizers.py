@@ -327,7 +327,8 @@ def recompute_gradient(u0: Field1D, T: float, nu: float) -> np.ndarray:
     n, dx = u0.grid.n_points, u0.grid.dx
     ops = spectral_ops(n)
     cfg = SolverConfig(nu=nu, t_end=T, cfl=0.4)
-    dts = [dt for _, dt, _, _, _ in march(np.fft.rfft(u0.values), n, dx, cfg)]
+    steps = march(np.fft.rfft(u0.values)[None], n, dx, [cfg])
+    dts = [dt for _, _, (dt,), _, _, _ in steps]
     states = [np.fft.rfft(u0.values)]
     for dt in dts:
         states.append(step_spectral(states[-1], dt, nu, n)[0])

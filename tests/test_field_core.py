@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from enstro.burgers_solver import DIAGNOSTIC_COLUMNS, DiagnosticsSeries
+from enstro.conslaw_nd import FieldND, GridSpecND
+from enstro.extremizers import RECORD_COLUMNS, OptimRecord
 from enstro.field_core import (
     ConfigurationError,
     Field1D,
@@ -193,3 +196,49 @@ class TestFieldValueSemantics:
         f = sin_field(64)
         with pytest.raises(ValueError):
             f.values[0] = 99.0
+
+    @pytest.mark.parametrize(
+        "make, values, message",
+        [
+            (
+                lambda v: Field1D(GridSpec1D(64), v),
+                np.zeros(32),
+                r"values shape \(32,\) does not match grid \(64,\)",
+            ),
+            (
+                lambda v: FieldND(GridSpecND(2, 8), v),
+                np.zeros((8, 4)),
+                r"values shape \(8, 4\) does not match grid \(8, 8\)",
+            ),
+            (
+                lambda v: FieldND(GridSpecND(2, 8), v),
+                np.insert(np.zeros(63), 17, np.nan).reshape(8, 8),
+                "must be finite",
+            ),
+        ],
+        ids=["Field1D-shape", "FieldND-shape", "FieldND-nan"],
+    )
+    def test_refusals(self, make, values, message):
+        with pytest.raises(ValueError, match=message):
+            make(values)
+
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            lambda v: [Field1D(GridSpec1D(8), v).values],
+            lambda v: [FieldND(GridSpecND(1, 8), v).values],
+            lambda v: [
+                getattr(DiagnosticsSeries(*[v] * 8), c) for c in DIAGNOSTIC_COLUMNS
+            ],
+            lambda v: [
+                getattr(OptimRecord(v, v, v, v, False), c) for c in RECORD_COLUMNS[1:]
+            ],
+        ],
+        ids=["Field1D", "FieldND", "DiagnosticsSeries", "OptimRecord"],
+    )
+    def test_stored_arrays_are_read_only_copies(self, stored):
+        given = np.linspace(0.0, 0.875, 8)
+        for arr in stored(given):
+            assert np.array_equal(arr, given) and not arr.flags.writeable
+            assert not np.shares_memory(arr, given)
+        given[0] = 5.0  # the caller's array stays its own to write
