@@ -205,10 +205,11 @@ def step_spectral(
             np.fft.irfft(uh, n, out=stages[0])
         else:
             stages[0] = vals
-        k1 = dt * _nonlinear(stages[0], n)
-        k2 = dt * _nonlinear(np.fft.irfft(e1 * (uh + 0.5 * k1), n, out=stages[1]), n)
-        k3 = dt * _nonlinear(np.fft.irfft(e1 * uh + 0.5 * k2, n, out=stages[2]), n)
-        k4 = dt * _nonlinear(np.fft.irfft(e2 * uh + e1 * k3, n, out=stages[3]), n)
+        dtc = np.asarray(dt, complex)  # cast once, not in each product
+        k1 = dtc * _nonlinear(stages[0], n)
+        k2 = dtc * _nonlinear(np.fft.irfft(e1 * (uh + 0.5 * k1), n, out=stages[1]), n)
+        k3 = dtc * _nonlinear(np.fft.irfft(e1 * uh + 0.5 * k2, n, out=stages[2]), n)
+        k4 = dtc * _nonlinear(np.fft.irfft(e2 * uh + e1 * k3, n, out=stages[3]), n)
         out = e2 * uh + (e2 * k1 + 2.0 * e1 * (k2 + k3) + k4) / 6.0
     out[..., 0] = 0.0
     return out, stages
@@ -277,10 +278,10 @@ def march(
 
 
 def _rate_terms(
-    uh: np.ndarray, n: int, dx: float, nu: float
+    uh: np.ndarray, n: int, dx: float, nu: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u_x, dissipation, cubic) of the state with rfft data ``uh``; a stack
-    of states along the last axis gives one dissipation and cubic per state.
+    """(u_x, dissipation, cubic) of the state with rfft data ``uh``; a stack of
+    states along the last axis, at one ``nu`` or one per state, gives one each.
 
     The dissipation reads int u_xx^2 off the spectrum by Parseval, with no
     transform: the interior modes count twice and the Nyquist mode once,

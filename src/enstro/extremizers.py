@@ -14,8 +14,8 @@ E(u) = int (u_x)^2:
   ``ADJOINT_STORAGE_BUDGET_BYTES`` the gradient keeps checkpoints instead
   and rebuilds the tape block by block by re-marching from them.
 
-Both problems ascend their members (seeds, or sweep points) in lockstep,
-one stack per objective and per gradient call; see :func:`_ascend`.
+Both problems ascend their members, one (config, seed) pair each, in
+lockstep, one stack per objective and per gradient call; see :func:`_ascend`.
 
 Ascent is Riemannian: the L2 gradient is preconditioned by the inverse
 Laplacian (H1-seminorm metric), in which the constraint sphere's normal
@@ -128,8 +128,8 @@ def rate_gradient(u: Field1D, nu: float) -> Field1D:
     return Field1D(u.grid, _rate_gradient(u.values, nu, u.grid.n_points))
 
 
-def _rate_gradient(vals: np.ndarray, nu: float, n: int) -> np.ndarray:
-    """:func:`rate_gradient` of the samples ``vals``, a stack row by row."""
+def _rate_gradient(vals: np.ndarray, nu: float | np.ndarray, n: int) -> np.ndarray:
+    """:func:`rate_gradient` of ``vals``; a stack row by row, at a scalar or (B, 1) nu."""
     ops = spectral_ops(n)
     uh = np.fft.rfft(vals)
     ux = np.fft.irfft(ops.ik * uh, n)
@@ -192,6 +192,8 @@ def _ascend(
     so it takes the steps it would take alone, and it leaves the stack when
     it stops.  Returns the optima, their objectives and records.
     """
+    if not len(cfgs) or len(cfgs) != len(starts):
+        raise ValueError("an ascent needs one seed per config, at least one")
     n, dx = grid.n_points, grid.dx
     e0, grad_tol, max_iters = np.array([(c.e0, c.grad_tol, c.max_iters) for c in cfgs]).T
     u = _retract(starts - starts.mean(axis=-1, keepdims=True), e0, n)
@@ -241,40 +243,40 @@ def default_seeds(
     if count < 1:
         raise ValueError("count must be at least 1")
     n, x = grid.n_points, grid.x
-    rng = np.random.default_rng(rng_seed)
     raw = [
         np.sin(2.0 * np.pi * x),
         np.sin(4.0 * np.pi * x),
         np.sin(2.0 * np.pi * x) + 0.5 * np.sin(4.0 * np.pi * x) + 0.25 * np.sin(6.0 * np.pi * x),
     ]
-    while len(raw) < count:
-        v = np.zeros(n)
-        for k in range(1, 7):
-            v += rng.normal() / k * np.sin(2.0 * np.pi * k * x)
-            v += rng.normal() / k * np.cos(2.0 * np.pi * k * x)
-        raw.append(v)
+    if count > len(raw):  # only these draw, so only these load numpy.random
+        rng = np.random.default_rng(rng_seed)
+        while len(raw) < count:
+            v = np.zeros(n)
+            for k in range(1, 7):
+                v += rng.normal() / k * np.sin(2.0 * np.pi * k * x)
+                v += rng.normal() / k * np.cos(2.0 * np.pi * k * x)
+            raw.append(v)
     raw = np.array(raw[:count])
     return [Field1D(grid, v) for v in _retract(raw - raw.mean(axis=-1, keepdims=True), e0, n)]
 
 
 def instantaneous_maximize(
-    cfg: OptimConfig, grid: GridSpec1D, rng_seed: int = 2025
-) -> tuple[Field1D, float, OptimRecord]:
-    """Maximize the production rate R over the sphere, best of multi-start:
-    the :func:`default_seeds` ascend in lockstep (see :func:`_ascend`), and
-    the first seed with the highest rate wins."""
-    n, dx = grid.n_points, grid.dx
+    cfgs: Sequence[OptimConfig], grid: GridSpec1D, seeds: Sequence[Field1D]
+) -> list[tuple[Field1D, float, OptimRecord]]:
+    """Maximize the rate R at cfg.nu over the sphere {E(u) = cfg.e0}, one ascent
+    per (cfg, seed) pair, run in lockstep (see :func:`_ascend`); returns one
+    ``(optimum, R, record)`` per pair, bit for bit that of its ascent alone."""
+    n, nu = grid.n_points, np.array([cfg.nu for cfg in cfgs])
 
-    def objective(points: np.ndarray, _) -> np.ndarray:
-        _, dissipation, cubic = _rate_terms(np.fft.rfft(points), n, dx, cfg.nu)
+    def objective(points: np.ndarray, members: list[int]) -> np.ndarray:
+        _, dissipation, cubic = _rate_terms(np.fft.rfft(points), n, grid.dx, nu[members])
         return dissipation + cubic
 
-    seeds = np.array([s.values for s in default_seeds(grid, cfg.e0, rng_seed=rng_seed)])
-    u, j, records = _ascend(
-        seeds, grid, [cfg] * len(seeds), objective, lambda v, _: _rate_gradient(v, cfg.nu, n)
-    )
-    best = int(np.argmax(j))
-    return Field1D(grid, u[best]), j[best], records[best]
+    def gradient(points: np.ndarray, members: list[int]) -> np.ndarray:
+        return _rate_gradient(points, nu[members, None], n)
+
+    u, j, records = _ascend(np.array([s.values for s in seeds]), grid, cfgs, objective, gradient)
+    return [(Field1D(grid, row), jm, rec) for row, jm, rec in zip(u, j, records)]
 
 
 # ----------------------------------------------------------------------
@@ -546,9 +548,6 @@ def finite_time_maximize(
     iterate marches forward once.  Each member's result equals that of its
     ascent alone, bit for bit.
     """
-    cfgs, seeds = list(cfgs), list(seeds)
-    if not cfgs or len(cfgs) != len(seeds):
-        raise ValueError("finite_time_maximize needs one seed per config, at least one")
     if any(cfg.T is None for cfg in cfgs):
         raise ValueError("finite_time_maximize needs cfg.T")
     if any(float(np.abs(seed.values).max()) == 0.0 for seed in seeds):

@@ -20,6 +20,7 @@ from enstro.conslaw_nd import GridSpecND, get_flux, nd_initial_datum, simulate_n
 from enstro.exact_oracles import heat_estimate_ratios, hopf_cole_solution
 from enstro.extremizers import (
     OptimConfig,
+    default_seeds,
     finite_time_gradient,
     finite_time_objective,
     instantaneous_maximize,
@@ -252,12 +253,16 @@ class TestAcceptance:
         grid = GridSpec1D(512)
         e0s = (1.0, 4.0, 16.0, 64.0)
         nus = (0.5, 0.1)
-        rates = {}
+        # every (E0, nu) point x 5 default seeds, ascended as one stack
+        cfgs, seeds = [], []
         for e0 in e0s:
+            starts = default_seeds(grid, e0)
             for nu in nus:
-                cfg = OptimConfig(e0=e0, nu=nu, max_iters=600)
-                _, rate, _ = instantaneous_maximize(cfg, grid)
-                rates[(e0, nu)] = rate
+                cfgs += [OptimConfig(e0=e0, nu=nu, max_iters=600)] * len(starts)
+                seeds += starts
+        rates = {}
+        for cfg, (_, rate, _) in zip(cfgs, instantaneous_maximize(cfgs, grid, seeds)):
+            rates[(cfg.e0, cfg.nu)] = max(rates.get((cfg.e0, cfg.nu), -np.inf), rate)
         positive = all(r > 0 for r in rates.values())
         if positive:
             logs = np.array(

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 import enstro.cli
-import enstro.extremizers
 from enstro.bounds_lab import SWEEP_COLUMNS, datum_family
 from enstro.burgers_solver import SolverConfig, simulate, sup_enstrophy
 from enstro.cli import ConfigFileError, _build_parser, load_config, main, run_sweep_e0
@@ -224,6 +223,31 @@ def test_cli_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_numpy_random_loads_only_for_drawn_seeds(tmp_path):
+    """Seeds past the three low modes draw from numpy.random: sweep-e0 with
+    two seeds never imports it, and maximize-instant's five seeds do."""
+    common = ["--n-points", "64", "--max-iters", "2", "--runs-dir", str(tmp_path)]
+    sweep = ["sweep-e0", "--count", "1", "--prefactors", "1", "--seeds", "2", *common]
+    probe = (
+        "import sys\n"
+        "from enstro.cli import main\n"
+        f"assert main({sweep!r}) == 0\n"
+        "print('numpy.random' in sys.modules, file=sys.stderr)\n"
+        f"assert main({['maximize-instant', *common]!r}) == 0\n"
+        "print('numpy.random' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(Path(enstro.cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["False", "True"]
 
 
 class TestConfigFile:
@@ -719,7 +743,7 @@ class TestIndividualCommands:
             seen.append(rng_seed)
             raise RuntimeError("stop after recording the seed")
 
-        monkeypatch.setattr(enstro.extremizers, "default_seeds", spy)
+        monkeypatch.setattr(enstro.cli, "default_seeds", spy)
         assert main(["maximize-instant", "--n-points", "64", "--seed", "7"]) == 1
         assert seen == [7]
         assert _manifest(runs_root, "maximize-instant")["seed"] == 7

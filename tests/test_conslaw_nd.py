@@ -287,6 +287,31 @@ class TestCrossValidation:
         rel = np.linalg.norm(final.values - ref) / np.linalg.norm(ref)
         assert rel < 1e-3
 
+    @pytest.mark.parametrize("nu", [0.05, 0.01])
+    def test_burgers_2d_diag_is_second_order(self, nu):
+        # on the diag datum u = v(x + y, t), and w = sqrt(2) v solves 1-D
+        # Burgers at viscosity 2 nu: burgers2d's per-axis flux is
+        # u^2 / (2 sqrt(2)).  A cell average of mode k of v(x + y) is its
+        # value at the center times sinc(k dx)^2, and every center's x + y
+        # is a point of the 1-D grid, (i + j + 1) dx
+        T, m = 0.1, 2048
+        g1 = GridSpec1D(m)
+        errors = []
+        for n in (64, 128):
+            g2 = GridSpecND(dim=2, points=n)
+            u0 = nd_initial_datum("diag", g2)
+            final, _ = simulate_nd(u0, get_flux("burgers2d"), SolverConfig(nu=nu, t_end=T))
+            amp = np.sqrt(2.0 * np.mean(u0.values**2))  # sin^2 averages 1/2 on the grid
+            w0 = Field1D(g1, np.sqrt(2.0) * amp * np.sin(2 * np.pi * g1.x))
+            traj, _ = simulate(w0, SolverConfig(nu=2.0 * nu, t_end=T))
+            k = np.arange(m // 2 + 1)
+            w_avg = np.fft.irfft(np.fft.rfft(traj.final.values) * np.sinc(k / n) ** 2, m)
+            i = np.arange(n)
+            exact = w_avg[(i[:, None] + i[None, :] + 1) * (m // n) % m] / np.sqrt(2.0)
+            errors.append(np.linalg.norm(final.values - exact) / np.linalg.norm(exact))
+        order = np.log2(errors[0] / errors[1])
+        assert order >= 1.9, (errors, order)
+
 
 @pytest.fixture(scope="module")
 def shock_run_2d():

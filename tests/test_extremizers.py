@@ -124,12 +124,20 @@ class TestRateGradient:
 class TestInstantaneousMaximize:
     """Projected ascent for the rate functional."""
 
+    @staticmethod
+    def best_of_default_seeds(cfg: OptimConfig, grid: GridSpec1D):
+        """maximize-instant's pick: the first optimum of the default seeds
+        with the highest rate."""
+        seeds = default_seeds(grid, cfg.e0)
+        results = instantaneous_maximize([cfg] * len(seeds), grid, seeds)
+        return max(results, key=lambda r: r[1])
+
     def test_large_viscosity_single_mode_limit(self):
         # when the cubic term is negligible the optimum sits on the lowest
         # wavenumber and R = -(2 pi)^2 nu e0
         grid = GridSpec1D(256)
         cfg = OptimConfig(e0=1.0, nu=10.0, max_iters=300)
-        u_star, rate, record = instantaneous_maximize(cfg, grid)
+        u_star, rate, record = self.best_of_default_seeds(cfg, grid)
         target = -((2 * np.pi) ** 2) * 10.0
         assert rate >= target  # optimizer may only improve on pure mode 1
         assert abs(rate - target) / abs(target) < 1e-5
@@ -140,21 +148,31 @@ class TestInstantaneousMaximize:
         # optimum is well below zero but far above the pure mode-1 value
         grid = GridSpec1D(256)
         cfg = OptimConfig(e0=1.0, nu=0.5, max_iters=400)
-        _, rate, _ = instantaneous_maximize(cfg, grid)
+        _, rate, _ = self.best_of_default_seeds(cfg, grid)
         assert -21.0 < rate < -18.0
 
     def test_objective_monotone_and_constraint_held(self):
         grid = GridSpec1D(128)
         cfg = OptimConfig(e0=2.0, nu=0.3, max_iters=80)
-        _, _, record = instantaneous_maximize(cfg, grid)
-        assert np.all(np.diff(record.objective) >= -1e-12)
-        assert np.all(record.constraint_residual <= 1e-10)
+        seeds = default_seeds(grid, cfg.e0)
+        for _, _, record in instantaneous_maximize([cfg] * len(seeds), grid, seeds):
+            assert np.all(np.diff(record.objective) >= -1e-12)
+            assert np.all(record.constraint_residual <= 1e-10)
 
     def test_nonconvergence_flagged(self):
         grid = GridSpec1D(128)
         cfg = OptimConfig(e0=1.0, nu=0.2, max_iters=2)
-        _, _, record = instantaneous_maximize(cfg, grid)
-        assert record.converged is False
+        seeds = default_seeds(grid, cfg.e0)
+        results = instantaneous_maximize([cfg] * len(seeds), grid, seeds)
+        assert [record.converged for _, _, record in results] == [False] * len(seeds)
+
+    def test_one_seed_per_config(self):
+        grid = GridSpec1D(64)
+        cfg = OptimConfig(e0=1.0, nu=0.1)
+        seed = default_seeds(grid, 1.0)[0]
+        for cfgs, seeds in (([cfg, cfg], [seed]), ([cfg], [seed, seed]), ([], [])):
+            with pytest.raises(ValueError, match="one seed per config, at least one"):
+                instantaneous_maximize(cfgs, grid, seeds)
 
     def test_stationary_exit_counts_as_converged(self):
         # maximize-finite's default config from seed 1: the Armijo search
@@ -752,11 +770,11 @@ class TestLockstepAscent:
 
 
 class TestLockstepInstantaneous:
-    """The instantaneous seeds, ascended as one stack, each as it would alone."""
+    """Instantaneous ascents, run as one stack, each as it would alone."""
 
-    def test_equals_best_of_seeds_ascended_alone(self):
-        grid = GridSpec1D(64)
-        cfg = OptimConfig(e0=4.0, nu=0.1, max_iters=40, grad_tol=0.03)
+    @staticmethod
+    def ascent_alone(cfg: OptimConfig, grid: GridSpec1D, seed: Field1D):
+        """One ascent through the public rate and gradient, as a stack of one."""
 
         def objective(v, _):
             return [rate_functional(Field1D(grid, v[0]), cfg.nu)]
@@ -764,21 +782,46 @@ class TestLockstepInstantaneous:
         def gradient(v, _):
             return rate_gradient(Field1D(grid, v[0]), cfg.nu).values[None]
 
-        alone = [
-            extremizers._ascend(seed.values[None], grid, [cfg], objective, gradient)
-            for seed in default_seeds(grid, cfg.e0)
-        ]
-        # some seeds stop on grad_tol, the others at max_iters
-        assert {rec.converged for _, _, (rec,) in alone} == {True, False}
-        best = None
-        for (u,), (j,), (record,) in alone:
-            if best is None or j > best[1]:
-                best = (u, j, record)
-        u_star, rate, record = instantaneous_maximize(cfg, grid)
-        assert np.array_equal(u_star.values, best[0])
-        assert rate == best[1]
+        (u,), (j,), (record,) = extremizers._ascend(
+            seed.values[None], grid, [cfg], objective, gradient
+        )
+        return Field1D(grid, u), j, record
+
+    @staticmethod
+    def assert_same_member(got, want):
+        (u, j, record), (u_want, j_want, record_want) = got, want
+        assert u.values.tobytes() == u_want.values.tobytes()
+        assert j == j_want
         for name in ("objective", "step", "constraint_residual", "grad_norm"):
-            want = getattr(best[2], name)
-            assert np.array_equal(getattr(record, name), want, equal_nan=True), name
-        assert np.isnan(record.grad_norm[0])
-        assert record.converged is best[2].converged
+            got_col, want_col = getattr(record, name), getattr(record_want, name)
+            assert got_col.tobytes() == want_col.tobytes(), name
+        assert record.converged is record_want.converged
+
+    def test_each_member_equals_its_ascent_alone(self):
+        grid = GridSpec1D(64)
+        cfg = OptimConfig(e0=4.0, nu=0.1, max_iters=40, grad_tol=0.03)
+        seeds = default_seeds(grid, cfg.e0)
+        alone = [self.ascent_alone(cfg, grid, seed) for seed in seeds]
+        # some seeds stop on grad_tol, the others at max_iters
+        assert {record.converged for _, _, record in alone} == {True, False}
+        results = instantaneous_maximize([cfg] * len(seeds), grid, seeds)
+        assert len(results) == len(seeds)
+        for got, want in zip(results, alone):
+            self.assert_same_member(got, want)
+            assert np.isnan(got[2].grad_norm[0])
+
+    def test_points_in_one_stack_equal_their_own_calls(self):
+        # two (E0, nu) points x 5 seeds, interleaved, in one call
+        grid = GridSpec1D(64)
+        points = (
+            OptimConfig(e0=4.0, nu=0.1, max_iters=40, grad_tol=0.03),
+            OptimConfig(e0=16.0, nu=0.5, max_iters=6),
+        )
+        seeds = [default_seeds(grid, cfg.e0) for cfg in points]
+        own = [instantaneous_maximize([cfg] * 5, grid, s) for cfg, s in zip(points, seeds)]
+        cfgs = [cfg for _ in range(5) for cfg in points]
+        stack = [s[k] for k in range(5) for s in seeds]
+        results = instantaneous_maximize(cfgs, grid, stack)
+        assert len({len(record) for _, _, record in results}) > 1  # members leave early
+        for i, got in enumerate(results):
+            self.assert_same_member(got, own[i % 2][i // 2])
