@@ -12,10 +12,12 @@ E(u) = int (u_x)^2:
   reads it back; the ascent's gradient reuses the tape of the objective's
   march at the same point, so each iterate marches forward once.  Above
   ``ADJOINT_STORAGE_BUDGET_BYTES`` the gradient keeps checkpoints instead
-  and rebuilds the tape block by block by re-marching from them.
+  and rebuilds the tape block by block by replaying the recorded steps
+  from them.
 
 Both problems ascend their members, one (config, seed) pair each, in
-lockstep, one stack per objective and per gradient call; see :func:`_ascend`.
+lockstep, one stack per evaluation, whose gradients reuse what the
+evaluation computed; see :func:`_ascend`.
 
 Ascent is Riemannian: the L2 gradient is preconditioned by the inverse
 Laplacian (H1-seminorm metric), in which the constraint sphere's normal
@@ -62,8 +64,9 @@ class OptimConfig:
         _require_positive("grad_tol", self.grad_tol)
         if self.T is not None:
             _require_positive("T", self.T)
-        if not self.max_iters >= 1:
-            raise ValueError("max_iters must be at least 1")
+        # the ascent stops at a fractional count without reaching it, so as converged
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,14 +128,16 @@ def rate_gradient(u: Field1D, nu: float) -> Field1D:
     is anti-self-adjoint), so finite differences match to roundoff.
     """
     _require_positive("nu", nu)
-    return Field1D(u.grid, _rate_gradient(u.values, nu, u.grid.n_points))
+    n, uh = u.grid.n_points, np.fft.rfft(u.values)
+    ux, _, _ = _rate_terms(uh, n, u.grid.dx, nu)
+    return Field1D(u.grid, _rate_gradient(uh, ux, nu, n))
 
 
-def _rate_gradient(vals: np.ndarray, nu: float | np.ndarray, n: int) -> np.ndarray:
-    """:func:`rate_gradient` of ``vals``; a stack row by row, at a scalar or (B, 1) nu."""
+def _rate_gradient(uh: np.ndarray, ux: np.ndarray, nu: float | np.ndarray, n: int) -> np.ndarray:
+    """:func:`rate_gradient` of the state with rfft data ``uh`` and samples of
+    u_x ``ux``, as :func:`_rate_terms` made them; a stack row by row, at a
+    scalar or (B, 1) nu.  Three transforms, whatever the stack's size."""
     ops = spectral_ops(n)
-    uh = np.fft.rfft(vals)
-    ux = np.fft.irfft(ops.ik * uh, n)
     fourth = np.fft.irfft(ops.k4 * uh, n)
     dsq = np.fft.irfft(ops.ik * np.fft.rfft(ux**2), n)
     return -2.0 * nu * fourth + 1.5 * dsq
@@ -176,21 +181,22 @@ def _ascend(
     starts: np.ndarray,
     grid: GridSpec1D,
     cfgs: Sequence[OptimConfig],
-    objective: Callable[[np.ndarray, list[int]], Sequence[float]],
-    gradient: Callable[[np.ndarray, list[int]], np.ndarray],
+    evaluate: Callable[[np.ndarray, list[int]], tuple],
 ) -> tuple[np.ndarray, list[float], list[OptimRecord]]:
     """Riemannian Armijo ascents on the spheres {E = cfg.e0}, one per row of
     ``starts`` and of ``cfgs``, run in lockstep.
 
-    ``objective(points, members)`` evaluates a stack of points, row i for
-    member ``members[i]``; ``gradient(points, members)`` gives the gradients
-    at points that the last objective call evaluated.  Each round makes one
-    gradient call, for the members that just started or just accepted a
-    step, and then one objective call, for every member's next Armijo trial;
-    tangent directions, retractions and residuals run as one stack too.  A
-    member keeps its own step size, Armijo test, stopping rules and record,
-    so it takes the steps it would take alone, and it leaves the stack when
-    it stops.  Returns the optima, their objectives and records.
+    ``evaluate(points, members)`` evaluates a stack of points, row i for
+    member ``members[i]``, and returns their objectives together with a
+    function of row positions in ``points`` that gives the gradients at
+    those rows, built from what the evaluation computed.  Each round takes
+    the gradients of the members that just started or just accepted a step
+    from the last evaluation, and then makes one evaluation, of every
+    member's next Armijo trial; tangent directions, retractions and
+    residuals run as one stack too.  A member keeps its own step size,
+    Armijo test, stopping rules and record, so it takes the steps it would
+    take alone, and it leaves the stack when it stops.  Returns the optima,
+    their objectives and records.
     """
     if not len(cfgs) or len(cfgs) != len(starts):
         raise ValueError("an ascent needs one seed per config, at least one")
@@ -202,7 +208,9 @@ def _ascend(
         return np.abs(enstrophy(np.fft.rfft(u[m]), n) - e0[m]) / e0[m]
 
     fresh, trying = np.arange(len(cfgs)), np.arange(0)  # at a new iterate; backtracking
-    j = np.asarray(objective(u, fresh.tolist()), dtype=float)
+    evaluated = fresh  # the members of the last evaluation, ascending
+    j, gradients = evaluate(u, fresh.tolist())
+    j = np.asarray(j, dtype=float)
     rows = [[(jm, 0.0, res, np.nan)] for jm, res in zip(j, residual(fresh))]
     d, slope, gnorm = np.zeros_like(u), np.zeros_like(j), np.zeros_like(j)
     eta, norm0 = np.full_like(j, _STEP0), np.zeros_like(j)
@@ -211,20 +219,22 @@ def _ascend(
         converged[fresh[iters[fresh] == max_iters[fresh]]] = False
         fresh = fresh[iters[fresh] < max_iters[fresh]]
         if fresh.size:
-            g = gradient(u[fresh], fresh.tolist())
+            g = gradients(np.searchsorted(evaluated, fresh))
             iters[fresh] += 1
             d[fresh], slope[fresh], gnorm[fresh] = _tangent_direction(u[fresh], g, n, dx)
             first = np.maximum(gnorm[fresh], 1e-300)
             norm0[fresh] = np.where(iters[fresh] == 1, first, norm0[fresh])
             moving = gnorm[fresh] > grad_tol[fresh] * norm0[fresh]
             trying = np.sort(np.concatenate([trying, fresh[moving]]))
+        gradients = None  # else the stage tape it holds stays alive through the next march
         # a member whose step has shrunk to round-off is stationary
         floor = 1e-16 * np.maximum(1.0, np.sqrt(e0[trying]))
         batch = trying[eta[trying] * gnorm[trying] > floor]
         if not batch.size:
             break
         trials = _retract(u[batch] + eta[batch, None] * d[batch], e0[batch], n)
-        j_trial = np.asarray(objective(trials, batch.tolist()), dtype=float)
+        j_trial, gradients = evaluate(trials, batch.tolist())
+        j_trial, evaluated = np.asarray(j_trial, dtype=float), batch
         ok = j_trial >= j[batch] + _ARMIJO_DECREASE * eta[batch] * slope[batch]
         fresh, trying = batch[ok], batch[~ok]
         u[fresh], j[fresh] = trials[ok], j_trial[ok]
@@ -268,14 +278,12 @@ def instantaneous_maximize(
     ``(optimum, R, record)`` per pair, bit for bit that of its ascent alone."""
     n, nu = grid.n_points, np.array([cfg.nu for cfg in cfgs])
 
-    def objective(points: np.ndarray, members: list[int]) -> np.ndarray:
-        _, dissipation, cubic = _rate_terms(np.fft.rfft(points), n, grid.dx, nu[members])
-        return dissipation + cubic
+    def evaluate(points: np.ndarray, members: list[int]) -> tuple:
+        uh, nu_m = np.fft.rfft(points), nu[members]
+        ux, dissipation, cubic = _rate_terms(uh, n, grid.dx, nu_m)
+        return dissipation + cubic, lambda r: _rate_gradient(uh[r], ux[r], nu_m[r, None], n)
 
-    def gradient(points: np.ndarray, members: list[int]) -> np.ndarray:
-        return _rate_gradient(points, nu[members, None], n)
-
-    u, j, records = _ascend(np.array([s.values for s in seeds]), grid, cfgs, objective, gradient)
+    u, j, records = _ascend(np.array([s.values for s in seeds]), grid, cfgs, evaluate)
     return [(Field1D(grid, row), jm, rec) for row, jm, rec in zip(u, j, records)]
 
 
@@ -291,57 +299,51 @@ def _march_forward(
     n: int,
     dx: float,
     tape_bytes: int = 0,
-    stride: int = 0,
-) -> tuple[np.ndarray, list[list[float]], dict[int, np.ndarray], list | None]:
+) -> tuple[np.ndarray, list[list[float]], list | None]:
     """March a (B, n) stack of starts, member i to time ``T[i]`` at viscosity
-    ``nu[i]``; return ``(uh_T, dts, checkpoints, tape)``.
+    ``nu[i]``; return ``(uh_T, dts, tape)``.
 
     The members step together through :func:`march` as one stack, each at
     its own dt.  ``uh_T`` holds each member's final spectrum and ``dts[i]``
     member i's steps.  With ``tape_bytes > 0`` it keeps the stage tape, one
     ``(live, dts, stages)`` entry per stacked step as :func:`march` yields
     them, while the whole stack's tape fits in ``tape_bytes``; a tape that
-    outgrows them is dropped and returned as None.  With ``stride > 0`` it
-    keeps the spectra of the members still marching at stacked steps 0,
-    stride, 2*stride, ... before the last step instead.
+    outgrows them is dropped and returned as None; :func:`_replay` rebuilds
+    it from ``dts``.
     """
     uh = np.fft.rfft(u0_vals)
     uh_T = np.empty_like(uh)
     dts: list[list[float]] = [[] for _ in T]
-    checkpoints: dict[int, np.ndarray] = {0: uh} if stride else {}
     tape: list | None = [] if tape_bytes > 0 else None
     kept = 0
     cfgs = [SolverConfig(nu=v, t_end=t) for t, v in zip(T, nu)]
-    for i, (live, _, dt, uh, _, stages) in enumerate(march(uh, n, dx, cfgs), start=1):
+    for live, _, dt, uh, _, stages in march(uh, n, dx, cfgs):
         for m, step in zip(live.tolist(), dt.tolist()):
             dts[m].append(step)
         uh_T[live] = uh  # a member's last write is its final spectrum
-        if stride and i % stride == 0:
-            checkpoints[i] = uh
         if tape is not None:
             kept += stages.nbytes
             if kept > tape_bytes:
                 tape = None
             else:
                 tape.append((live, dt, stages))
-    checkpoints.pop(i, None)  # the final state starts no step
-    return uh_T, dts, checkpoints, tape
+    return uh_T, dts, tape
 
 
 def _checkpoint_plan(
     n_steps: int, budget_bytes: int, spectrum_bytes: int, step_bytes: int
 ) -> tuple[int, int]:
-    """``(stride, block)`` of the re-march path, re-marching fewest steps.
+    """``(stride, block)`` of the checkpoint path, replaying fewest steps.
 
     The path keeps a checkpoint every ``stride`` steps and rebuilds the
     tape of at most ``block`` steps of a segment at a time; together they
     fit in ``budget_bytes``, or in one checkpoint and one step's tape when
     the budget is smaller than that floor.  A block shorter than its
-    segment is re-marched from the segment's checkpoint.
+    segment is replayed from the segment's checkpoint.
     """
     budget = max(budget_bytes, spectrum_bytes + step_bytes)
 
-    def remarched(length: int, block: int) -> int:
+    def replayed(length: int, block: int) -> int:
         blocks = -(-length // block)
         return blocks * length - block * blocks * (blocks - 1) // 2
 
@@ -352,25 +354,22 @@ def _checkpoint_plan(
         if block < 1:
             continue
         last = n_steps - (count - 1) * stride
-        cost = (count - 1) * remarched(stride, block) + remarched(last, block)
+        cost = (count - 1) * replayed(stride, block) + replayed(last, block)
         key = (cost, count * spectrum_bytes + block * step_bytes)
         if best is None or key < best[0]:
             best = (key, stride, block)
     return best[1], best[2]
 
 
-def _retape(uh: np.ndarray, dts: list[float], skip: int, nu: np.ndarray, n: int) -> list:
-    """Re-march the one-member stack ``uh`` at the (1, 1) viscosity column
-    ``nu`` through ``dts``; the stage tape of all but the first ``skip``
-    steps, in :func:`_march_forward`'s layout."""
+def _replay(uh: np.ndarray, dts: list[float], nu: np.ndarray, n: int) -> Iterator[tuple]:
+    """Step the one-member stack ``uh`` at the (1, 1) viscosity column ``nu``
+    through the recorded steps ``dts``; yields ``(uh, tape_entry)`` after each,
+    the entry in :func:`_march_forward`'s layout, bit for bit the march's."""
     live = np.zeros(1, dtype=int)
-    tape = []
-    for j, dt in enumerate(dts):
+    for dt in dts:
         dt = np.array([dt])
         uh, stages = step_spectral(uh, dt[:, None], nu, n)
-        if j >= skip:
-            tape.append((live, dt, stages))
-    return tape
+        yield uh, (live, dt, stages)
 
 
 def _nonlinear_adjoint(a: np.ndarray, v_hat: np.ndarray, n: int) -> np.ndarray:
@@ -453,27 +452,22 @@ def _pull_back(
 
 
 def _gradients(
-    points: np.ndarray,
-    T: Sequence[float],
-    nu: Sequence[float],
-    marched: tuple,
-    rows: Sequence[int],
-    n: int,
-    dx: float,
+    points: np.ndarray, nu: Sequence[float], marched: tuple, rows: Sequence[int], n: int
 ) -> np.ndarray:
-    """Exact L2 gradients of u0 -> E(u(T)) for the members ``rows``
-    (ascending) of the stack that :func:`_march_forward` marched to
-    ``marched``; row i of ``points`` is where member ``rows[i]`` started.
+    """Exact L2 gradients of u0 -> E(u(T)) at the rows ``rows`` (ascending)
+    of the stack ``points`` that :func:`_march_forward` marched to
+    ``marched``, at the viscosities ``nu``.
 
     The backward pass transposes, step by step, exactly the arithmetic of
     the forward march, reading each RK4 stage's samples from the march's
     stage tape, one stacked walk for all rows.  When the march dropped its
-    tape, each row keeps checkpoints instead and rebuilds its tape block by
-    block by re-marching from them, checkpoints and tape together within
+    tape, each row replays its recorded steps once to keep checkpoints, and
+    then rebuilds its tape block by block by replaying them from the
+    checkpoints, checkpoints and tape together within
     ``ADJOINT_STORAGE_BUDGET_BYTES`` (see :func:`_checkpoint_plan`); the
     result is bit for bit the same.
     """
-    uh_T, dts, _, tape = marched
+    uh_T, dts, tape = marched
     # terminal condition: L2 gradient of E at u(T) is -2 u_xx(T)
     lam = 2.0 * spectral_ops(n).k2 * uh_T[rows]
     nu_col = np.array([[nu[r]] for r in rows])
@@ -486,21 +480,18 @@ def _gradients(
             stride, block = _checkpoint_plan(
                 len(steps), ADJOINT_STORAGE_BUDGET_BYTES, uh_T[r].nbytes, step_bytes
             )
-            _, _, checkpoints, _ = _march_forward(
-                points[one], [T[r]], [nu[r]], n, dx, stride=stride
-            )
-            hi = len(steps)  # step j maps state j to state j + 1
+            last = (len(steps) - 1) // stride * stride  # the last step a checkpoint starts
+            checkpoints = [np.fft.rfft(points[r : r + 1])]  # states 0, stride, ..., last
+            replayed = enumerate(_replay(checkpoints[0], steps[:last], nu_col[one], n), 1)
+            checkpoints += [uh for k, (uh, _) in replayed if k % stride == 0]
+            hi = len(steps)  # step k maps state k to state k + 1
             while hi > 0:
                 seg = (hi - 1) // stride * stride
                 lo = max(seg, hi - block)
-                # a block's tape lives only while it is pulled back
-                lam[one] = _pull_back(
-                    _retape(checkpoints[seg], steps[seg:hi], lo - seg, nu_col[one], n),
-                    lam[one],
-                    nu_col[one],
-                    n,
-                    [0],
-                )
+                replayed = _replay(checkpoints[seg // stride], steps[seg:hi], nu_col[one], n)
+                tape = [entry for k, (_, entry) in enumerate(replayed, seg) if k >= lo]
+                lam[one] = _pull_back(tape, lam[one], nu_col[one], n, [0])
+                del tape  # a block's tape lives only while it is pulled back
                 hi = lo
     lam[..., 0] = 0.0
     return np.fft.irfft(lam, n)
@@ -513,7 +504,7 @@ def finite_time_objective(u0: Field1D, T: float, nu: float) -> float:
     n, dx = u0.grid.n_points, u0.grid.dx
     if T == 0:
         return float(enstrophy(np.fft.rfft(u0.values), n))
-    uh_T, _, _, _ = _march_forward(u0.values[None], [T], [nu], n, dx)
+    uh_T, _, _ = _march_forward(u0.values[None], [T], [nu], n, dx)
     return float(enstrophy(uh_T[0], n))
 
 
@@ -522,17 +513,16 @@ def finite_time_gradient(u0: Field1D, T: float, nu: float) -> Field1D:
 
     Central finite differences of the discrete objective match the result
     to roundoff-limited accuracy.  The march keeps its stage tape within
-    ``ADJOINT_STORAGE_BUDGET_BYTES``, or checkpoints when the tape does not
-    fit (see :func:`_gradients`); the result is bit for bit the same.
+    ``ADJOINT_STORAGE_BUDGET_BYTES``; when the tape does not fit, the adjoint
+    replays the recorded steps from checkpoints instead (see
+    :func:`_gradients`), and the result is bit for bit the same.
     """
     _require_positive("T", T)
     _require_positive("nu", nu)
     _require_zero_mean(u0.values)
-    n, dx = u0.grid.n_points, u0.grid.dx
-    u0s = u0.values[None]
-    marched = _march_forward(u0s, [T], [nu], n, dx, ADJOINT_STORAGE_BUDGET_BYTES)
-    g = _gradients(u0s, [T], [nu], marched, [0], n, dx)
-    return Field1D(u0.grid, g[0])
+    n, u0s = u0.grid.n_points, u0.values[None]
+    marched = _march_forward(u0s, [T], [nu], n, u0.grid.dx, ADJOINT_STORAGE_BUDGET_BYTES)
+    return Field1D(u0.grid, _gradients(u0s, [nu], marched, [0], n)[0])
 
 
 def finite_time_maximize(
@@ -550,24 +540,13 @@ def finite_time_maximize(
     """
     if any(cfg.T is None for cfg in cfgs):
         raise ValueError("finite_time_maximize needs cfg.T")
-    if any(float(np.abs(seed.values).max()) == 0.0 for seed in seeds):
-        raise ValueError("seed must be nonzero")
-    n, dx = grid.n_points, grid.dx
-    last = None  # (members, T, nu, march) of the last objective call
+    n = grid.n_points
 
-    def objective(points: np.ndarray, members: list[int]) -> np.ndarray:
-        nonlocal last
-        last = None  # free the old tape before marching
+    def evaluate(points: np.ndarray, members: list[int]) -> tuple:
         T, nu = [cfgs[m].T for m in members], [cfgs[m].nu for m in members]
-        marched = _march_forward(points, T, nu, n, dx, ADJOINT_STORAGE_BUDGET_BYTES)
-        last = members, T, nu, marched
-        return enstrophy(marched[0], n)
-
-    def gradient(points: np.ndarray, members: list[int]) -> np.ndarray:
-        marched_members, T, nu, marched = last
-        rows = [marched_members.index(m) for m in members]
-        return _gradients(points, T, nu, marched, rows, n, dx)
+        marched = _march_forward(points, T, nu, n, grid.dx, ADJOINT_STORAGE_BUDGET_BYTES)
+        return enstrophy(marched[0], n), lambda rows: _gradients(points, nu, marched, rows, n)
 
     starts = np.array([seed.values for seed in seeds])
-    u, j, records = _ascend(starts, grid, cfgs, objective, gradient)
+    u, j, records = _ascend(starts, grid, cfgs, evaluate)
     return [(Field1D(grid, row), jm, rec) for row, jm, rec in zip(u, j, records)]

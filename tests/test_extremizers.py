@@ -6,6 +6,7 @@ central finite differences of their own discrete objectives.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -78,6 +79,14 @@ class TestOptimConfig:
     def test_nan_max_iters_rejected(self):
         with pytest.raises(ValueError, match="max_iters"):
             OptimConfig(e0=1.0, nu=0.1, max_iters=float("nan"))
+
+    def test_fractional_max_iters_rejected(self):
+        # an ascent never counts to 2.5: it would stop after 3 iterations
+        # and report the stop as converged
+        for bad in (2.5, 3.0, float("inf")):
+            with pytest.raises(ValueError, match="max_iters must be an integer"):
+                OptimConfig(e0=1.0, nu=0.1, max_iters=bad)
+        assert OptimConfig(e0=1.0, nu=0.1, max_iters=np.int64(3)).max_iters == 3
 
 
 class TestRateGradient:
@@ -173,6 +182,46 @@ class TestInstantaneousMaximize:
         for cfgs, seeds in (([cfg, cfg], [seed]), ([cfg], [seed, seed]), ([], [])):
             with pytest.raises(ValueError, match="one seed per config, at least one"):
                 instantaneous_maximize(cfgs, grid, seeds)
+
+    def test_rejects_seed_with_zero_enstrophy(self):
+        # the zero seed and a constant one, which has no enstrophy once its
+        # mean is removed
+        grid = GridSpec1D(64)
+        cfg = OptimConfig(e0=1.0, nu=0.1)
+        seed = default_seeds(grid, 1.0)[0]
+        for bad in (np.zeros(64), np.full(64, 3.0)):
+            with pytest.raises(ValueError, match="zero enstrophy"):
+                instantaneous_maximize([cfg, cfg], grid, [seed, Field1D(grid, bad)])
+
+    def test_gradient_handle_makes_three_transforms(self, monkeypatch, fft_calls):
+        # every handle the ascent reads, at stacks of several sizes: each
+        # returns the public gradient at its rows, in 3 transforms
+        grid = GridSpec1D(64)
+        cfg = OptimConfig(e0=4.0, nu=0.1, max_iters=40, grad_tol=0.03)
+        calls: list = []
+        ascend = extremizers._ascend
+
+        def counted(starts, grid, cfgs, evaluate):
+            def evaluate_counted(points, members):
+                objectives, gradients = evaluate(points, members)
+
+                def gradients_counted(rows):
+                    before = fft_calls[0]
+                    g = gradients(rows)
+                    calls.append((len(rows), fft_calls[0] - before))
+                    for got, r in zip(g, rows):
+                        want = rate_gradient(Field1D(grid, points[r]), cfg.nu).values
+                        assert np.array_equal(got, want)
+                    return g
+
+                return objectives, gradients_counted
+
+            return ascend(starts, grid, cfgs, evaluate_counted)
+
+        monkeypatch.setattr(extremizers, "_ascend", counted)
+        instantaneous_maximize([cfg] * 5, grid, default_seeds(grid, cfg.e0))
+        assert len({rows for rows, _ in calls}) > 1
+        assert {made for _, made in calls} == {3}
 
     def test_stationary_exit_counts_as_converged(self):
         # maximize-finite's default config from seed 1: the Armijo search
@@ -472,14 +521,14 @@ class TestBatchedAdjoint:
         n, dx = 128, grid.dx
         stack = np.array([s.values for s in default_seeds(grid, 64.0, count=3)])
         T, nu = [0.0625, 0.125, 0.2], [1.0, 0.5, 2.0]
-        uh_T, dts, _, tape = extremizers._march_forward(stack, T, nu, n, dx, 2**30)
+        uh_T, dts, tape = extremizers._march_forward(stack, T, nu, n, dx, 2**30)
         assert len({len(d) for d in dts}) == 3  # tapes of three lengths
         lam = 2.0 * spectral_ops(n).k2 * uh_T
         nu_col = np.array(nu)[:, None]
         for rows in ([0, 1, 2], [0, 2], [1]):
             got = extremizers._pull_back(tape, lam[rows], nu_col[rows], n, rows)
             for i, r in enumerate(rows):
-                _, (steps,), _, alone = extremizers._march_forward(
+                _, (steps,), alone = extremizers._march_forward(
                     stack[r : r + 1], [T[r]], [nu[r]], n, dx, 2**30
                 )
                 assert steps == dts[r]
@@ -523,7 +572,7 @@ class TestStageTape:
         dx = cases[0][0].grid.dx
         monkeypatch.setattr(extremizers, "ADJOINT_STORAGE_BUDGET_BYTES", 2**30)
         marched = extremizers._march_forward(stack, T, nu, 256, dx, 2**30)
-        got = extremizers._gradients(stack, T, nu, marched, [0, 1], 256, dx)
+        got = extremizers._gradients(stack, nu, marched, [0, 1], 256)
         assert np.array_equal(got[0], wants[0]) and np.array_equal(got[1], wants[1])
 
     def test_gradient_after_objective_reads_the_tape(self, monkeypatch, fft_calls):
@@ -533,10 +582,10 @@ class TestStageTape:
         spy(monkeypatch, "_march_forward", marches)
         gradients = extremizers._gradients
 
-        def counted(points, T, nu, marched, rows, *args):
+        def counted(points, nu, marched, rows, n):
             made, calls = len(marches), fft_calls[0]
-            g = gradients(points, T, nu, marched, rows, *args)
-            walks.append((len(marches) - made, fft_calls[0] - calls, marched[3], len(rows)))
+            g = gradients(points, nu, marched, rows, n)
+            walks.append((len(marches) - made, fft_calls[0] - calls, marched[2], len(rows)))
             return g
 
         monkeypatch.setattr(extremizers, "_gradients", counted)
@@ -554,7 +603,7 @@ class TestStageTape:
 
         def sized(*args, **kwargs):
             result = march_forward(*args, **kwargs)
-            sizes.append(tape_bytes(result[3]))  # keeps no reference to it
+            sizes.append(tape_bytes(result[2]))  # keeps no reference to it
             return result
 
         monkeypatch.setattr(extremizers, "_march_forward", sized)
@@ -601,28 +650,63 @@ class TestStageTape:
         spectrum_bytes = (256 // 2 + 1) * 16
         floor = spectrum_bytes + 32 * 256  # a checkpoint and one step's tape
         marches: list = []
-        tapes: list = []
         plans: list = []
         plan = extremizers._checkpoint_plan
         monkeypatch.setattr(
             extremizers, "_checkpoint_plan", lambda *args: plans.append(args) or plan(*args)
         )
         spy(monkeypatch, "_march_forward", marches)
-        spy(monkeypatch, "_retape", tapes)
+        # every state a replay starts from or yields, held weakly: the ones
+        # still alive at a pull back are the checkpoints the gradient keeps
+        states: list = []
+        replay = extremizers._replay
+
+        def tracked(uh, *args):
+            states.append(weakref.ref(uh))
+            for uh, entry in replay(uh, *args):
+                states.append(weakref.ref(uh))
+                yield uh, entry
+
+        monkeypatch.setattr(extremizers, "_replay", tracked)
+        walks: list = []  # (bytes alive, bytes of one tape step) at each pull back
+        pull_back = extremizers._pull_back
+
+        def measured(tape, *args):
+            alive = {id(uh): uh.nbytes for uh in (ref() for ref in states) if uh is not None}
+            walks.append((sum(alive.values()) + tape_bytes(tape), tape[0][2].nbytes))
+            return pull_back(tape, *args)
+
+        monkeypatch.setattr(extremizers, "_pull_back", measured)
         for spectra in (4, 8, 24, 60, 200, 400):
             budget = spectra * spectrum_bytes
             monkeypatch.setattr(extremizers, "ADJOINT_STORAGE_BUDGET_BYTES", budget)
             marches.clear()
-            tapes.clear()
+            states.clear()
+            walks.clear()
             got = finite_time_gradient(u0, T, nu).values
             assert np.array_equal(got, want), spectra
-            assert len(marches[0][1][0]) == 117
-            assert all(tape_bytes(m[3]) <= budget for m in marches)
-            checkpoints = sum(uh.nbytes for m in marches for uh in m[2].values())
-            live = checkpoints + max(tape_bytes(t) for t in tapes)
-            assert live <= max(budget, floor), spectra
+            assert len(marches) == 1 and len(marches[0][1][0]) == 117
+            assert tape_bytes(marches[0][2]) <= budget
+            assert max(live for live, _ in walks) <= max(budget, floor), spectra
         # every plan is made for the size of one step of the tape itself
-        assert {args[3] for args in plans} == {tapes[0][0][2].nbytes}
+        assert {args[3] for args in plans} == {step for _, step in walks}
+
+    def test_fallback_replays_instead_of_marching(self, monkeypatch):
+        # 83 steps at N = 256, against a budget of 8 spectra, about 2 steps
+        u0, T, nu = self.prototype_cases()[1]
+        want = recompute_gradient(u0, T, nu)
+        monkeypatch.setattr(extremizers, "ADJOINT_STORAGE_BUDGET_BYTES", 8 * (256 // 2 + 1) * 16)
+        marches: list = []
+        forwards: list = []
+        replays: list = []
+        spy(monkeypatch, "march", marches)
+        spy(monkeypatch, "_march_forward", forwards)
+        spy(monkeypatch, "_replay", replays)
+        got = finite_time_gradient(u0, T, nu).values
+        # the objective's march alone; the adjoint replays its recorded steps
+        assert len(marches) == 1 and len(forwards) == 1
+        assert forwards[0][2] is None and len(replays) > 1
+        assert np.array_equal(got, want)
 
     def test_checkpoint_plan_fits_its_budget(self):
         spectrum_bytes, step_bytes = 2064, 16384
@@ -668,8 +752,11 @@ class TestFiniteTimeMaximize:
         cfg = OptimConfig(e0=1.0, nu=0.1, T=0.1)
         with pytest.raises(ValueError, match="cfg.T"):
             finite_time_maximize([cfg, OptimConfig(e0=1.0, nu=0.1)], grid, [seed, seed])
-        with pytest.raises(ValueError, match="nonzero"):
-            finite_time_maximize([cfg, cfg], grid, [seed, Field1D(grid, np.zeros(64))])
+        # the zero seed and a constant one, which has no enstrophy once its
+        # mean is removed
+        for bad in (np.zeros(64), np.full(64, 3.0)):
+            with pytest.raises(ValueError, match="zero enstrophy"):
+                finite_time_maximize([cfg, cfg], grid, [seed, Field1D(grid, bad)])
         with pytest.raises(ValueError, match="one seed per config"):
             finite_time_maximize([cfg, cfg], grid, [seed])
 
@@ -750,15 +837,15 @@ class TestLockstepAscent:
         assert [a[4] for a in alone] == [m[-1] for m in LOCKSTEP_MEMBERS]
         stack = np.array([seed.values for seed in seeds])
         T, nu = [c.T for c in cfgs], [c.nu for c in cfgs]
-        _, dts, _, _ = extremizers._march_forward(stack, T, nu, 64, grid.dx)
+        _, dts, _ = extremizers._march_forward(stack, T, nu, 64, grid.dx)
         assert len({len(d) for d in dts}) >= 4  # tapes of different lengths
-        retapes: list = []
+        replays: list = []
         if budget is not None:
-            # one step of one member's tape: every gradient re-marches
+            # one step of one member's tape: every gradient replays
             monkeypatch.setattr(extremizers, "ADJOINT_STORAGE_BUDGET_BYTES", budget)
-            spy(monkeypatch, "_retape", retapes)
+            spy(monkeypatch, "_replay", replays)
         results = finite_time_maximize(cfgs, grid, seeds)
-        assert bool(retapes) == (budget is not None)
+        assert bool(replays) == (budget is not None)
         assert len(results) == len(cfgs)
         for (u, j, record), (u_alone, j_alone, rows, converged, _) in zip(results, alone):
             assert np.array_equal(u.values, u_alone)
@@ -776,15 +863,13 @@ class TestLockstepInstantaneous:
     def ascent_alone(cfg: OptimConfig, grid: GridSpec1D, seed: Field1D):
         """One ascent through the public rate and gradient, as a stack of one."""
 
-        def objective(v, _):
-            return [rate_functional(Field1D(grid, v[0]), cfg.nu)]
+        def evaluate(v, _):
+            def gradients(rows):
+                return np.array([rate_gradient(Field1D(grid, v[r]), cfg.nu).values for r in rows])
 
-        def gradient(v, _):
-            return rate_gradient(Field1D(grid, v[0]), cfg.nu).values[None]
+            return [rate_functional(Field1D(grid, v[0]), cfg.nu)], gradients
 
-        (u,), (j,), (record,) = extremizers._ascend(
-            seed.values[None], grid, [cfg], objective, gradient
-        )
+        (u,), (j,), (record,) = extremizers._ascend(seed.values[None], grid, [cfg], evaluate)
         return Field1D(grid, u), j, record
 
     @staticmethod
