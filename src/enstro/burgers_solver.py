@@ -348,17 +348,21 @@ def sup_enstrophy(t: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     """Time and value of the peak of the enstrophy samples ``e`` at times
     ``t``, refined by local quadratics.
 
-    The discrete argmax is sharpened by fitting a parabola through the
-    three samples around it; interior maxima of smooth E(t) are thereby
-    recovered to second order in the step size.
+    The discrete argmax is sharpened by the parabola through the three
+    samples around it, in Newton form: divided differences d1 and a, vertex
+    t* = (t0 + t1)/2 - d1/(2a) clipped to [t0, t2], and e* = e0 + (t* - t0)
+    (d1 + a (t* - t1)).  Interior maxima of smooth E(t) are thereby
+    recovered to second order in the step size.  A parabola that does not
+    open downwards, or a maximum at either end, gives the discrete maximum.
     """
     i = int(np.argmax(e))
     if i == 0 or i == len(e) - 1:
         return float(t[i]), float(e[i])
-    ts, es = t[i - 1 : i + 2], e[i - 1 : i + 2]
-    a, b, c = np.polyfit(ts, es, 2)
+    (t0, t1, t2), (e0, e1, e2) = t[i - 1 : i + 2].tolist(), e[i - 1 : i + 2].tolist()
+    d1 = (e1 - e0) / (t1 - t0)
+    a = ((e2 - e1) / (t2 - t1) - d1) / (t2 - t0)
     if a >= 0:
-        return float(t[i]), float(e[i])
-    t_star = float(np.clip(-b / (2.0 * a), ts[0], ts[-1]))
-    e_star = float(a * t_star**2 + b * t_star + c)
-    return t_star, max(e_star, float(e[i]))
+        return t1, e1
+    t_star = min(max(0.5 * (t0 + t1) - d1 / (2.0 * a), t0), t2)
+    e_star = e0 + (t_star - t0) * (d1 + a * (t_star - t1))
+    return t_star, max(e_star, e1)

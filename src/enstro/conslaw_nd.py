@@ -171,13 +171,15 @@ def _laplacian(u: np.ndarray, dx: float, out: np.ndarray, work) -> np.ndarray:
     for ax in range(u.ndim):
         np.subtract(_roll(u, -1, ax, t), np.multiply(u, 2.0, out=s), out=t)
         np.add(out, np.add(t, _roll(u, 1, ax, s), out=t), out=out)
-    return np.divide(out, dx**2, out=out)
+    # dx is a power of two, so this product equals the division exactly, at half its cost
+    return np.multiply(out, 1.0 / dx**2, out=out)
 
 
 def _gradient_centered(u: np.ndarray, ax: int, dx: float, out=None, tmp=None) -> np.ndarray:
     """Centered difference of u along `ax`, written into `out`."""
     d = _roll(u, -1, ax, out)
-    return np.divide(np.subtract(d, _roll(u, 1, ax, tmp), out=d), 2.0 * dx, out=d)
+    # dx is a power of two, so this product equals the division exactly, at half its cost
+    return np.multiply(np.subtract(d, _roll(u, 1, ax, tmp), out=d), 0.5 / dx, out=d)
 
 
 def anisotropic_tv(u: np.ndarray, dx: float, out: np.ndarray | None = None) -> float:

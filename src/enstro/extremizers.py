@@ -307,9 +307,15 @@ def _march_forward(
     its own dt.  ``uh_T`` holds each member's final spectrum and ``dts[i]``
     member i's steps.  With ``tape_bytes > 0`` it keeps the stage tape, one
     ``(live, dts, stages)`` entry per stacked step as :func:`march` yields
-    them, while the whole stack's tape fits in ``tape_bytes``; a tape that
-    outgrows them is dropped and returned as None; :func:`_replay` rebuilds
-    it from ``dts``.
+    them, while the whole stack's tape fits in ``tape_bytes``; otherwise the
+    tape is None and :func:`_replay` rebuilds it from ``dts``.
+
+    The tape is decided before it is filled: the first step, which every
+    member takes, bounds it by ``stages.nbytes * max_i(T[i] / dt_i)``, the
+    step count that :func:`march`'s step budget trusts by the maximum
+    principle, and a bound above ``tape_bytes`` keeps no tape at all.  A
+    tape that outgrows ``tape_bytes`` all the same, as the discrete march
+    is not proven to obey that principle, is dropped when it does.
     """
     uh = np.fft.rfft(u0_vals)
     uh_T = np.empty_like(uh)
@@ -321,6 +327,8 @@ def _march_forward(
         for m, step in zip(live.tolist(), dt.tolist()):
             dts[m].append(step)
         uh_T[live] = uh  # a member's last write is its final spectrum
+        if tape == [] and stages.nbytes * max(t / d[0] for t, d in zip(T, dts)) > tape_bytes:
+            tape = None  # cannot fit, by the first step's count
         if tape is not None:
             kept += stages.nbytes
             if kept > tape_bytes:

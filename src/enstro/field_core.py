@@ -209,14 +209,10 @@ def write_field(field: Field1D, path) -> None:
 
 def write_csv(path, header, rows) -> None:
     """The one CSV writer: floats as ``repr`` (exact round trip), the rest
-    (ints, strings) as ``str``."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                for v in row
-            )
-        )
+    (ints, strings) as ``str``.  Each row goes out as soon as it is
+    formatted, so the text of the whole file is never held."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (repr(float(v)) if isinstance(v, (float, np.floating)) else str(v) for v in row)
+            fh.write(",".join(cells) + "\n")

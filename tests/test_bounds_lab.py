@@ -17,6 +17,7 @@ from enstro.burgers_solver import BlowUpError, SolverConfig, simulate, sup_enstr
 from enstro.bounds_lab import (
     SWEEP_COLUMNS,
     SweepAbortedError,
+    _kink_correction,
     auto_grid,
     build_lower_bound_datum,
     characteristics_report,
@@ -103,6 +104,18 @@ class TestDatumConstruction:
         assert capital_u_again == capital_u
         assert np.array_equal(again.values, u0.values)
 
+    def test_kink_correction_matches_leggauss_nodes(self):
+        """The Newton-built nodes give h(s) of the 128-node rule of
+        np.polynomial.legendre.leggauss to 2e-16 absolute."""
+        t, w = np.polynomial.legendre.leggauss(128)
+        s = np.linspace(0.0, 1.0, 400, endpoint=False)
+        half = 0.5 * (1.0 - s)
+        rise = np.outer(half, 1.0 + t)
+        bump = np.exp(-1.0 / (rise * (2.0 - rise)))
+        mass = np.exp(-1.0 / (1.0 - t * t)) @ w
+        want = half**2 * ((bump * (1.0 - t)) @ w) / mass
+        assert np.max(np.abs(_kink_correction(s) - want)) <= 2e-16
+
 
 class TestCharacteristics:
     def test_quarter_point_arrival_time(self, profile):
@@ -167,6 +180,19 @@ class TestFitPowerLaw:
         ]
         slope, _, _ = fit_power_law(rows)
         assert slope == pytest.approx(1.0, abs=0.1)
+
+    def test_closed_form_matches_polyfit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            xs = np.sort(rng.uniform(1e-3, 1e3, rng.integers(4, 12)))
+            noise = rng.uniform(0.5, 2.0, len(xs))
+            ys = rng.uniform(0.1, 10.0) * xs ** rng.uniform(-2.0, 2.0) * noise
+            slope, intercept, residual = fit_power_law(list(zip(xs, ys)))
+            want_slope, want_intercept = np.polyfit(np.log(xs), np.log(ys), 1)
+            assert slope == pytest.approx(want_slope, rel=1e-12)
+            assert intercept == pytest.approx(want_intercept, rel=1e-12)
+            fit_y = np.exp(want_intercept + want_slope * np.log(xs))
+            assert residual == pytest.approx(np.max(np.abs(fit_y - ys) / ys), rel=1e-12)
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):

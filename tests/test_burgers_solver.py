@@ -528,6 +528,32 @@ class TestSupEnstrophy:
         assert t_star == pytest.approx(0.437, abs=1e-12)
         assert e_star == pytest.approx(3.0, abs=1e-12)
 
+    def test_newton_form_matches_polyfit(self):
+        """The closed-form parabola equals np.polyfit's on random brackets
+        whose middle sample is the largest, in every branch: a vertex inside,
+        a parabola that does not open downwards (a >= 0), and a vertex
+        clipped to t0 or to t2; unsorted times reach the last three."""
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(400):
+            t = rng.uniform(0.0, 1.0, 3)
+            if rng.random() < 0.5:
+                t.sort()
+            e = rng.uniform(0.0, 1.0, 3)
+            top = int(np.argmax(e))
+            e[[1, top]] = e[[top, 1]]
+            a, b, c = np.polyfit(t, e, 2)
+            if a >= 0:
+                branch, want = "a >= 0", (t[1], e[1])
+            else:
+                vertex = -b / (2.0 * a)
+                t_star = float(np.clip(vertex, t[0], t[2]))
+                branch = {vertex: "inside", t[0]: "t0", t[2]: "t2"}[t_star]
+                want = (t_star, max(a * t_star**2 + b * t_star + c, e[1]))
+            assert sup_enstrophy(t, e) == pytest.approx(want, rel=1e-12)
+            seen.add(branch)
+        assert seen == {"inside", "a >= 0", "t0", "t2"}
+
     def test_monotone_decreasing_returns_first_row(self):
         t = np.linspace(0.0, 1.0, 9)
         e = np.exp(-3.0 * t)

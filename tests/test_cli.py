@@ -250,6 +250,45 @@ def test_numpy_random_loads_only_for_drawn_seeds(tmp_path):
     assert proc.stderr.split() == ["False", "True"]
 
 
+def test_no_run_loads_lapack_or_numpy_polynomial(tmp_path):
+    """The peak fit, the power-law fits and the datum's quadrature nodes are
+    closed forms: no run imports numpy.polynomial or calls LAPACK.  Every
+    LAPACK routine of numpy.linalg (lstsq, eigvalsh, eigh, svd, ...) calls a
+    gufunc of its ``_umath_linalg`` module, so a proxy there sees them all."""
+    common = ["--runs-dir", str(tmp_path)]
+    runs = [
+        ["sweep-nu", "--nu-min", "0.01", "--nu-max", "0.1", "--count", "4", "--t-end", "0.3"],
+        ["sweep-e0", "--count", "4", "--prefactors", "1", "--seeds", "1",
+         "--n-points", "64", "--max-iters", "2"],
+        ["lower-bound", "--n-points", "512"],
+        ["dissipation", "--nu", "0.01"],
+    ]
+    probe = (
+        "import sys, types\n"
+        "import numpy.linalg._linalg as linalg\n"
+        "called = []\n"
+        "class Recorder(types.ModuleType):\n"
+        "    def __getattr__(self, name):\n"
+        "        called.append(name)\n"
+        "        return getattr(gufuncs, name)\n"
+        "gufuncs, linalg._umath_linalg = linalg._umath_linalg, Recorder('_umath_linalg')\n"
+        "from enstro.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        f"    assert main([*argv, *{common!r}]) == 0, argv\n"
+        "print('numpy.polynomial' in sys.modules, sorted(set(called)), file=sys.stderr)\n"
+    )
+    src = str(Path(enstro.cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["False", "[]"]
+
+
 class TestConfigFile:
     """Flat key = value files with comments, validated against the schema."""
 

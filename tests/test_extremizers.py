@@ -691,6 +691,26 @@ class TestStageTape:
         # every plan is made for the size of one step of the tape itself
         assert {args[3] for args in plans} == {step for _, step in walks}
 
+    def test_tape_is_decided_before_it_is_filled(self, monkeypatch):
+        # 117 steps at N = 256; the first step bounds the tape by about 117 of them
+        grid = GridSpec1D(256)
+        u0, T, nu = default_seeds(grid, 1024.0)[0], 0.125, 1.0
+        taped = finite_time_gradient(u0, T, nu).values
+        step_bytes = 4 * 256 * 8  # one step's (4, 1, n) stage samples
+        budget = 50 * step_bytes  # below the bound, above a few steps
+        monkeypatch.setattr(extremizers, "ADJOINT_STORAGE_BUDGET_BYTES", budget)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            marched = extremizers._march_forward(u0.values[None], [T], [nu], 256, grid.dx, budget)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert marched[2] is None and len(marched[1][0]) == 117
+        # the step's own work arrays, about 6 steps' stage bytes, and no tape
+        assert peak < 8 * step_bytes
+        assert np.array_equal(finite_time_gradient(u0, T, nu).values, taped)
+
     def test_fallback_replays_instead_of_marching(self, monkeypatch):
         # 83 steps at N = 256, against a budget of 8 spectra, about 2 steps
         u0, T, nu = self.prototype_cases()[1]
