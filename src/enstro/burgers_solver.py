@@ -149,6 +149,22 @@ class DiagnosticsSeries:
         return zip(*(getattr(self, c) for c in DIAGNOSTIC_COLUMNS))
 
 
+class _Rows:
+    """Diagnostics rows kept as float64 as they are made, 64 B a row."""
+
+    def __init__(self, first: Sequence[float]):
+        from array import array  # a run loads it, not the import of the package
+
+        self._flat = array("d", first)
+
+    def append(self, row: Sequence[float]) -> None:
+        self._flat.extend(row)
+
+    def series(self) -> DiagnosticsSeries:
+        flat = np.frombuffer(self._flat)
+        return DiagnosticsSeries.from_rows(flat.reshape(-1, len(DIAGNOSTIC_COLUMNS)))
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Field snapshots of a run; :func:`simulate` keeps the first and last."""
@@ -329,18 +345,19 @@ def validate_initial(u0: Field1D, cfg: SolverConfig) -> None:
 def simulate(u0: Field1D, cfg: SolverConfig) -> tuple[Trajectory, DiagnosticsSeries]:
     """Integrate u0 to cfg.t_end with adaptive advective time steps.
 
-    Records a diagnostics row at t = 0 and after every step; the returned
-    trajectory holds the initial and final states only.
+    Records a diagnostics row at t = 0 and after every step, kept as 64 B
+    of float64s; the returned trajectory holds the initial and final
+    states only.
     """
     validate_initial(u0, cfg)
     grid = u0.grid
     uh = np.fft.rfft(u0.values)
-    rows = [_diagnostics_row(0.0, uh, u0.values, cfg.nu, grid.dx)]
+    rows = _Rows(_diagnostics_row(0.0, uh, u0.values, cfg.nu, grid.dx))
     for _, (t,), _, (uh,), (vals,), _ in march(uh[None], grid.n_points, grid.dx, [cfg]):
         rows.append(_diagnostics_row(t, uh, vals, cfg.nu, grid.dx))
     return (
         Trajectory((0.0, cfg.t_end), (u0, Field1D(grid, vals))),
-        DiagnosticsSeries.from_rows(rows),
+        rows.series(),
     )
 
 

@@ -17,7 +17,9 @@ centered differences, with the production split generalizing to
 
 A run allocates its work set once: the state, five scratch fields and two
 masks.  Every kernel of the step loop writes into them with ufunc ``out=``,
-keeping the operands and rounding of the plain array expression.
+keeping the operands and rounding of the plain array expression.  The run
+frees the scratch before it copies the final field, and the datum builder
+works on per-axis coordinate vectors, so neither goes past the work set.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .burgers_solver import (
     DiagnosticsSeries,
     SolverConfig,
     _check_step_budget,
+    _Rows,
 )
 from .field_core import _GRID_MISMATCH, ConfigurationError, _frozen_array
 from .field_core import _require_grid_size, _write_samples
@@ -200,7 +203,9 @@ def nd_initial_datum(init: str, grid: GridSpecND) -> FieldND:
             raise ConfigurationError(f"unknown init {init!r} in 1-D; valid: product")
         vals = np.sin(2 * np.pi * coords)
     else:
-        xx, yy = np.meshgrid(coords, coords, indexing="ij")
+        # axis vectors that broadcast to the grid: each sine runs on one axis,
+        # and only the datum itself is a full grid
+        xx, yy = coords[:, None], coords[None, :]
         if init == "product":
             vals = np.sin(2 * np.pi * xx) * np.sin(2 * np.pi * yy)
         elif init == "diag":
@@ -213,9 +218,14 @@ def nd_initial_datum(init: str, grid: GridSpecND) -> FieldND:
             raise ConfigurationError(
                 f"unknown init {init!r}; valid: product, diag, mixed"
             )
-    grad_sq = sum(np.square(_gradient_centered(vals, ax, grid.dx)) for ax in range(grid.dim))
+    # sum of squared gradients in Python sum's order, (0 + g0^2) + g1^2
+    grad_sq, grad, tmp = np.zeros_like(vals), np.empty_like(vals), np.empty_like(vals)
+    for ax in range(grid.dim):
+        _gradient_centered(vals, ax, grid.dx, grad, tmp)
+        np.add(grad_sq, np.square(grad, out=grad), out=grad_sq)
     e0 = float(grad_sq.mean())  # the box has unit volume
-    return FieldND(grid, vals / np.sqrt(e0))
+    del grad_sq, grad, tmp  # before FieldND copies the datum
+    return FieldND(grid, np.divide(vals, np.sqrt(e0), out=vals))
 
 
 def _diagnostics_row_nd(u: np.ndarray, t: float, nu: float, flux: FluxSpec, dx: float, work):
@@ -275,7 +285,7 @@ def simulate_nd(
     work = np.empty((5, *u.shape))
     masks = np.empty((2, *u.shape), dtype=bool)
     t = 0.0
-    rows = [_diagnostics_row_nd(u, t, nu, flux, dx, work)]
+    rows = _Rows(_diagnostics_row_nd(u, t, nu, flux, dx, work))
     step_index = 0
     while t < cfg.t_end:
         speed = max(float(np.abs(flux.deriv(u, out=work[0]), out=work[0]).max()), _CFL_FLOOR)
@@ -297,7 +307,9 @@ def simulate_nd(
         step_index += 1
         if last or step_index % cfg.sample_stride == 0:
             rows.append(_diagnostics_row_nd(u, t, nu, flux, dx, work))
-    return FieldND(u0.grid, u), DiagnosticsSeries.from_rows(rows)
+    # lap is a view of work, so it too must go before the final copy
+    del work, masks, lap
+    return FieldND(u0.grid, u), rows.series()
 
 
 # ----------------------------------------------------------------------

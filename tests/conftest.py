@@ -1,5 +1,7 @@
 """Fixtures shared by the per-module suites."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,20 @@ def read_table():
         return np.loadtxt(path, delimiter=",", skiprows=1)
 
     return read
+
+
+@pytest.fixture
+def traced_peak():
+    """Caller of ``fn()`` under tracemalloc, which sees numpy's allocations:
+    returns the peak bytes allocated during the call, and fn's result."""
+
+    def run(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, result
+
+    return run

@@ -365,6 +365,15 @@ class TestSimulateInvariants:
         bound = diag.enstrophy[0] * np.exp(diag.t / nu) * (1.0 + 1e-3)
         assert np.all(diag.enstrophy <= bound)
 
+    def test_rows_are_kept_as_float64s(self, traced_peak):
+        # 8 float64s a row, 64 B, and the series' copy of them; a list of
+        # tuples of Python floats would peak at about 450 B a row
+        u0, cfg = sin_field(512), SolverConfig(nu=0.01, t_end=2.0)
+        simulate(u0, SolverConfig(nu=0.01, t_end=0.01))  # loads what a first run does
+        peak, (_, diag) = traced_peak(lambda: simulate(u0, cfg))
+        assert len(diag) >= 1000
+        assert peak <= 200 * len(diag)
+
 
 class TestSimulateValidation:
     """Precondition errors."""

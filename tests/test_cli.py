@@ -766,6 +766,16 @@ class TestIndividualCommands:
         assert header.endswith(",dim,L")
         assert (run_dir / "final.dat").exists()
 
+    def test_conslaw_nd_peak_is_its_work_set(self, runs_root, traced_peak):
+        # a small run first, so the peak leaves out what a first run loads once
+        assert main(["conslaw-nd", "--n-points", "16", "--t-end", "0.002"]) == 0
+        argv = ["conslaw-nd", "--n-points", "256", "--t-end", "0.002"]
+        peak, code = traced_peak(lambda: main(argv))
+        assert code == 0
+        # the run's work set of 6.25 fields, the datum beside it, and the
+        # final copy; a full-grid temporary at any layer would pass 7.6
+        assert peak <= 7.6 * 256 * 256 * 8
+
     def test_conslaw_nd_flux_follows_dim(self, runs_root):
         assert main(["conslaw-nd", "--dim", "1", "--n-points", "64", "--t-end", "0.01"]) == 0
         assert _manifest(runs_root, "conslaw-nd")["config"]["flux"] == "burgers1d"

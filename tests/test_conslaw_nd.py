@@ -239,6 +239,62 @@ class TestFrozenReference:
                 assert np.array_equal(out, profile(u)), spec.name
 
 
+def _frozen_datum(init, grid):
+    """nd_initial_datum as first written: meshgrid coordinates and a
+    Python sum of the squared gradients."""
+    coords = grid.axis_coords()
+    if grid.dim == 1:
+        vals = np.sin(2 * np.pi * coords)
+    else:
+        xx, yy = np.meshgrid(coords, coords, indexing="ij")
+        if init == "product":
+            vals = np.sin(2 * np.pi * xx) * np.sin(2 * np.pi * yy)
+        elif init == "diag":
+            vals = np.sin(2 * np.pi * (xx + yy))
+        else:
+            vals = np.sin(2 * np.pi * xx) * np.sin(2 * np.pi * yy) + 0.5 * np.sin(
+                4 * np.pi * xx
+            ) * np.cos(2 * np.pi * yy)
+    grad_sq = sum(np.square(g) for g in _frozen_gradient_centered(vals, grid.dx))
+    return vals / np.sqrt(float(grad_sq.mean()))
+
+
+class TestFrozenDatum:
+    """nd_initial_datum, bit for bit, against the frozen meshgrid datum."""
+
+    @pytest.mark.parametrize("points", [16, 64, 256])
+    @pytest.mark.parametrize(
+        "dim,init", [(1, "product"), (2, "product"), (2, "diag"), (2, "mixed")]
+    )
+    def test_bit_identical_to_frozen_datum(self, dim, init, points):
+        grid = GridSpecND(dim=dim, points=points)
+        got = nd_initial_datum(init, grid).values
+        assert got.tobytes() == _frozen_datum(init, grid).tobytes()
+
+
+class TestWorkSet:
+    """Traced peaks, in fields of 256^2 float64s: a run holds its work set
+    and no full-grid temporary besides."""
+
+    FIELD = 256 * 256 * 8
+
+    @pytest.mark.parametrize("init", ["product", "diag", "mixed"])
+    def test_datum_holds_four_fields(self, traced_peak, init):
+        # the datum and three for its enstrophy: the sum, a gradient and a roll
+        peak, _ = traced_peak(lambda: nd_initial_datum(init, GridSpecND(dim=2, points=256)))
+        assert peak <= 4.1 * self.FIELD
+
+    def test_run_holds_its_work_set(self, traced_peak):
+        u0 = nd_initial_datum("product", GridSpecND(dim=2, points=256))
+        flux, cfg = get_flux("burgers2d"), SolverConfig(nu=0.01, t_end=0.002)
+        # a small run first, so the peak leaves out what a first run loads once
+        simulate_nd(nd_initial_datum("product", GridSpecND(dim=2, points=16)), flux, cfg)
+        peak, (_, diag) = traced_peak(lambda: simulate_nd(u0, flux, cfg))
+        assert len(diag) > 10
+        # the state, five scratch fields and two boolean masks: 6.25
+        assert peak <= 6.3 * self.FIELD
+
+
 class TestCrossValidation:
     """Agreement with independent references on smooth data."""
 
