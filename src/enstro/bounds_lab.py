@@ -16,7 +16,8 @@ The pieces fit together as a sandwich argument at slope one in 1/nu:
   steepest admissible viscous shock, (2/3) U^3 / nu; it marches all its
   viscosities as one stack along a leading batch axis, keeping only t
   and E(t) of each member;
-* ``fit_power_law`` is the shared log-log least-squares fitter.
+* ``fit_power_law`` is the shared log-log least-squares fitter;
+* ``initial_datum`` builds each named 1-D datum of ``INITS``, the one table.
 
 All fitted constants are reported, never asserted against theory: the
 analysis only proves such constants exist, it does not name them.
@@ -39,9 +40,8 @@ from .burgers_solver import (
     validate_initial,
 )
 from .exact_oracles import shock_enstrophy
-from .field_core import (
-    Field1D, GridSpec1D, _require_positive, derivative, enstrophy, spectral_ops
-)
+from .field_core import ConfigurationError, Field1D, GridSpec1D, _require_positive
+from .field_core import derivative, enstrophy, spectral_ops
 
 
 class DatumConstructionError(RuntimeError):
@@ -214,30 +214,22 @@ def characteristics_report(v0: Field1D) -> list[CharacteristicsRow]:
     and shrinking two orders per grid doubling).  Points with
     v0(alpha) <= 0 are flagged skipped.
     """
-    grid = v0.grid
-    n = grid.n_points
-    vp = derivative(v0).values
-    rows: list[CharacteristicsRow] = []
-    bad: list[float] = []
-    for j in range(n // 2, n):
-        alpha = grid.x[j] - 1.0  # in [-1/2, 0)
-        val = float(v0.values[j])
-        slope = float(vp[j])
-        if val <= 1e-12:
-            rows.append(CharacteristicsRow(alpha, np.inf, np.inf, True, True))
-            continue
-        t_s = -alpha / val
-        t_star = np.inf if slope >= 0.0 else -1.0 / slope
-        ok = t_star >= t_s * (1.0 - 1e-4)
-        rows.append(CharacteristicsRow(alpha, t_star, t_s, ok, False))
-        if not ok:
-            bad.append(alpha)
-    if bad:
+    half = slice(v0.grid.n_points // 2, None)
+    alpha = v0.grid.x[half] - 1.0  # in [-1/2, 0)
+    val, slope = v0.values[half], derivative(v0).values[half]
+    skipped = val <= 1e-12
+    with np.errstate(divide="ignore"):
+        t_s = np.where(skipped, np.inf, -alpha / val)
+        t_star = np.where(skipped | (slope >= 0.0), np.inf, -1.0 / slope)
+    ok = skipped | (t_star >= t_s * (1.0 - 1e-4))
+    bad = alpha[~ok]
+    if bad.size:
         raise DatumConstructionError(
             f"characteristics cross before reaching the origin at "
-            f"{len(bad)} points, first at alpha = {bad[0]:.6f}"
+            f"{bad.size} points, first at alpha = {bad[0]:.6f}"
         )
-    return rows
+    columns = (alpha, t_star, t_s, ok, skipped)
+    return [CharacteristicsRow(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 # ----------------------------------------------------------------------
@@ -294,14 +286,35 @@ def dissipation_window(
 # ----------------------------------------------------------------------
 
 
+# the named 1-D data, each as its samples on a grid
+_NAMED_DATA = {
+    "sine": lambda g: np.sin(2 * np.pi * g.x),
+    "sine2": lambda g: np.sin(4 * np.pi * g.x),
+    "mix": lambda g: (
+        np.sin(2 * np.pi * g.x) + 0.5 * np.sin(4 * np.pi * g.x) + 0.25 * np.sin(6 * np.pi * g.x)
+    ),
+    "lower-bound": lambda g: build_lower_bound_datum(g)[0].values,
+    "smoothed-step": lambda g: np.tanh(np.sin(2 * np.pi * g.x) / 0.1),
+}
+INITS = tuple(_NAMED_DATA)
+
+
+def initial_datum(init: str, grid: GridSpec1D, amp: float = 1.0) -> Field1D:
+    """The named datum ``init``, one of INITS, on ``grid`` times ``amp``;
+    the smoothed step has its mean removed after the scaling."""
+    if init not in _NAMED_DATA:
+        raise ConfigurationError(f"unknown init {init!r}; valid: {', '.join(INITS)}")
+    vals = amp * _NAMED_DATA[init](grid)
+    return Field1D(grid, vals - vals.mean() if init == "smoothed-step" else vals)
+
+
 def datum_family(name: str, grid: GridSpec1D) -> tuple[Field1D, float]:
     """Unit-enstrophy data for sweeps: u0 = U * v0 with max|v0| = 1."""
     if name == "lower-bound":
         return build_lower_bound_datum(grid)
     if name == "sine":
         capital_u = 1.0 / (np.pi * np.sqrt(2.0))
-        u0 = Field1D(grid, capital_u * np.sin(2.0 * np.pi * grid.x))
-        return u0, capital_u
+        return initial_datum("sine", grid, capital_u), capital_u
     raise KeyError(f"unknown datum family {name!r}; available: lower-bound, sine")
 
 
@@ -335,7 +348,7 @@ class SweepResult:
 
     def rows(self) -> Iterator[tuple]:
         """Rows in SWEEP_COLUMNS order."""
-        return zip(self.param, self.e_star, self.t_star)
+        return zip(*(getattr(self, c) for c in SWEEP_COLUMNS))
 
     def summary(self) -> dict:
         return {

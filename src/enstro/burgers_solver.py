@@ -21,7 +21,7 @@ off the spectrum by Parseval.  A :func:`simulate` step makes 9 FFTs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -96,18 +96,6 @@ class SolverConfig:
             raise ValueError("sample_stride must be a positive integer")
 
 
-DIAGNOSTIC_COLUMNS = (
-    "t",
-    "energy",
-    "enstrophy",
-    "tv",
-    "linf",
-    "min_ux",
-    "rate_diss",
-    "rate_cubic",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class DiagnosticsSeries:
     """Per-step scalar diagnostics of a run, column-oriented."""
@@ -147,6 +135,9 @@ class DiagnosticsSeries:
     def rows(self) -> Iterator[tuple]:
         """Rows in DIAGNOSTIC_COLUMNS order; the inverse of :meth:`from_rows`."""
         return zip(*(getattr(self, c) for c in DIAGNOSTIC_COLUMNS))
+
+
+DIAGNOSTIC_COLUMNS = tuple(f.name for f in fields(DiagnosticsSeries))
 
 
 class _Rows:

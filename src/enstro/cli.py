@@ -14,7 +14,6 @@ Exit codes: 0 all assertions passed, 1 an assertion or run failed,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -26,7 +25,9 @@ import numpy as np
 
 from . import __version__
 from .bounds_lab import (
+    INITS,
     SWEEP_COLUMNS,
+    CharacteristicsRow,
     SweepAbortedError,
     auto_grid,
     build_lower_bound_datum,
@@ -34,6 +35,7 @@ from .bounds_lab import (
     datum_family,
     dissipation_window,
     fit_power_law,
+    initial_datum,
     nu_sweep,
 )
 from .burgers_solver import DIAGNOSTIC_COLUMNS, SolverConfig, simulate
@@ -59,12 +61,10 @@ class ConfigFileError(ValueError):
 # positive; the library checks the bounds it owns (power-of-two grids, ...)
 # ----------------------------------------------------------------------
 
-_INIT_CHOICES = ("sine", "sine2", "mix", "lower-bound", "smoothed-step")
-
 SCHEMAS: dict[str, dict[str, tuple[type, object, str, int | None]]] = {
     "simulate": {
         "nu": (float, 0.05, "viscosity", 0),
-        "init": (str, "sine", f"initial datum, one of {_INIT_CHOICES}", None),
+        "init": (str, "sine", f"initial datum, one of {INITS}", None),
         "amp": (float, 0.9, "amplitude scale for the datum", None),
         "n_points": (int, 512, "grid points (power of two)", 8),
         "t_end": (float, 0.5, "final time", 0),
@@ -268,32 +268,8 @@ def _range_help(typ: type, least: int | None) -> str:
 
 
 # ----------------------------------------------------------------------
-# data constructors shared by subcommands
+# checks shared by subcommands
 # ----------------------------------------------------------------------
-
-
-def _initial_field(init: str, amp: float, grid: GridSpec1D) -> Field1D:
-    x = grid.x
-    if init == "sine":
-        return Field1D(grid, amp * np.sin(2 * np.pi * x))
-    if init == "sine2":
-        return Field1D(grid, amp * np.sin(4 * np.pi * x))
-    if init == "mix":
-        vals = amp * (
-            np.sin(2 * np.pi * x)
-            + 0.5 * np.sin(4 * np.pi * x)
-            + 0.25 * np.sin(6 * np.pi * x)
-        )
-        return Field1D(grid, vals)
-    if init == "smoothed-step":
-        vals = amp * np.tanh(np.sin(2 * np.pi * x) / 0.1)
-        return Field1D(grid, vals - vals.mean())
-    if init == "lower-bound":
-        u0, _ = build_lower_bound_datum(grid)
-        return Field1D(grid, amp * u0.values)
-    raise ConfigFileError(
-        f"unknown init {init!r}; valid: {', '.join(_INIT_CHOICES)}"
-    )
 
 
 def _monotone_assertions(diag) -> list[dict]:
@@ -318,7 +294,7 @@ def _monotone_assertions(diag) -> list[dict]:
 
 def _cmd_simulate(cfg: dict, out: _RunDir, seed: int):
     grid = GridSpec1D(cfg["n_points"])
-    u0 = _initial_field(cfg["init"], cfg["amp"], grid)
+    u0 = initial_datum(cfg["init"], grid, cfg["amp"])
     sim_cfg = SolverConfig(nu=cfg["nu"], t_end=cfg["t_end"], cfl=cfg["cfl"])
     traj, diag = simulate(u0, sim_cfg)
     write_field(u0, out.file("initial.dat"))
@@ -332,7 +308,7 @@ def _cmd_simulate(cfg: dict, out: _RunDir, seed: int):
 
 def _cmd_oracle_check(cfg: dict, out: _RunDir, seed: int):
     grid = GridSpec1D(cfg["n_points"])
-    u0 = Field1D(grid, cfg["amp"] * np.sin(2 * np.pi * grid.x))
+    u0 = initial_datum("sine", grid, cfg["amp"])
     sim_cfg = SolverConfig(nu=cfg["nu"], t_end=cfg["t"])
     traj, diag = simulate(u0, sim_cfg)
     exact = hopf_cole_solution(u0, cfg["nu"], cfg["t"])
@@ -388,8 +364,7 @@ def _cmd_heat_estimates(cfg: dict, out: _RunDir, seed: int):
     write_csv(out.file("ratios.csv"), ("field", "t", "r1", "r2"), rows)
 
     # closed-form single-mode anchor on a fine grid
-    fine = GridSpec1D(16384)
-    mode = Field1D(fine, np.sin(2 * np.pi * fine.x))
+    mode = initial_datum("sine", GridSpec1D(16384))
     cf_err = 0.0
     for t in (1e-4, 1e-3, 1e-2, 0.1):
         r1, r2 = heat_estimate_ratios(mode, 1.0, t)
@@ -562,7 +537,7 @@ def _cmd_lower_bound(cfg: dict, out: _RunDir, seed: int):
     write_field(u0, out.file("datum.dat"))
     write_csv(
         out.file("characteristics.csv"),
-        ("alpha", "t_star", "t_s", "admissible", "skipped"),
+        CharacteristicsRow._fields,
         ((r.alpha, r.t_star, r.t_s, int(r.admissible), int(r.skipped)) for r in rows),
     )
     e = float(enstrophy(np.fft.rfft(u0.values), grid.n_points))
@@ -622,21 +597,23 @@ def _cmd_conslaw_nd(cfg: dict, out: _RunDir, seed: int):
 def _cmd_report(cfg: dict, out: _RunDir, seed: int):
     entries = []
     for manifest_path in sorted(out.path.parent.glob("*/manifest.json")):
-        if manifest_path.parent == out.path:
-            continue
-        data = json.loads(manifest_path.read_text())
-        entries.append(
-            {
-                "run": manifest_path.parent.name,
-                "command": data.get("command", "?"),
-                "passed": bool(data.get("passed", False)),
-                "failed_assertions": [
-                    a["name"]
-                    for a in data.get("assertions", [])
-                    if not a.get("passed", False)
+        entry = {"run": manifest_path.parent.name, "command": "?", "passed": False}
+        try:
+            data = json.loads(manifest_path.read_text())
+            if data.get("command") == "report":
+                continue
+            entry.update(
+                command=data.get("command", "?"),
+                passed=bool(data.get("passed", False)),
+                failed_assertions=[
+                    a["name"] for a in data.get("assertions", []) if not a.get("passed", False)
                 ],
-            }
-        )
+            )
+        except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+            # a manifest not of the shape _write_manifest gives it
+            print(f"unreadable manifest {manifest_path}: {exc!r}", file=sys.stderr)
+            entry["failed_assertions"] = ["manifest_readable"]
+        entries.append(entry)
     out.json("report.json", entries)
     for entry in entries:
         status = "pass" if entry["passed"] else "FAIL"

@@ -34,6 +34,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .bounds_lab import initial_datum
 from .burgers_solver import SolverConfig, _rate_terms, march, step_spectral
 from .field_core import Field1D, GridSpec1D, _frozen_array, enstrophy, spectral_ops
 from .field_core import _require_nonnegative, _require_positive, _require_zero_mean
@@ -86,7 +87,7 @@ class OptimRecord:
 
     def __post_init__(self) -> None:
         n = len(self.objective)
-        for name in ("objective", "step", "constraint_residual", "grad_norm"):
+        for name in RECORD_COLUMNS[1:]:
             message = f"column {name!r} has inconsistent length"
             arr = _frozen_array(getattr(self, name), (n,), message)
             object.__setattr__(self, name, arr)
@@ -96,13 +97,7 @@ class OptimRecord:
 
     def rows(self) -> Iterator[tuple]:
         """Rows in RECORD_COLUMNS order."""
-        return zip(
-            range(len(self)),
-            self.objective,
-            self.step,
-            self.constraint_residual,
-            self.grad_norm,
-        )
+        return zip(range(len(self)), *(getattr(self, c) for c in RECORD_COLUMNS[1:]))
 
 
 # ----------------------------------------------------------------------
@@ -253,11 +248,7 @@ def default_seeds(
     if count < 1:
         raise ValueError("count must be at least 1")
     n, x = grid.n_points, grid.x
-    raw = [
-        np.sin(2.0 * np.pi * x),
-        np.sin(4.0 * np.pi * x),
-        np.sin(2.0 * np.pi * x) + 0.5 * np.sin(4.0 * np.pi * x) + 0.25 * np.sin(6.0 * np.pi * x),
-    ]
+    raw = [initial_datum(name, grid).values for name in ("sine", "sine2", "mix")]
     if count > len(raw):  # only these draw, so only these load numpy.random
         rng = np.random.default_rng(rng_seed)
         while len(raw) < count:

@@ -15,7 +15,10 @@ import pytest
 from enstro import burgers_solver
 from enstro.burgers_solver import BlowUpError, SolverConfig, simulate, sup_enstrophy
 from enstro.bounds_lab import (
+    INITS,
     SWEEP_COLUMNS,
+    CharacteristicsRow,
+    DatumConstructionError,
     SweepAbortedError,
     _kink_correction,
     auto_grid,
@@ -24,10 +27,14 @@ from enstro.bounds_lab import (
     datum_family,
     dissipation_window,
     fit_power_law,
+    initial_datum,
     nu_sweep,
 )
 from enstro.exact_oracles import shock_enstrophy
-from enstro.field_core import Field1D, GridSpec1D, enstrophy, norms, write_csv
+from enstro.extremizers import _retract, default_seeds
+from enstro.field_core import (
+    ConfigurationError, Field1D, GridSpec1D, derivative, enstrophy, norms, write_csv
+)
 
 DELTA = 1.0 / 48.0
 RAMP_SLOPE = 1.0 / (1.0 / 6.0 - DELTA)  # 48/7
@@ -155,6 +162,119 @@ class TestCharacteristics:
         for r in inner:
             assert r.t_s == pytest.approx(7.0 / 48.0, rel=1e-10)
             assert r.t_star >= r.t_s * (1.0 - 1e-4)
+
+
+def _frozen_characteristics(v0: Field1D) -> list[CharacteristicsRow]:
+    """characteristics_report as first written: one label at a time."""
+    grid = v0.grid
+    n = grid.n_points
+    vp = derivative(v0).values
+    rows: list[CharacteristicsRow] = []
+    bad: list[float] = []
+    for j in range(n // 2, n):
+        alpha = grid.x[j] - 1.0
+        val = float(v0.values[j])
+        slope = float(vp[j])
+        if val <= 1e-12:
+            rows.append(CharacteristicsRow(alpha, np.inf, np.inf, True, True))
+            continue
+        t_s = -alpha / val
+        t_star = np.inf if slope >= 0.0 else -1.0 / slope
+        ok = t_star >= t_s * (1.0 - 1e-4)
+        rows.append(CharacteristicsRow(alpha, t_star, t_s, ok, False))
+        if not ok:
+            bad.append(alpha)
+    if bad:
+        raise DatumConstructionError(
+            f"characteristics cross before reaching the origin at "
+            f"{len(bad)} points, first at alpha = {bad[0]:.6f}"
+        )
+    return rows
+
+
+class TestFrozenCharacteristics:
+    """characteristics_report, field by field, against the frozen loop."""
+
+    @pytest.mark.parametrize("n", [512, 1024, 4096])
+    def test_rows_equal_the_frozen_loop(self, n):
+        u0, capital_u = build_lower_bound_datum(GridSpec1D(n))
+        profile = Field1D(u0.grid, u0.values / capital_u)
+        rows, frozen = characteristics_report(profile), _frozen_characteristics(profile)
+        assert len(rows) == len(frozen) == n // 2
+        assert sum(r.skipped for r in rows) == 1  # the zero at -1/2
+        for row, ref in zip(rows, frozen):
+            for got, want in zip(row, ref):
+                # repr is what characteristics.csv writes of a float
+                assert repr(float(got)) == repr(float(want)), (row, ref)
+
+    def test_convex_profile_raises_the_frozen_message(self):
+        # -sin^3 is positive and convex near the origin on [-1/2, 0), so the
+        # characteristics there cross before they arrive
+        grid = GridSpec1D(1024)
+        convex = Field1D(grid, -np.sin(2 * np.pi * grid.x) ** 3)
+        with pytest.raises(DatumConstructionError) as frozen:
+            _frozen_characteristics(convex)
+        with pytest.raises(DatumConstructionError) as got:
+            characteristics_report(convex)
+        assert str(got.value) == str(frozen.value)
+        assert "first at alpha = " in str(got.value)
+
+
+# the named data as `simulate --init` and the seed generator first spelled them
+def _frozen_named_datum(init: str, grid: GridSpec1D, amp: float) -> np.ndarray:
+    x = grid.x
+    if init == "sine":
+        return amp * np.sin(2 * np.pi * x)
+    if init == "sine2":
+        return amp * np.sin(4 * np.pi * x)
+    if init == "mix":
+        return amp * (
+            np.sin(2 * np.pi * x) + 0.5 * np.sin(4 * np.pi * x) + 0.25 * np.sin(6 * np.pi * x)
+        )
+    if init == "smoothed-step":
+        vals = amp * np.tanh(np.sin(2 * np.pi * x) / 0.1)
+        return vals - vals.mean()
+    assert init == "lower-bound"
+    return amp * build_lower_bound_datum(grid)[0].values
+
+
+def _frozen_seed_rows(grid: GridSpec1D) -> list[np.ndarray]:
+    x = grid.x
+    return [
+        np.sin(2.0 * np.pi * x),
+        np.sin(4.0 * np.pi * x),
+        np.sin(2.0 * np.pi * x) + 0.5 * np.sin(4.0 * np.pi * x) + 0.25 * np.sin(6.0 * np.pi * x),
+    ]
+
+
+class TestFrozenNamedData:
+    """The one table of named data, bit for bit, against each of its
+    former spellings."""
+
+    def test_names_and_order(self):
+        assert INITS == ("sine", "sine2", "mix", "lower-bound", "smoothed-step")
+
+    @pytest.mark.parametrize("amp", [1.0, 0.9])
+    @pytest.mark.parametrize("points", [64, 1024])
+    @pytest.mark.parametrize("init", INITS)
+    def test_bit_identical_to_frozen_expression(self, init, points, amp):
+        grid = GridSpec1D(points)
+        got = initial_datum(init, grid, amp).values
+        assert got.tobytes() == _frozen_named_datum(init, grid, amp).tobytes()
+
+    @pytest.mark.parametrize("points", [64, 1024])
+    def test_first_three_seeds(self, points):
+        grid = GridSpec1D(points)
+        raw = np.array(_frozen_seed_rows(grid))
+        frozen = _retract(raw - raw.mean(axis=-1, keepdims=True), 16.0, points)
+        got = np.array([s.values for s in default_seeds(grid, 16.0, count=3)])
+        assert got.tobytes() == frozen.tobytes()
+
+    def test_unknown_name_is_a_configuration_error(self):
+        valid = "sine, sine2, mix, lower-bound, smoothed-step"
+        with pytest.raises(ConfigurationError) as exc:
+            initial_datum("bogus", GridSpec1D(64))
+        assert str(exc.value) == f"unknown init 'bogus'; valid: {valid}"
 
 
 class TestFitPowerLaw:
@@ -351,6 +471,9 @@ class TestNuSweep:
         u0, capital_u = datum_family("sine", grid)
         assert abs(enstrophy(np.fft.rfft(u0.values), 512) - 1.0) <= 1e-12
         assert norms(u0).linf == pytest.approx(capital_u, rel=1e-10)
+        # bit for bit the family as first written
+        frozen = (1.0 / (np.pi * np.sqrt(2.0))) * np.sin(2.0 * np.pi * grid.x)
+        assert u0.values.tobytes() == frozen.tobytes()
 
     def test_unknown_family(self):
         with pytest.raises(KeyError, match="unknown datum family"):

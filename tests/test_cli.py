@@ -9,6 +9,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import warnings
@@ -18,10 +19,10 @@ import numpy as np
 import pytest
 
 import enstro.cli
-from enstro.bounds_lab import SWEEP_COLUMNS, datum_family
-from enstro.burgers_solver import SolverConfig, simulate, sup_enstrophy
+from enstro.bounds_lab import INITS, SWEEP_COLUMNS, CharacteristicsRow, datum_family
+from enstro.burgers_solver import DIAGNOSTIC_COLUMNS, SolverConfig, simulate, sup_enstrophy
 from enstro.cli import ConfigFileError, _build_parser, load_config, main, run_sweep_e0
-from enstro.extremizers import default_seeds
+from enstro.extremizers import RECORD_COLUMNS, default_seeds
 from enstro.field_core import GridSpec1D, write_csv
 
 
@@ -125,6 +126,13 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
         assert not runs_root.exists()
+
+    def test_unknown_init_exits_two(self, runs_root, capsys):
+        assert main(["simulate", "--init", "bogus"]) == 2
+        valid = "sine, sine2, mix, lower-bound, smoothed-step"
+        assert capsys.readouterr().err == f"error: unknown init 'bogus'; valid: {valid}\n"
+        manifest = _manifest(runs_root, "simulate")
+        assert manifest["outputs"] == [] and manifest["passed"] is False
 
     def test_failed_certification_exits_one(self, runs_root, capsys):
         # a valid config whose datum fails certification is a failed run
@@ -696,7 +704,7 @@ class TestMaximizeFinite:
 class TestIndividualCommands:
     """Smoke-level runs of the remaining subcommands."""
 
-    @pytest.mark.parametrize("init", enstro.cli._INIT_CHOICES)
+    @pytest.mark.parametrize("init", INITS)
     def test_every_simulate_init_runs(self, runs_root, init):
         argv = ["simulate", "--init", init, "--t-end", "0.1"]
         assert main(argv) == 0
@@ -852,6 +860,33 @@ class TestReport:
         assert len(failed) == 1
         assert failed[0]["failed_assertions"] == ["matches_heat_kernel_solution"]
 
+    def test_failed_report_is_not_a_failed_run(self, runs_root, capsys):
+        assert main(["oracle-check", "--n-points", "512", "--t", "0.2", "--tol", "1e-18"]) == 1
+        assert main(["report"]) == 1
+        # the failed run goes; the report that listed it is no run to summarize
+        shutil.rmtree(_single_run_dir(runs_root, "oracle-check"))
+        capsys.readouterr()
+        assert main(["report"]) == 0
+        entries = json.loads((_single_run_dir(runs_root, "report") / "report.json").read_text())
+        assert entries == []
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_unreadable_manifest_is_a_failed_entry(self, runs_root, capsys):
+        assert main(["simulate", "--n-points", "256", "--t-end", "0.05"]) == 0
+        texts = ("{not json", "[]", '{"assertions": [1]}', '{"assertions": [{}]}')
+        broken = [runs_root / f"2000010{i}-000000_simulate" for i in range(len(texts))]
+        for path, text in zip(broken, texts):
+            path.mkdir()
+            (path / "manifest.json").write_text(text)
+        assert main(["report"]) == 1
+        err = capsys.readouterr().err
+        for path in broken:
+            assert f"unreadable manifest {path / 'manifest.json'}: " in err
+        entries = json.loads((_single_run_dir(runs_root, "report") / "report.json").read_text())
+        assert [e["passed"] for e in entries] == [False] * len(texts) + [True]  # all scanned
+        assert [e["run"] for e in entries[:-1]] == [path.name for path in broken]
+        assert all(e["failed_assertions"] == ["manifest_readable"] for e in entries[:-1])
+
 
 class TestReadme:
     """The documented command lines stay in step with the flags."""
@@ -865,3 +900,17 @@ class TestReadme:
         for line in lines:
             words = shlex.split(line)
             assert parser.parse_args(words[1:]).command == words[1]
+
+    def test_record_columns_match_file_formats(self):
+        # the column orders README's "File formats" documents, frozen
+        frozen = {
+            "t,energy,enstrophy,tv,linf,min_ux,rate_diss,rate_cubic": DIAGNOSTIC_COLUMNS,
+            "param,e_star,t_star": SWEEP_COLUMNS,
+            "iter,objective,step,constraint_residual,grad_norm": RECORD_COLUMNS,
+            "alpha,t_star,t_s,admissible,skipped": CharacteristicsRow._fields,
+        }
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        formats = readme.partition("## File formats")[2].partition("\n## ")[0]
+        for header, columns in frozen.items():
+            assert columns == tuple(header.split(","))
+            assert f"`{header}`" in formats, header
