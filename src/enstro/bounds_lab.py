@@ -45,11 +45,7 @@ from .field_core import derivative, enstrophy, spectral_ops
 
 
 class DatumConstructionError(RuntimeError):
-    """A certified shape property of constructed data failed to hold.
-
-    Not a ValueError: the configuration was valid but the certification
-    failed, so the CLI exits 1 rather than 2.
-    """
+    """A certified shape property of constructed data failed to hold."""
 
 
 class SweepAbortedError(RuntimeError):
@@ -249,7 +245,7 @@ def dissipation_window(
     """
     _require_positive("U", U)
     if not 0.0 < eps < 1.0 / (12.0 * U):
-        raise ValueError(f"eps must lie in (0, 1/(12 U)), got {eps}")
+        raise ConfigurationError(f"eps must lie in (0, 1/(12 U)), got {eps}")
     t_lo = 1.0 / (6.0 * U) + eps
     t_hi = 1.0 / (3.0 * U) - eps
     cfg = SolverConfig(nu=nu, t_end=t_hi)  # checks nu
@@ -315,7 +311,7 @@ def datum_family(name: str, grid: GridSpec1D) -> tuple[Field1D, float]:
     if name == "sine":
         capital_u = 1.0 / (np.pi * np.sqrt(2.0))
         return initial_datum("sine", grid, capital_u), capital_u
-    raise KeyError(f"unknown datum family {name!r}; available: lower-bound, sine")
+    raise ConfigurationError(f"unknown datum family {name!r}; available: lower-bound, sine")
 
 
 def auto_grid(family: str, nu_min: float) -> GridSpec1D:
@@ -416,7 +412,7 @@ def nu_sweep(
     rows of the larger ones, re-marched without the failed members.
     """
     if len(nus) < 4:
-        raise ValueError("sweep needs at least 4 viscosities for the fit")
+        raise ConfigurationError("sweep needs at least 4 viscosities for the fit")
     if grid is None:
         grid = auto_grid(family, min(nus))
     u0, capital_u = datum_family(family, grid)
@@ -429,7 +425,7 @@ def nu_sweep(
         try:
             run_cfg = dataclasses.replace(cfg, nu=nu)
             validate_initial(u0, run_cfg)
-        except ValueError as exc:
+        except ConfigurationError as exc:
             failure = (nu, exc)
             break
         cfgs.append(run_cfg)

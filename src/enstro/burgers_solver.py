@@ -26,8 +26,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .field_core import Field1D, _frozen_array, _require_positive, _require_zero_mean
-from .field_core import spectral_ops
+from .field_core import ConfigurationError, Field1D, _frozen_array, _require_count
+from .field_core import _require_positive, _require_zero_mean, spectral_ops
 
 # smallest amplitude a CFL rule divides by, so a zero state takes finite steps
 _CFL_FLOOR = 1e-12
@@ -46,17 +46,6 @@ class BlowUpError(FloatingPointError):
         super().__init__(f"solution lost finiteness after t = {t_last:.6g}")
 
 
-class ResolutionError(ValueError):
-    """Grid too coarse for the viscous shock width; carries the needed N."""
-
-    def __init__(self, required_n: int, dx: float, width: float):
-        self.required_n = int(required_n)
-        super().__init__(
-            f"grid spacing {dx:.3e} cannot resolve shock width {width:.3e}; "
-            f"use at least n_points = {required_n}"
-        )
-
-
 def required_points(nu: float, linf: float, floor: int = 512) -> int:
     """Smallest power-of-two grid, at least ``floor``, that puts
     ``_MIN_RESOLUTION_PER_SHOCK`` points across the viscous shock width
@@ -72,7 +61,7 @@ def _check_step_budget(count: float) -> None:
     """Refuse a run whose first step predicts ``count`` = t_end / dt steps,
     more than ``_MAX_STEPS``."""
     if count > _MAX_STEPS:
-        raise ValueError(
+        raise ConfigurationError(
             f"t_end / dt of the first step is {count:.3g}, more than "
             f"the {_MAX_STEPS:.0e} steps a run may take"
         )
@@ -91,9 +80,8 @@ class SolverConfig:
         _require_positive("nu", self.nu)
         _require_positive("t_end", self.t_end)
         if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not self.sample_stride >= 1:
-            raise ValueError("sample_stride must be a positive integer")
+            raise ConfigurationError(f"cfl must lie in (0, 1], got {self.cfl}")
+        _require_count("sample_stride", self.sample_stride)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +169,12 @@ def _nonlinear(u: np.ndarray, n: int) -> np.ndarray:
     return spectral_ops(n).advect * np.fft.rfft(u * u)
 
 
+def _integrating_factors(dt: float | np.ndarray, nu: float | np.ndarray, n: int) -> tuple:
+    """exp(-dt nu k^2 / 2) and its square; the adjoint is exact only with the step's."""
+    e1 = np.exp(-0.5 * dt * nu * spectral_ops(n).k2)
+    return e1, e1 * e1
+
+
 def step_spectral(
     uh: np.ndarray,
     dt: float | np.ndarray,
@@ -202,9 +196,7 @@ def step_spectral(
     the last axis and every expression keeps its scalar order, so each
     member's result equals its own row call bit for bit.
     """
-    ops = spectral_ops(n)
-    e1 = np.exp(-0.5 * dt * nu * ops.k2)
-    e2 = e1 * e1
+    e1, e2 = _integrating_factors(dt, nu, n)
     stages = np.empty((4, *uh.shape[:-1], n))
     # overflow here means blow-up, which callers detect via isfinite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -243,7 +235,7 @@ def march(
     that loses finiteness raises :class:`BlowUpError` naming it.
 
     When the predicted step count t_end / dt of a member's first step
-    exceeds ``_MAX_STEPS``, :func:`_check_step_budget` raises ValueError
+    exceeds ``_MAX_STEPS``, :func:`_check_step_budget` raises ConfigurationError
     after that step; by the maximum principle the count bounds the steps
     the run would take.  The first step comes before the check so that
     data that cannot be stepped at all report :class:`BlowUpError`.
@@ -329,8 +321,10 @@ def validate_initial(u0: Field1D, cfg: SolverConfig) -> None:
     if linf0 > 0:
         width = cfg.nu / linf0
         if u0.grid.dx > width / _MIN_RESOLUTION_PER_SHOCK:
-            required_n = required_points(cfg.nu, linf0, floor=8)
-            raise ResolutionError(required_n, u0.grid.dx, width)
+            raise ConfigurationError(
+                f"grid spacing {u0.grid.dx:.3e} cannot resolve shock width {width:.3e}; "
+                f"use at least n_points = {required_points(cfg.nu, linf0, floor=8)}"
+            )
 
 
 def simulate(u0: Field1D, cfg: SolverConfig) -> tuple[Trajectory, DiagnosticsSeries]:

@@ -7,8 +7,8 @@ with CSV/field/JSON outputs, and finishes by atomically writing
 ``manifest.json`` naming every output file, the fully resolved
 configuration, and a pass/fail entry per assertion in scope.
 
-Exit codes: 0 all assertions passed, 1 an assertion or run failed,
-2 usage or configuration error.
+Exit codes: 0 all assertions passed, 1 an assertion or run failed, 2 bad
+arguments, an unusable config file or runs root, or a ConfigurationError.
 """
 
 from __future__ import annotations
@@ -48,12 +48,8 @@ from .extremizers import (
     finite_time_maximize,
     instantaneous_maximize,
 )
-from .field_core import Field1D, GridSpec1D, enstrophy, write_csv, write_field
-
-
-class ConfigFileError(ValueError):
-    """A configuration file entry is malformed, unknown, or mistyped."""
-
+from .field_core import ConfigurationError, Field1D, GridSpec1D, enstrophy, write_csv
+from .field_core import write_field
 
 # ----------------------------------------------------------------------
 # option schemas: name -> (type, default, help, least).  Before the run an
@@ -138,7 +134,6 @@ SCHEMAS: dict[str, dict[str, tuple[type, object, str, int | None]]] = {
 }
 
 _COMMON = {
-    "config": (str, "", "key = value config file; flags override it", None),
     "runs_dir": (str, "", "run-directory root (default ./runs or ENSTRO_RUNS_DIR)", None),
     "seed": (int, 2025, "seed for deterministic multi-start fields", 0),
 }
@@ -154,13 +149,13 @@ def load_config(path: str | Path, schema: dict) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigFileError(
+            raise ConfigurationError(
                 f"{path}:{lineno}: expected 'key = value', got {raw!r}"
             )
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in schema:
-            raise ConfigFileError(
+            raise ConfigurationError(
                 f"{path}:{lineno}: unknown config key {key!r}; "
                 f"valid keys: {valid}"
             )
@@ -168,7 +163,7 @@ def load_config(path: str | Path, schema: dict) -> dict:
         try:
             resolved[key] = typ(value)
         except ValueError:
-            raise ConfigFileError(
+            raise ConfigurationError(
                 f"{path}:{lineno}: could not parse {value!r} as "
                 f"{typ.__name__} for key {key!r}"
             ) from None
@@ -247,7 +242,7 @@ def _assertion(name: str, passed: bool, detail: str) -> dict:
 def _require(cfg: dict, name: str, ok: bool, rule: str) -> None:
     """Reject the value of flag ``name`` as a usage error unless ``ok``."""
     if not ok:
-        raise ValueError(f"--{name.replace('_', '-')} {rule}, got {cfg[name]!r}")
+        raise ConfigurationError(f"--{name.replace('_', '-')} {rule}, got {cfg[name]!r}")
 
 
 def _check_ranges(cfg: dict, schema: dict) -> None:
@@ -650,6 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, schema in SCHEMAS.items():
         p = sub.add_parser(command, help=f"run the {command} experiment")
+        p.add_argument("--config", help="key = value config file; flags override it")
         for name, (typ, default, help_text, least) in {**_COMMON, **schema}.items():
             flag = "--" + name.replace("_", "-")
             p.add_argument(
@@ -683,7 +679,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     seed = int(resolved.pop("seed"))
-    resolved.pop("config")
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
     failure = 0
@@ -691,8 +686,8 @@ def main(argv: list[str] | None = None) -> int:
         _check_ranges({**resolved, "seed": seed}, schema)
         assertions = _COMMANDS[command](resolved, out, seed)
     except Exception as exc:
-        # a ValueError or KeyError is a usage error, anything else a failed run
-        usage = isinstance(exc, (ValueError, KeyError))
+        # a setting out of its range is a usage error, anything else a failed run
+        usage = isinstance(exc, ConfigurationError)
         detail = str(exc) if usage else f"{type(exc).__name__}: {exc}"
         print(f"error: {exc}" if usage else f"run failed: {exc}", file=sys.stderr)
         out.outputs.clear()

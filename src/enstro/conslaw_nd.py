@@ -130,7 +130,7 @@ def get_flux(name: str) -> FluxSpec:
         if spec.name == name:
             return spec
     known = ", ".join(sorted(s.name for s in registry))
-    raise KeyError(f"unknown flux {name!r}; available: {known}")
+    raise ConfigurationError(f"unknown flux {name!r}; available: {known}")
 
 
 def _roll(u: np.ndarray, shift: int, axis: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -261,13 +261,13 @@ def simulate_nd(
     field and diagnostics.
 
     As in :func:`march`, a run whose first step predicts more steps,
-    t_end / dt, than :func:`_check_step_budget` allows raises ValueError
-    after that step.  The count bounds the steps taken: every registry
-    flux has |g'(u)| nondecreasing in |u|, so by the maximum principle dt
-    never falls below its first value.
+    t_end / dt, than :func:`_check_step_budget` allows raises
+    ConfigurationError after that step.  The count bounds the steps taken:
+    every registry flux has |g'(u)| nondecreasing in |u|, so by the maximum
+    principle dt never falls below its first value.
     """
     if flux.dim != u0.grid.dim:
-        raise ValueError(
+        raise ConfigurationError(
             f"flux {flux.name!r} is {flux.dim}-dimensional but the grid "
             f"has dim {u0.grid.dim}"
         )

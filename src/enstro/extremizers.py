@@ -35,9 +35,11 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .bounds_lab import initial_datum
-from .burgers_solver import SolverConfig, _rate_terms, march, step_spectral
+from .burgers_solver import SolverConfig, _integrating_factors, _rate_terms, march
+from .burgers_solver import step_spectral
 from .field_core import Field1D, GridSpec1D, _frozen_array, enstrophy, spectral_ops
-from .field_core import _require_nonnegative, _require_positive, _require_zero_mean
+from .field_core import _require_count, _require_nonnegative, _require_positive
+from .field_core import _require_zero_mean
 
 ADJOINT_STORAGE_BUDGET_BYTES = 256 * 2**20
 
@@ -65,9 +67,7 @@ class OptimConfig:
         _require_positive("grad_tol", self.grad_tol)
         if self.T is not None:
             _require_positive("T", self.T)
-        # the ascent stops at a fractional count without reaching it, so as converged
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer of at least 1, got {self.max_iters}")
+        _require_count("max_iters", self.max_iters)
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,9 +391,7 @@ def _adjoint_step(
     columns and ``stages`` (4, B, n), one row per member; as in
     :func:`step_spectral`, each row equals its own row call bit for bit.
     """
-    ops = spectral_ops(n)
-    e1 = np.exp(-0.5 * dt * nu * ops.k2)
-    e2 = e1 * e1
+    e1, e2 = _integrating_factors(dt, nu, n)
     s1, s2, s3, s4 = stages
 
     w = lam_hat.copy()

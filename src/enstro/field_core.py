@@ -16,7 +16,7 @@ import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """Raised for invalid grid or solver configuration values."""
+    """A setting out of its range: the one error the CLI exits 2 on."""
 
 
 def _require_grid_size(name: str, n: int) -> None:
@@ -31,20 +31,27 @@ def _require_positive(name: str, value: float) -> None:
     """The one rule for a viscosity, time, amplitude or enstrophy level:
     positive and finite, so nan and inf are refused too."""
     if not 0.0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+        raise ConfigurationError(f"{name} must be positive and finite, got {value}")
 
 
 def _require_nonnegative(name: str, value: float) -> None:
     """The one rule for an elapsed time, or nu times one: zero or positive and
     finite, so nan and inf are refused."""
     if not 0.0 <= value < np.inf:
-        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+        raise ConfigurationError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def _require_count(name: str, value: int) -> None:
+    """The one rule for an iteration count or stride: an integer of at least
+    1, since a fractional one would silently act as another count."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigurationError(f"{name} must be an integer of at least 1, got {value}")
 
 
 def _require_zero_mean(values: np.ndarray) -> None:
     """The zero-mean hypothesis on initial data, to round-off."""
     if abs(float(values.mean())) > 1e-12:
-        raise ValueError("initial data must have zero mean (|mean| <= 1e-12)")
+        raise ConfigurationError("initial data must have zero mean (|mean| <= 1e-12)")
 
 
 # the message of a field whose samples do not fit its grid

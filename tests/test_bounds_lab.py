@@ -476,7 +476,7 @@ class TestNuSweep:
         assert u0.values.tobytes() == frozen.tobytes()
 
     def test_unknown_family(self):
-        with pytest.raises(KeyError, match="unknown datum family"):
+        with pytest.raises(ConfigurationError, match="unknown datum family"):
             datum_family("mystery", GridSpec1D(512))
 
 

@@ -21,9 +21,9 @@ import pytest
 import enstro.cli
 from enstro.bounds_lab import INITS, SWEEP_COLUMNS, CharacteristicsRow, datum_family
 from enstro.burgers_solver import DIAGNOSTIC_COLUMNS, SolverConfig, simulate, sup_enstrophy
-from enstro.cli import ConfigFileError, _build_parser, load_config, main, run_sweep_e0
+from enstro.cli import _build_parser, load_config, main, run_sweep_e0
 from enstro.extremizers import RECORD_COLUMNS, default_seeds
-from enstro.field_core import GridSpec1D, write_csv
+from enstro.field_core import ConfigurationError, GridSpec1D, write_csv
 
 
 @pytest.fixture()
@@ -74,6 +74,32 @@ OUT_OF_RANGE = {
     "sweep-e0 --max-iters 0": "--max-iters must be at least 1, got 0",
     "sweep-nu --t-end 0": "--t-end must be positive, got 0.0",
     "sweep-nu --count 3": "--count must be at least 4, got 3",
+    # settings the library checks: each raises ConfigurationError
+    "sweep-nu --family nope": "unknown datum family 'nope'; available: lower-bound, sine",
+    "conslaw-nd --flux nope": (
+        "unknown flux 'nope'; available: burgers1d, burgers2d, cubic, cubic2d, "
+        "linear(c=1), linear2d(c=1)"
+    ),
+    "conslaw-nd --dim 2 --flux burgers1d": (
+        "flux 'burgers1d' is 1-dimensional but the grid has dim 2"
+    ),
+    "simulate --cfl 2": "cfl must lie in (0, 1], got 2.0",
+    "simulate --n-points 64 --nu 1e-4": (
+        "grid spacing 1.562e-02 cannot resolve shock width 1.111e-04; "
+        "use at least n_points = 65536"
+    ),
+    "simulate --t-end 1e9": (
+        "t_end / dt of the first step is 1.15e+12, more than the 1e+07 steps a run may take"
+    ),
+}
+
+# command line -> the failure of a run whose settings are all in range
+RUN_FAILURES = {
+    "dissipation --eps 0.42924": "too few snapshots inside the time window",
+    "lower-bound --n-points 32": (
+        "characteristics cross before reaching the origin at 1 points, "
+        "first at alpha = -0.062500"
+    ),
 }
 
 
@@ -154,6 +180,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {OUT_OF_RANGE[line]}\n"
         manifest = _manifest(runs_root, argv[0])
         assert manifest["outputs"] == [] and manifest["passed"] is False
+
+    @pytest.mark.parametrize("line", list(RUN_FAILURES))
+    def test_failed_run_exits_one(self, runs_root, capsys, line):
+        argv = line.split()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"run failed: {RUN_FAILURES[line]}\n"
+        manifest = _manifest(runs_root, argv[0])
+        assert manifest["outputs"] == [] and manifest["passed"] is False
+
+    @pytest.mark.parametrize(
+        "exc, detail",
+        [(ValueError("bad data"), "ValueError: bad data"), (KeyError("k"), "KeyError: 'k'")],
+        ids=["ValueError", "KeyError"],
+    )
+    def test_an_error_that_is_not_a_setting_fails_the_run(
+        self, runs_root, capsys, monkeypatch, exc, detail
+    ):
+        def command(cfg, out, seed):
+            raise exc
+
+        monkeypatch.setitem(enstro.cli._COMMANDS, "simulate", command)
+        assert main(["simulate"]) == 1
+        assert capsys.readouterr().err == f"run failed: {exc}\n"
+        manifest = _manifest(runs_root, "simulate")
+        assert manifest["outputs"] == [] and manifest["passed"] is False
+        assert [a["detail"] for a in manifest["assertions"]] == [detail]
 
     @pytest.mark.parametrize("command, flag, typ, least", list(_ranged_rows()))
     def test_every_schema_range_is_checked(
@@ -311,25 +363,34 @@ class TestConfigFile:
         cfg.write_text("wrongkey = 3\n")
         schema = {"nu": (float, 0.0, ""), "amp": (float, 0.0, "")}
         with pytest.raises(
-            ConfigFileError, match=r"unknown config key 'wrongkey'.*amp, nu"
+            ConfigurationError, match=r"unknown config key 'wrongkey'.*amp, nu"
         ):
             load_config(cfg, schema)
         # a setting with one value has no key
         cfg.write_text("inner_product = h1\n")
-        with pytest.raises(ConfigFileError, match="unknown config key 'inner_product'"):
+        with pytest.raises(ConfigurationError, match="unknown config key 'inner_product'"):
             load_config(cfg, enstro.cli.SCHEMAS["maximize-instant"])
 
     def test_type_mismatch_names_the_line(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("# first line\nnu = banana\n")
-        with pytest.raises(ConfigFileError, match=r":2: could not parse 'banana'"):
+        with pytest.raises(ConfigurationError, match=r":2: could not parse 'banana'"):
             load_config(cfg, {"nu": (float, 0.0, "")})
 
     def test_malformed_line_is_rejected(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("just words\n")
-        with pytest.raises(ConfigFileError, match=r":1: expected 'key = value'"):
+        with pytest.raises(ConfigurationError, match=r":1: expected 'key = value'"):
             load_config(cfg, {"nu": (float, 0.0, "")})
+
+    def test_a_file_names_no_further_file(self, runs_root, tmp_path, capsys):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("config = /nonexistent.cfg\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        valid = "amp, cfl, init, n_points, nu, runs_dir, seed, t_end"
+        err = f"error: {cfg}:1: unknown config key 'config'; valid keys: {valid}\n"
+        assert capsys.readouterr().err == err
+        assert not runs_root.exists()
 
     def test_flags_override_file_values(self, runs_root, tmp_path):
         cfg = tmp_path / "a.cfg"

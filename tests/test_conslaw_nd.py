@@ -95,7 +95,7 @@ class TestFluxRegistry:
         assert np.hypot(d[0], d[0]) == pytest.approx(0.5)
 
     def test_unknown_name_lists_known(self):
-        with pytest.raises(KeyError, match="burgers1d"):
+        with pytest.raises(ConfigurationError, match="burgers1d"):
             get_flux("kpz")
 
 
